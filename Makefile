@@ -1,16 +1,7 @@
-.PHONY: check test race bench bench-json bench-analyzer chaos
+.PHONY: check test race bench chaos
 
 check:
 	./scripts/check.sh
-
-bench-json:
-	./scripts/bench.sh
-	./scripts/bench_analyzer.sh
-
-# Analyzer scale-out sweep only: serial vs parallel at 10k/100k/500k
-# observations, written to BENCH_analyzer.json.
-bench-analyzer:
-	./scripts/bench_analyzer.sh
 
 test:
 	go build ./... && go test ./...

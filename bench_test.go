@@ -159,31 +159,6 @@ func BenchmarkFigure13TPCDS(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentSubmit measures the concurrent submission pipeline:
-// the same pure-reuse workload run serially and through SubmitBatch on
-// identically warmed services, reporting batched throughput and the
-// wall-clock speedup. The speedup is bounded by GOMAXPROCS — expect ≥2x
-// on a 4-core machine, and ~1x on a single-core one — while outputs and
-// view-reuse decisions must be identical regardless (the benchmark fails
-// otherwise).
-func BenchmarkConcurrentSubmit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunConcurrentSubmit(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.OutputMismatches != 0 || r.DecisionMismatches != 0 {
-			b.Fatalf("concurrency changed results: %d output, %d decision mismatches",
-				r.OutputMismatches, r.DecisionMismatches)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(r.JobsPerSec, "jobs/s")
-			b.ReportMetric(r.Speedup, "x-speedup")
-			b.ReportMetric(float64(r.Jobs), "jobs")
-		}
-	}
-}
-
 // BenchmarkOverheadAnalyzer regenerates the §7.3 analyzer-cost
 // measurement: wall time to analyze a cluster's history.
 func BenchmarkOverheadAnalyzer(b *testing.B) {

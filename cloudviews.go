@@ -20,8 +20,6 @@
 package cloudviews
 
 import (
-	"context"
-
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/core"
@@ -150,10 +148,8 @@ type (
 // NewService wires a complete in-process job service around a catalog.
 var NewService = core.NewService
 
-// BatchOptions configures Service.RunBatch, the canonical ctx-first batch
-// submission entry point (Service.Run is its single-job sibling). The
-// Submit/SubmitCtx/SubmitBatch/SubmitBatchCtx quartet remains as thin
-// deprecated wrappers.
+// BatchOptions configures Service.RunBatch, the ctx-first batch submission
+// entry point (Service.Run is its single-job sibling).
 type BatchOptions = core.BatchOptions
 
 // ---- Observability ---------------------------------------------------------
@@ -193,7 +189,7 @@ type (
 // that failed, a JobErrorReason (cancelled / deadline / shed /
 // dependency), and the underlying cause reachable via errors.Is/As.
 // Submissions with per-job deadlines (JobSpec.Deadline on the logical
-// clock) or cancellable contexts go through Service.SubmitCtx; graceful
+// clock) or cancellable contexts go through Service.Run; graceful
 // shutdown through Service.Drain, after which submissions fail shed with
 // ErrDraining as the cause.
 type (
@@ -216,17 +212,16 @@ var ErrDraining = core.ErrDraining
 // FaultConfig sets the per-class probabilities of a seeded fault schedule;
 // FaultInjector is the deterministic injector Service.InstallFaults wires
 // into every layer; RecoveryStats is the service-wide recovery counters
-// returned by Service.Recovery.
+// in Service.Snapshot().Recovery.
 type (
 	FaultConfig   = fault.Config
 	FaultInjector = fault.Injector
 	RecoveryStats = core.RecoveryStats
 )
 
-// StorageStats is the storage byte gauges returned by
-// Service.StorageStats: resident encoded view bytes plus the decoded
-// hot-view cache's entries, bytes, and hit/miss/eviction counters
-// (CacheStats).
+// StorageStats is the storage byte gauges in Service.Snapshot().Storage:
+// resident encoded view bytes plus the decoded hot-view cache's entries,
+// bytes, and hit/miss/eviction counters (CacheStats).
 type (
 	StorageStats = core.StorageStats
 	CacheStats   = storage.CacheStats
@@ -299,22 +294,6 @@ type (
 
 // GenerateTPCDS builds a TPC-DS catalog at the given scale factor.
 var GenerateTPCDS = tpcds.Generate
-
-// SubmitJob is a convenience wrapper: it builds a JobSpec from a plan and
-// metadata and runs it.
-func SubmitJob(s *Service, meta JobMeta, root *Plan) (*JobResult, error) {
-	return s.Run(context.Background(), JobSpec{Meta: meta, Root: root})
-}
-
-// SubmitBatch runs a batch of jobs with up to concurrency in flight
-// (≤ 1 means one per CPU), returning results in submission order. Jobs in
-// a batch coordinate view builds through the metadata service exactly as
-// concurrently arriving production jobs do (§6.5). When jobs fail, the
-// returned error joins every per-job failure (errors.Join) and the result
-// slice keeps the successful jobs at their submission indexes.
-func SubmitBatch(s *Service, specs []JobSpec, concurrency int) ([]*JobResult, error) {
-	return s.RunBatch(context.Background(), specs, BatchOptions{Concurrency: concurrency})
-}
 
 // ---- Scripts -----------------------------------------------------------------
 

@@ -1,44 +1,70 @@
 package cloudviews
 
-// cloudviews_api_test.go pins the redesigned public API surface: every
-// re-exported observability symbol must resolve at compile time, the
-// canonical Run/RunBatch pair must exist with its ctx-first shape, and
-// the deprecated Submit quartet must delegate to it with field-identical
-// results.
+// cloudviews_api_test.go pins the public API surface: the exact exported
+// method set of *Service, the absence of every deleted duplicate entry
+// point on the layers below it, and the re-exported observability symbols.
+// A re-added wrapper fails here.
 
 import (
 	"bytes"
 	"context"
-	"errors"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
+
+	"cloudviews/internal/exec"
+	"cloudviews/internal/metadata"
+	"cloudviews/internal/storage"
 )
 
-// TestAPISurface is a compile-time contract: assigning each method and
-// symbol to an explicitly typed variable fails the build if a signature
-// drifts. The runtime assertions are minimal sanity.
+// TestAPISurface is part compile-time contract (assigning each method to
+// an explicitly typed variable fails the build if a signature drifts),
+// part reflection: one way in (Run/RunBatch), one way to read (Snapshot).
 func TestAPISurface(t *testing.T) {
 	cat := facadeCatalog(t)
 	svc := NewService(cat, Config{Enabled: true})
 
-	// Canonical submission pair.
 	var run func(context.Context, JobSpec) (*JobResult, error) = svc.Run
 	var runBatch func(context.Context, []JobSpec, BatchOptions) ([]*JobResult, error) = svc.RunBatch
-	// Deprecated wrappers, kept source-compatible.
-	var submit func(JobSpec) (*JobResult, error) = svc.Submit
-	var submitCtx func(context.Context, JobSpec) (*JobResult, error) = svc.SubmitCtx
-	var submitBatch func([]JobSpec, int) ([]*JobResult, error) = svc.SubmitBatch
-	var submitBatchCtx func(context.Context, []JobSpec, int) ([]*JobResult, error) = svc.SubmitBatchCtx
-	// Unified stats and tracing surface.
 	var snapshot func() ServiceStats = svc.Snapshot
 	var trace func(string) (*Trace, bool) = svc.Trace
 	var setObserver func(*ServiceObserver) = svc.SetObserver
 	var observer func() *ServiceObserver = svc.Observer
-	for _, fn := range []any{run, runBatch, submit, submitCtx, submitBatch,
-		submitBatchCtx, snapshot, trace, setObserver, observer} {
+	for _, fn := range []any{run, runBatch, snapshot, trace, setObserver, observer} {
 		if fn == nil {
 			t.Fatal("nil method value")
 		}
+	}
+
+	want := []string{
+		"AnalysisStale", "BeginInstance", "Drain", "Draining", "InFlight",
+		"InstallFaults", "Observer", "ReclaimStorage", "Replay", "Run",
+		"RunAnalyzer", "RunBatch", "RunOfflinePhase", "SetObserver",
+		"Snapshot", "Trace", "ViewProvenance", "ViewsBuiltLastInstance",
+	}
+	if got := methodNames(svc); !slices.Equal(got, want) {
+		t.Errorf("*Service exported methods:\n got %v\nwant %v", got, want)
+	}
+
+	// The layers below keep only the ctx-first, error-returning forms.
+	deleted := []string{
+		"Run", "Write", "Consume", "RelevantViews", "Recovery", "StorageStats",
+		"Submit", "SubmitCtx", "SubmitBatch", "SubmitBatchCtx",
+	}
+	for _, v := range []any{&exec.Executor{}, &storage.Store{}, &metadata.Service{}, &metadata.Client{}} {
+		for _, name := range methodNames(v) {
+			if slices.Contains(deleted, name) {
+				t.Errorf("%T has deleted method %s", v, name)
+			}
+		}
+	}
+	src, err := os.ReadFile("cloudviews.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(src, []byte("\nfunc Submit")) {
+		t.Error("cloudviews.go declares a Submit* convenience func; Service.Run/RunBatch are the only way in")
 	}
 
 	// Re-exported observability types must be usable as values.
@@ -46,6 +72,8 @@ func TestAPISurface(t *testing.T) {
 	if st.SchemaVersion != StatsSchemaVersion {
 		t.Fatalf("SchemaVersion = %d, want %d", st.SchemaVersion, StatsSchemaVersion)
 	}
+	var _ RecoveryStats = st.Recovery
+	var _ StorageStats = st.Storage
 	var _ SchedulerStats = st.Scheduler
 	var _ []BreakerStats = st.Breakers
 	var _ Metrics = st.Metrics
@@ -69,96 +97,12 @@ func TestAPISurface(t *testing.T) {
 	}
 }
 
-// sameJobResult compares the observable fields of two results for the
-// delegation tests (pointers and plan identities necessarily differ).
-func sameJobResult(t *testing.T, label string, a, b *JobResult) {
-	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Fatalf("%s: nil mismatch", label)
+// methodNames lists v's exported methods (reflection returns them sorted).
+func methodNames(v any) []string {
+	typ := reflect.TypeOf(v)
+	names := make([]string, typ.NumMethod())
+	for i := range names {
+		names[i] = typ.Method(i).Name
 	}
-	if a == nil {
-		return
-	}
-	if a.Result.TotalCPU != b.Result.TotalCPU || a.Result.Latency != b.Result.Latency {
-		t.Fatalf("%s: cost mismatch cpu %v vs %v, latency %v vs %v",
-			label, a.Result.TotalCPU, b.Result.TotalCPU, a.Result.Latency, b.Result.Latency)
-	}
-	if len(a.Result.Outputs) != len(b.Result.Outputs) {
-		t.Fatalf("%s: output count %d vs %d", label, len(a.Result.Outputs), len(b.Result.Outputs))
-	}
-	for name, rows := range a.Result.Outputs {
-		if !reflect.DeepEqual(rows, b.Result.Outputs[name]) {
-			t.Fatalf("%s: output %q differs", label, name)
-		}
-	}
-	if !reflect.DeepEqual(a.Result.MaterializedPaths, b.Result.MaterializedPaths) {
-		t.Fatalf("%s: materialized paths %v vs %v",
-			label, a.Result.MaterializedPaths, b.Result.MaterializedPaths)
-	}
-	if len(a.Decision.ViewsUsed) != len(b.Decision.ViewsUsed) ||
-		len(a.Decision.ViewsBuilt) != len(b.Decision.ViewsBuilt) {
-		t.Fatalf("%s: decision mismatch %+v vs %+v", label, a.Decision, b.Decision)
-	}
-}
-
-// TestDeprecatedWrappersDelegate proves Submit/SubmitCtx/SubmitBatch/
-// SubmitBatchCtx produce results identical to Run/RunBatch on identical
-// fresh services — they are wrappers, not parallel implementations.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	build := func() (*Service, *Catalog) {
-		cat := facadeCatalog(t)
-		return NewService(cat, Config{Enabled: true}), cat
-	}
-	job := func(cat *Catalog, id string) JobSpec {
-		return JobSpec{Meta: facadeMeta(id),
-			Root: Scan("purchases", "v1", mustSchema(cat, t)).
-				ShuffleHash([]int{0}, 4).
-				HashAgg([]int{0}, []AggSpec{{Fn: AggSum, Col: 3}}).
-				Output("spend")}
-	}
-
-	// Single-job: Run vs Submit vs SubmitCtx.
-	sv1, c1 := build()
-	r1, e1 := sv1.Run(context.Background(), job(c1, "j"))
-	sv2, c2 := build()
-	r2, e2 := sv2.Submit(job(c2, "j"))
-	sv3, c3 := build()
-	r3, e3 := sv3.SubmitCtx(context.Background(), job(c3, "j"))
-	if e1 != nil || e2 != nil || e3 != nil {
-		t.Fatal(e1, e2, e3)
-	}
-	sameJobResult(t, "Submit vs Run", r2, r1)
-	sameJobResult(t, "SubmitCtx vs Run", r3, r1)
-
-	// Batch: RunBatch vs SubmitBatch vs SubmitBatchCtx.
-	batch := func(cat *Catalog) []JobSpec {
-		return []JobSpec{job(cat, "b0"), job(cat, "b1"), job(cat, "b2")}
-	}
-	sv4, c4 := build()
-	rb1, eb1 := sv4.RunBatch(context.Background(), batch(c4), BatchOptions{Concurrency: 2})
-	sv5, c5 := build()
-	rb2, eb2 := sv5.SubmitBatch(batch(c5), 2)
-	sv6, c6 := build()
-	rb3, eb3 := sv6.SubmitBatchCtx(context.Background(), batch(c6), 2)
-	if eb1 != nil || eb2 != nil || eb3 != nil {
-		t.Fatal(eb1, eb2, eb3)
-	}
-	for i := range rb1 {
-		sameJobResult(t, "SubmitBatch vs RunBatch", rb2[i], rb1[i])
-		sameJobResult(t, "SubmitBatchCtx vs RunBatch", rb3[i], rb1[i])
-	}
-
-	// Error paths delegate too: a cancelled context yields the same typed
-	// JobError through the wrapper as through Run.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, errRun := sv1.Run(ctx, job(c1, "cancelled"))
-	_, errWrap := sv1.SubmitCtx(ctx, job(c1, "cancelled"))
-	var jeRun, jeWrap *JobError
-	if !errors.As(errRun, &jeRun) || !errors.As(errWrap, &jeWrap) {
-		t.Fatalf("expected JobErrors, got %v / %v", errRun, errWrap)
-	}
-	if jeRun.Reason != ReasonCancelled || jeWrap.Reason != jeRun.Reason {
-		t.Fatalf("reason mismatch: %v vs %v", jeRun.Reason, jeWrap.Reason)
-	}
+	return names
 }

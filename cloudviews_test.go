@@ -2,6 +2,7 @@ package cloudviews
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 )
@@ -46,12 +47,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			ShuffleHash([]int{0}, 4).
 			HashAgg([]int{0}, []AggSpec{{Fn: AggSum, Col: 3}})
 	}
-	r1, err := SubmitJob(svc, facadeMeta("spend-report"), shared().Sort([]int{1}, []bool{true}).Output("spend"))
+	r1, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta("spend-report"),
+		Root: shared().Sort([]int{1}, []bool{true}).Output("spend")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubmitJob(svc, facadeMeta("big-spenders"),
-		shared().Filter(Bin(OpGt, Col(1, "sum_amount"), Lit(Float(900)))).Output("big")); err != nil {
+	if _, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta("big-spenders"),
+		Root: shared().Filter(Bin(OpGt, Col(1, "sum_amount"), Lit(Float(900)))).Output("big")}); err != nil {
 		t.Fatal(err)
 	}
 	an := svc.RunAnalyzer(AnalyzerConfig{MinFrequency: 2, TopK: 1})
@@ -64,12 +66,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("public SignatureOf disagrees with analyzer selection")
 	}
 
-	r3, err := SubmitJob(svc, facadeMeta("spend-report-2"), shared().Sort([]int{1}, []bool{true}).Output("spend"))
+	r3, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta("spend-report-2"),
+		Root: shared().Sort([]int{1}, []bool{true}).Output("spend")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := SubmitJob(svc, facadeMeta("big-spenders-2"),
-		shared().Filter(Bin(OpGt, Col(1, "sum_amount"), Lit(Float(900)))).Output("big"))
+	r4, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta("big-spenders-2"),
+		Root: shared().Filter(Bin(OpGt, Col(1, "sum_amount"), Lit(Float(900)))).Output("big")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ OUTPUT a TO spend;
 		t.Fatal(err)
 	}
 	svc := NewService(cat, Config{Enabled: true})
-	r, err := SubmitJob(svc, facadeMeta("scripted"), root)
+	r, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta("scripted"), Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestPublicAPIWorkloadGenerators(t *testing.T) {
 	b := &TPCDSBuilder{Cat: tp}
 	q := b.Query(3)
 	svc := NewService(tp, Config{})
-	if _, err := SubmitJob(svc, facadeMeta(q.Name), q.Root); err != nil {
+	if _, err := svc.Run(context.Background(), JobSpec{Meta: facadeMeta(q.Name), Root: q.Root}); err != nil {
 		t.Fatal(err)
 	}
 }

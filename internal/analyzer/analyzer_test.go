@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -61,7 +62,7 @@ func buildFixture(t testing.TB) *fixture {
 
 	run := func(job, user, vc, tpl string, period int64, root *plan.Node) {
 		t.Helper()
-		res, err := ex.Run(root, job, 0)
+		res, err := ex.RunCtx(context.Background(), root, job, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,10 @@ func TestAnnotationsFeedMetadataService(t *testing.T) {
 	ms.LoadAnalysis(an.Annotations)
 	// Jobs reading "logs" must discover the shared-pipeline annotation
 	// via the inverted index.
-	rel := ms.RelevantViews("vc1", []string{"logs"})
+	rel, err := ms.TryRelevantViews("vc1", []string{"logs"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
 	for _, r := range rel {
 		if r.NormSig == f.sharedAgg.Normalized {
@@ -263,8 +267,8 @@ func TestAnnotationsFeedMetadataService(t *testing.T) {
 		t.Error("inverted index lookup missed the shared pipeline")
 	}
 	// Template tags work too.
-	if len(ms.RelevantViews("vc1", []string{"tplA"})) == 0 {
-		t.Error("template tag lookup missed")
+	if rel, err := ms.TryRelevantViews("vc1", []string{"tplA"}); err != nil || len(rel) == 0 {
+		t.Errorf("template tag lookup missed: %v", err)
 	}
 }
 

@@ -237,11 +237,14 @@ func RunCoordinationAblation(seed int64) (*CoordinationAblationResult, error) {
 			// before any finishes, so no job sees another's views.
 			plans := make([]*plan.Node, len(order))
 			for i, j := range order {
-				anns := svc.Meta.RelevantViews(j.Meta.VC, []string{j.Meta.TemplateID, j.Template.Input})
+				anns, err := svc.Meta.TryRelevantViews(j.Meta.VC, []string{j.Meta.TemplateID, j.Template.Input})
+				if err != nil {
+					return 0, err
+				}
 				plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
 			}
 			for i, j := range order {
-				res, err := svc.Exec.Run(plans[i], j.Meta.JobID, 0)
+				res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
 				if err != nil {
 					return 0, err
 				}

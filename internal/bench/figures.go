@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -50,7 +51,7 @@ func RunWorkload(w *workgen.Workload, instance int64) (*workload.Repository, err
 	ex := &exec.Executor{Catalog: w.Catalog, Store: storage.NewStore()}
 	repo := workload.NewRepository()
 	for _, j := range w.JobsForInstance(instance) {
-		res, err := ex.Run(j.Root, j.Meta.JobID, instance)
+		res, err := ex.RunCtx(context.Background(), j.Root, j.Meta.JobID, instance, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: job %s: %w", j.Meta.JobID, err)
 		}

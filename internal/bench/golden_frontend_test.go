@@ -13,6 +13,7 @@ package bench
 // decision order, which concurrent submission legitimately perturbs.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -44,7 +45,7 @@ func TestGoldenFrontendProduction(t *testing.T) {
 	// run self-contained and deterministic).
 	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
 	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Submit(core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
+		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func TestGoldenFrontendProduction(t *testing.T) {
 	var lines []string
 	for _, j := range picks {
 		lines = append(lines, sigLine(comp, j.Meta.JobID, j.Root))
-		r, err := cv.Submit(core.JobSpec{Meta: j.Meta, Root: j.Root})
+		r, err := cv.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestGoldenFrontendTPCDS(t *testing.T) {
 
 	base := core.NewService(cat, core.Config{Enabled: false})
 	for _, q := range queries {
-		if _, err := base.Submit(core.JobSpec{Meta: meta(q), Root: q.Root}); err != nil {
+		if _, err := base.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +151,7 @@ func TestGoldenFrontendTPCDS(t *testing.T) {
 	var lines []string
 	for _, q := range order {
 		lines = append(lines, sigLine(comp, q.Name, q.Root))
-		r, err := cv.Submit(core.JobSpec{Meta: meta(q), Root: q.Root})
+		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
 		if err != nil {
 			t.Fatal(err)
 		}

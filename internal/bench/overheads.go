@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -64,8 +65,12 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 		}
 	}
 	res.Lookups = len(tags)
-	res.LookupAvg1Thread = lookupLatency(srv.URL, tags, 1)
-	res.LookupAvg5Threads = lookupLatency(srv.URL, tags, 5)
+	if res.LookupAvg1Thread, err = lookupLatency(srv.URL, tags, 1); err != nil {
+		return nil, err
+	}
+	if res.LookupAvg5Threads, err = lookupLatency(srv.URL, tags, 5); err != nil {
+		return nil, err
+	}
 
 	// 3. Optimizer time: pick a job that contains a selected view.
 	res.OptimizePlain, res.OptimizeCreate, res.OptimizeUse, err = optimizerOverheads(w, an)
@@ -75,12 +80,14 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 	return res, nil
 }
 
-// lookupLatency measures the mean RelevantViews round trip with the given
-// client concurrency (the paper's 19 ms single-thread vs 14.3 ms with 5
-// threads — ours are in-process, so absolute values are microseconds).
-func lookupLatency(url string, tags [][]string, threads int) time.Duration {
+// lookupLatency measures the mean TryRelevantViews round trip with the
+// given client concurrency (the paper's 19 ms single-thread vs 14.3 ms
+// with 5 threads — ours are in-process, so absolute values are
+// microseconds).
+func lookupLatency(url string, tags [][]string, threads int) (time.Duration, error) {
 	client := metadata.NewClient(url)
 	var wg sync.WaitGroup
+	errs := make([]error, threads)
 	per := (len(tags) + threads - 1) / threads
 	start := time.Now()
 	for t := 0; t < threads; t++ {
@@ -93,15 +100,18 @@ func lookupLatency(url string, tags [][]string, threads int) time.Duration {
 			continue
 		}
 		wg.Add(1)
-		go func(batch [][]string) {
+		go func(t int, batch [][]string) {
 			defer wg.Done()
 			for _, tg := range batch {
-				client.RelevantViews("bench_vc", tg)
+				if _, err := client.TryRelevantViews("bench_vc", tg); err != nil {
+					errs[t] = err
+					return
+				}
 			}
-		}(tags[lo:hi])
+		}(t, tags[lo:hi])
 	}
 	wg.Wait()
-	return time.Since(start) / time.Duration(len(tags))
+	return time.Since(start) / time.Duration(len(tags)), errors.Join(errs...)
 }
 
 // optimizerOverheads times Optimize for the three regimes.
@@ -159,7 +169,10 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	// job succeeds) and wraps the subgraph in a Materialize operator.
 	svcCreate := core.NewService(w.Catalog, core.Config{Enabled: true})
 	svcCreate.Meta.LoadAnalysis(an.Annotations)
-	annsCreate := svcCreate.Meta.RelevantViews(target.Meta.VC, []string{target.Meta.TemplateID, target.Template.Input})
+	annsCreate, err := svcCreate.Meta.TryRelevantViews(target.Meta.VC, []string{target.Meta.TemplateID, target.Template.Input})
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	create = timeIt(func() {
 		svcCreate.Opt.Optimize(target.Root, "creator", annsCreate, 0)
 	})

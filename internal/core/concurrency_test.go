@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -20,7 +21,7 @@ func warmService(t testing.TB) *Service {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	r, err := s.Submit(specA("warm-builder", 1))
+	r, err := s.Run(context.Background(), specA("warm-builder", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +64,13 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 
 	serial := make([]*JobResult, len(specs))
 	for i, spec := range specs {
-		r, err := sSerial.Submit(spec)
+		r, err := sSerial.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
 		serial[i] = r
 	}
-	batch, err := sBatch.SubmitBatch(specs, 8)
+	batch, err := sBatch.RunBatch(context.Background(), specs, BatchOptions{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	s.BeginInstance(1)
 
 	specs := consumerSpecs(24) // no warm builder: the batch must elect one
-	results, err := s.SubmitBatch(specs, 8)
+	results, err := s.RunBatch(context.Background(), specs, BatchOptions{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,7 +53,7 @@ func TestRandomFailureInjection(t *testing.T) {
 		// invariants must hold no matter where the crash lands.
 		hook := &crashAtStep{failAt: int64(rng.Intn(10))}
 		s.Exec.Faults = hook
-		_, err := s.Submit(specA(fmt.Sprintf("crash-%d", round), 1))
+		_, err := s.Run(context.Background(), specA(fmt.Sprintf("crash-%d", round), 1))
 		s.Exec.Faults = nil
 		crashed := err != nil
 
@@ -70,7 +71,7 @@ func TestRandomFailureInjection(t *testing.T) {
 
 		// Invariant 2 + 3: a different submitter makes progress with
 		// correct results.
-		follow, err := s.Submit(specB(fmt.Sprintf("follow-%d", round), 1))
+		follow, err := s.Run(context.Background(), specB(fmt.Sprintf("follow-%d", round), 1))
 		if err != nil {
 			t.Fatalf("round %d (crashed=%v): follow-up failed: %v", round, crashed, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestAnalysisStaleDetection(t *testing.T) {
 	// Instance 1 behaves: views get built, analysis is fresh.
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	s.BeginInstance(2) // rolls the counter: 1 build last instance
@@ -41,7 +42,7 @@ func TestAnalysisStaleDetection(t *testing.T) {
 		Meta: specA("a2-changed", 2).Meta,
 		Root: changedSub.Sort([]int{1}, []bool{true}).Top(10).Output("topUsers"),
 	}
-	if _, err := s.Submit(changed); err != nil {
+	if _, err := s.Run(context.Background(), changed); err != nil {
 		t.Fatal(err)
 	}
 	s.BeginInstance(3)
@@ -80,7 +81,7 @@ func TestReclaimStorage(t *testing.T) {
 	// different utilities.
 	seedHistory(t, s) // selects the shared agg (high utility)
 	deliver(t, s.Catalog, 1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Store.Len() != 1 {
@@ -94,7 +95,7 @@ func TestReclaimStorage(t *testing.T) {
 		Gather()
 	orphanSig := sigOf(orphanPlan)
 	orphan := orphanPlan.Materialize("/views/orphan", orphanSig.Precise, orphanSig.Normalized, plan.PhysicalProps{}).Output("x")
-	if _, err := s.Exec.Run(orphan, "orphan-job", 1); err != nil {
+	if _, err := s.Exec.RunCtx(context.Background(), orphan, "orphan-job", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Store.Len() != 2 {
@@ -119,7 +120,7 @@ func TestReclaimStorage(t *testing.T) {
 		t.Error("full reclamation left residue")
 	}
 	// Jobs keep running fine (they just rebuild).
-	if _, err := s.Submit(specB("b1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specB("b1", 1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,7 +130,7 @@ func TestReclaimOrderIsLowestUtilityFirst(t *testing.T) {
 	s.Config.ValidateResults = false
 	// Seed with TopK 2 so two views with different utilities exist.
 	for i, spec := range []JobSpec{specA("a0", 0), specB("b0", 0)} {
-		if _, err := s.Submit(spec); err != nil {
+		if _, err := s.Run(context.Background(), spec); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
@@ -139,10 +140,10 @@ func TestReclaimOrderIsLowestUtilityFirst(t *testing.T) {
 	}
 	deliver(t, s.Catalog, 1)
 	s.Opt.MaxMaterializePerJob = 2
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(specB("b1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specB("b1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Store.Len() < 2 {
@@ -181,7 +182,7 @@ func TestViewProvenanceAndReplay(t *testing.T) {
 	s.Config.ValidateResults = false
 	an := seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
-	builder, err := s.Submit(specA("a1", 1))
+	builder, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestViewProvenanceAndReplay(t *testing.T) {
 	}
 
 	// Replay a consumer job: same decisions, same output.
-	consumer, err := s.Submit(specB("b1", 1))
+	consumer, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // observe.go wires the deterministic observability layer (internal/obs)
-// into the service and carries the redesigned public API surface: the
-// ctx-first submission pair Run/RunBatch, the single versioned stats
-// view Snapshot, and per-job trace export via Trace.
+// into the service: the Observer, the per-job trace builder, the single
+// versioned stats view Snapshot, and per-job trace export via Trace.
 //
 // One Observer implements every layer's observability hook (executor
 // vertices, view-store reads and writes, metadata lookups, cluster
@@ -16,8 +15,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,7 +25,6 @@ import (
 	"cloudviews/internal/exec"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/obs"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/storage"
 )
 
@@ -43,7 +39,6 @@ type Observer struct {
 	// Hot-path instruments are resolved once at construction so hooks
 	// never touch the registry's name index.
 	jobsSubmitted, jobsCompleted, jobsFailed *obs.Counter
-	jobsShed, jobsCancelled, jobsDeadline    *obs.Counter
 	jobLatency                               *obs.Histogram
 	vertices, vertexRetries                  *obs.Counter
 	retryWait                                *obs.Histogram
@@ -57,7 +52,6 @@ type Observer struct {
 	breakerTrips, breakerCloses              *obs.Counter
 	analyzerRuns, analyzerCandidates         *obs.Counter
 	analyzerSelected                         *obs.Counter
-	reuseSkipped                             *obs.Counter
 }
 
 // Compile-time proof the Observer satisfies every layer's hook seam.
@@ -80,9 +74,6 @@ func NewObserver(traceCapacity int) *Observer {
 		jobsSubmitted:      reg.Counter("jobs.submitted"),
 		jobsCompleted:      reg.Counter("jobs.completed"),
 		jobsFailed:         reg.Counter("jobs.failed"),
-		jobsShed:           reg.Counter("jobs.shed"),
-		jobsCancelled:      reg.Counter("jobs.cancelled"),
-		jobsDeadline:       reg.Counter("jobs.deadline_exceeded"),
 		jobLatency:         reg.Histogram("job.latency_ticks"),
 		vertices:           reg.Counter("exec.vertices"),
 		vertexRetries:      reg.Counter("exec.vertex_retries"),
@@ -103,16 +94,12 @@ func NewObserver(traceCapacity int) *Observer {
 		analyzerRuns:       reg.Counter("analyzer.runs"),
 		analyzerCandidates: reg.Counter("analyzer.candidates"),
 		analyzerSelected:   reg.Counter("analyzer.selected"),
-		reuseSkipped:       reg.Counter("reuse.skipped"),
 	}
 	if traceCapacity >= 0 {
 		o.traces = obs.NewTraceStore(traceCapacity)
 	}
 	return o
 }
-
-// Metrics returns a consistent snapshot of every registered instrument.
-func (o *Observer) Metrics() obs.MetricsSnapshot { return o.metrics.Snapshot() }
 
 // vertexMetrics feeds the executor counters for one completed vertex.
 func (o *Observer) vertexMetrics(ev exec.VertexEvent) {
@@ -363,10 +350,7 @@ type BreakerStats struct {
 }
 
 // ServiceStats is the unified stats surface: one versioned value holding
-// every subsystem's counters, replacing the scatter of per-subsystem
-// accessors (Recovery, StorageStats, InFlight, Draining, …) that callers
-// previously had to stitch together. The legacy accessors remain and
-// report identical numbers; Snapshot is the canonical read.
+// every subsystem's counters. Snapshot is the only read.
 type ServiceStats struct {
 	// SchemaVersion is StatsSchemaVersion at build time.
 	SchemaVersion int
@@ -381,117 +365,59 @@ type ServiceStats struct {
 
 // Snapshot returns a consistent point-in-time view of the whole service.
 // Safe to call concurrently with submissions: every subsystem is read
-// through its own synchronized snapshot path.
+// through its own synchronized snapshot path (the recovery counters under
+// their write lock, so no grouped update is seen half-applied). The four
+// lifecycle events counted only there — shed, cancelled, deadline
+// exceeded, reuse skipped — are published under their registry names too
+// when an observer is installed, so Metrics.Counters and Recovery agree.
 func (s *Service) Snapshot() ServiceStats {
+	r := &s.recovery
+	r.mu.Lock()
+	rs := RecoveryStats{
+		VertexRetries:    r.retries.Load(),
+		QuarantinedViews: r.quarantined.Load(),
+		DegradedReplans:  r.replans.Load(),
+		ReuseSkipped:     r.reuseSkip.Load(),
+		Shed:             r.shed.Load(),
+		DeadlineExceeded: r.deadline.Load(),
+		Cancelled:        r.cancelled.Load(),
+	}
+	r.mu.Unlock()
 	st := ServiceStats{
 		SchemaVersion: StatsSchemaVersion,
-		Recovery:      s.Recovery(),
-		Storage:       s.StorageStats(),
-		Scheduler:     SchedulerStats{InFlight: s.InFlight(), Draining: s.Draining()},
+		Storage: StorageStats{
+			ResidentEncodedBytes: s.Store.TotalBytes(),
+			Views:                s.Store.Len(),
+			Cache:                s.Store.CacheStats(),
+		},
+		Scheduler: SchedulerStats{InFlight: s.InFlight(), Draining: s.Draining()},
 	}
 	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
 		if b == nil {
 			continue
 		}
+		opens, short := b.Opens(), b.ShortCircuits()
+		rs.BreakerOpens += opens
+		rs.BreakerShortCircuits += short
 		st.Breakers = append(st.Breakers, BreakerStats{
 			Dep:            b.Name(),
 			State:          b.State().String(),
-			Opens:          b.Opens(),
-			ShortCircuits:  b.ShortCircuits(),
+			Opens:          opens,
+			ShortCircuits:  short,
 			Probes:         b.Probes(),
 			ProbeSuccesses: b.ProbeSuccesses(),
 			ProbeFailures:  b.ProbeFailures(),
 		})
 	}
+	st.Recovery = rs
 	if s.obsv != nil {
-		st.Metrics = s.obsv.Metrics()
+		st.Metrics = s.obsv.metrics.Snapshot()
+		st.Metrics.Counters["jobs.shed"] = rs.Shed
+		st.Metrics.Counters["jobs.cancelled"] = rs.Cancelled
+		st.Metrics.Counters["jobs.deadline_exceeded"] = rs.DeadlineExceeded
+		st.Metrics.Counters["reuse.skipped"] = rs.ReuseSkipped
 	}
 	return st
-}
-
-// Run submits one job through the full CloudViews pipeline under the
-// caller's context and records it in the workload repository. This is
-// the canonical single-job entry point; Submit and SubmitCtx are thin
-// deprecated wrappers over it. User plans are never mutated —
-// optimization operates on an internal clone (transparency, §4).
-// Cancelling ctx stops the job at the next vertex or chunk boundary,
-// releases its build locks and reservations, retracts any views it
-// published, and returns a ReasonCancelled JobError.
-func (s *Service) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return s.submitAt(ctx, spec, s.Clock.Now())
-}
-
-// BatchOptions configures RunBatch.
-type BatchOptions struct {
-	// Concurrency bounds how many jobs of the batch run simultaneously;
-	// values ≤ 1 select one worker per CPU.
-	Concurrency int
-}
-
-// RunBatch submits a batch of jobs with up to opts.Concurrency in
-// flight, returning results in submission order. This is the paper's
-// operating regime — tens of thousands of concurrent jobs per cluster
-// (§2.1) — where build-build and build-consume coordination (§6.5) is
-// real: in-flight jobs arbitrate materialization through the metadata
-// service's locks, and a view sealed early (§6.4) is visible to every
-// other job in the batch immediately.
-//
-// All jobs share one submission timestamp (the clock at batch start),
-// modeling a concurrent arrival wave: admission queueing and lock TTLs
-// see the jobs as simultaneous, so a batch job cannot steal a build lock
-// another batch job still holds. Outputs are deterministic; which job
-// wins a build lock (and therefore pays materialization cost) depends on
-// scheduling, exactly as with concurrent submitters in production.
-//
-// Each job runs against a private clone of its plan, so specs may share
-// subtrees (or whole plans) with each other and with the caller.
-// Cancelling ctx stops every job still in flight. Per-job failures are
-// aggregated with errors.Join — results keeps its per-index entries, and
-// each joined error is wrapped with the batch index and job ID.
-func (s *Service) RunBatch(ctx context.Context, specs []JobSpec, opts BatchOptions) ([]*JobResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	concurrency := batchConcurrency(opts.Concurrency)
-	now := s.Clock.Now()
-	// Clone every plan up front, serially: plan nodes memoize derived
-	// state (schemas) in place, which would race if two in-flight jobs
-	// shared nodes.
-	jobs := make([]JobSpec, len(specs))
-	for i, spec := range specs {
-		spec.Root = plan.Clone(spec.Root)
-		jobs[i] = spec
-	}
-	results := make([]*JobResult, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, concurrency)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = s.submitAt(ctx, jobs[i], now)
-		}(i)
-	}
-	wg.Wait()
-	var joined []error
-	for i, err := range errs {
-		if err != nil {
-			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, jobs[i].Meta.JobID, err))
-		}
-	}
-	return results, errors.Join(joined...)
-}
-
-// batchConcurrency resolves the batch concurrency option: ≤ 1 means one
-// worker per CPU (a single caller-managed worker is what Run is for).
-func batchConcurrency(c int) int {
-	if c <= 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c
 }
 
 // sortedPaths returns the map's values (sig → path) sorted, for

@@ -31,11 +31,10 @@ func benchSubmitService(b *testing.B, obs string) (*Service, JobSpec) {
 }
 
 // BenchmarkSubmit measures one warmed reuse-path submission under three
-// observability levels. scripts/check.sh guards obs=off vs obs=metrics
-// (the always-on hooks) within OBS_OVERHEAD_PCT; scripts/bench.sh
-// records all three in BENCH_obs.json — obs=off doubling as the
-// pre-observability seed baseline, and obs=trace showing the opt-out
-// cost of full span capture (TraceCapacity: -1 turns it off).
+// observability levels. scripts/check.sh guards the allocs/op delta of
+// obs=off vs obs=metrics (the always-on hooks) within OBS_ALLOC_BUDGET;
+// obs=trace shows the opt-out cost of full span capture
+// (TraceCapacity: -1 turns it off).
 func BenchmarkSubmit(b *testing.B) {
 	for _, mode := range []string{"off", "metrics", "trace"} {
 		b.Run("obs="+mode, func(b *testing.B) {

@@ -180,7 +180,7 @@ func TestRecoveryStatsSnapshotConsistent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 500; i++ {
-		rs := s.Recovery()
+		rs := s.Snapshot().Recovery
 		if rs.QuarantinedViews != rs.DegradedReplans {
 			t.Fatalf("torn snapshot: quarantined=%d replans=%d",
 				rs.QuarantinedViews, rs.DegradedReplans)
@@ -258,5 +258,66 @@ func TestLifecycleOutcomeMetrics(t *testing.T) {
 	}
 	if !bytes.Contains(tr.JSON(), []byte(`"outcome":"deadline"`)) {
 		t.Fatalf("trace outcome wrong: %s", tr.JSON())
+	}
+}
+
+// TestSnapshotLifecycleCountersAgree: shed, cancelled, deadline-exceeded
+// and reuse-skipped are each counted once (recoveryCounters) and Snapshot
+// publishes the same values under their registry names, so the two halves
+// of one snapshot cannot disagree. With the observer removed the recovery
+// half keeps counting.
+func TestSnapshotLifecycleCountersAgree(t *testing.T) {
+	cat := catalog.New()
+	deliver(t, cat, 0)
+	s := NewService(cat, Config{Enabled: true})
+
+	s.Meta.Faults = blackout{}
+	if _, err := s.Run(context.Background(), specA("skipped", 0)); err != nil {
+		t.Fatalf("blackout must degrade, not fail: %v", err)
+	}
+	s.Meta.Faults = nil
+	late := specB("late", 0)
+	late.Deadline = 1
+	if _, err := s.Run(context.Background(), late); err == nil {
+		t.Fatal("expected deadline failure")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Run(ctx, specA("cancelled", 0)); err == nil {
+		t.Fatal("expected cancellation failure")
+	}
+	if err := s.Drain(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), specA("shed", 0)); err == nil {
+		t.Fatal("expected a draining service to shed")
+	}
+
+	st := s.Snapshot()
+	want := RecoveryStats{ReuseSkipped: 1, DeadlineExceeded: 1, Cancelled: 1, Shed: 1}
+	if st.Recovery != want {
+		t.Fatalf("Recovery = %+v, want %+v", st.Recovery, want)
+	}
+	for name, v := range map[string]int64{
+		"reuse.skipped":          st.Recovery.ReuseSkipped,
+		"jobs.deadline_exceeded": st.Recovery.DeadlineExceeded,
+		"jobs.cancelled":         st.Recovery.Cancelled,
+		"jobs.shed":              st.Recovery.Shed,
+	} {
+		if got, ok := st.Metrics.Counters[name]; !ok || got != v {
+			t.Errorf("Metrics.Counters[%q] = %d (present %v), Recovery says %d", name, got, ok, v)
+		}
+	}
+	if st.Metrics.Counters["jobs.failed"] != 3 {
+		t.Errorf("jobs.failed = %d, want 3", st.Metrics.Counters["jobs.failed"])
+	}
+
+	s.SetObserver(nil)
+	if _, err := s.Run(context.Background(), specA("shed-2", 0)); err == nil {
+		t.Fatal("expected a draining service to shed")
+	}
+	if st := s.Snapshot(); st.Recovery.Shed != 2 || len(st.Metrics.Counters) != 0 {
+		t.Errorf("observer removed: Shed = %d (want 2), %d registry counters (want 0)",
+			st.Recovery.Shed, len(st.Metrics.Counters))
 	}
 }

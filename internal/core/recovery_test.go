@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"strings"
@@ -41,14 +42,14 @@ func TestTransientVertexFailureRecoversViaRetry(t *testing.T) {
 
 	s.Exec.Faults = transientOnce{plan.OpExchange}
 	defer func() { s.Exec.Faults = nil }()
-	r, err := s.Submit(specA("a1", 1))
+	r, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatalf("retry should have absorbed the crash: %v", err)
 	}
 	if r.Result.Retries == 0 {
 		t.Error("job reports no retries")
 	}
-	if got := s.Recovery().VertexRetries; got == 0 {
+	if got := s.Snapshot().Recovery.VertexRetries; got == 0 {
 		t.Error("service retry counter not bumped")
 	}
 	// ValidateResults (on by default in newService) already byte-checked
@@ -67,7 +68,7 @@ func TestCorruptViewQuarantineAndReplan(t *testing.T) {
 
 	// Builder runs with certain corruption on every view write.
 	s.Store.Faults = corruptAlways{}
-	ra, err := s.Submit(specA("a1", 1))
+	ra, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatalf("builder: %v", err)
 	}
@@ -81,14 +82,14 @@ func TestCorruptViewQuarantineAndReplan(t *testing.T) {
 	}
 
 	// Consumer trips the checksum, quarantines, and replans.
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatalf("consumer should survive the corrupt view: %v", err)
 	}
 	if len(rb.Decision.QuarantinedViews) != 1 || rb.Decision.QuarantinedViews[0] != viewsBefore[0].Path {
 		t.Errorf("QuarantinedViews = %v, want [%s]", rb.Decision.QuarantinedViews, viewsBefore[0].Path)
 	}
-	if rec := s.Recovery(); rec.QuarantinedViews != 1 || rec.DegradedReplans != 1 {
+	if rec := s.Snapshot().Recovery; rec.QuarantinedViews != 1 || rec.DegradedReplans != 1 {
 		t.Errorf("recovery counters = %+v", rec)
 	}
 	// The quarantined view is gone from both layers.
@@ -101,7 +102,7 @@ func TestCorruptViewQuarantineAndReplan(t *testing.T) {
 		t.Error("quarantined view file still stored")
 	}
 	// Progress: a later job can rebuild the view cleanly.
-	rc, err := s.Submit(specA("a2", 1))
+	rc, err := s.Run(context.Background(), specA("a2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestMissingViewDegrades(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	views := s.Meta.Views()
@@ -134,7 +135,7 @@ func TestMissingViewDegrades(t *testing.T) {
 	// Simulate the orphan: the file disappears, the registration stays.
 	s.Store.Delete(views[0].Path)
 
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatalf("consumer should survive the vanished view: %v", err)
 	}
@@ -154,12 +155,12 @@ func TestMetadataBlackoutSkipsReuse(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	s.Meta.Faults = blackout{}
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatalf("blackout must degrade, not abort: %v", err)
 	}
@@ -169,20 +170,20 @@ func TestMetadataBlackoutSkipsReuse(t *testing.T) {
 	if len(rb.Decision.ViewsUsed)+len(rb.Decision.ViewsBuilt) != 0 {
 		t.Error("degraded job still touched views")
 	}
-	if got := s.Recovery().ReuseSkipped; got != 1 {
+	if got := s.Snapshot().Recovery.ReuseSkipped; got != 1 {
 		t.Errorf("ReuseSkipped = %d, want 1", got)
 	}
 
 	// Strict mode turns the same blackout into a job error.
 	s.Config.MetadataStrict = true
-	if _, err := s.Submit(specB("b2", 1)); err == nil || !strings.Contains(err.Error(), "metadata") {
+	if _, err := s.Run(context.Background(), specB("b2", 1)); err == nil || !strings.Contains(err.Error(), "metadata") {
 		t.Fatalf("strict mode should abort on blackout, got %v", err)
 	}
 	s.Config.MetadataStrict = false
 	s.Meta.Faults = nil
 
 	// Service recovered: reuse works again.
-	rc, err := s.Submit(specB("b3", 1))
+	rc, err := s.Run(context.Background(), specB("b3", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestStorageReclaimDeregisters(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Meta.Views()) != 1 {
@@ -233,7 +234,7 @@ func TestStorageReclaimDeregisters(t *testing.T) {
 		t.Error("reclaimed view still registered in metadata")
 	}
 	// Direct Store.Purge must deregister too.
-	if _, err := s.Submit(specA("a2", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a2", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Meta.Views()) != 1 {

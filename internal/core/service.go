@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +56,7 @@ type Config struct {
 	LatePublish bool
 	// MetadataStrict makes metadata-service lookup failures abort the job
 	// instead of degrading to no-reuse. Off (the default) a job whose
-	// RelevantViews round trip fails simply runs its original plan — reuse
+	// TryRelevantViews round trip fails simply runs its original plan — reuse
 	// is an optimization, never a dependency.
 	MetadataStrict bool
 	// CacheBytes sizes the storage hot-view cache (decoded partitions
@@ -182,12 +183,14 @@ type RecoveryStats struct {
 	BreakerShortCircuits int64
 }
 
-// recoveryCounters hold the lifecycle and fault-recovery tallies. Writers
-// always go through bump, sharing the RWMutex's read side so unrelated
-// increments stay concurrent; Recovery takes the write side, so a grouped
-// update (e.g. quarantined+replans, bumped together for one quarantine
-// event) is never observed half-applied — plain atomic loads could tear
-// between the two increments and report a replan without its quarantine.
+// recoveryCounters hold the lifecycle and fault-recovery tallies — the one
+// place each of those events is counted (always on, unlike the obs
+// registry, which SetObserver(nil) removes). Writers always go through
+// bump, sharing the RWMutex's read side so unrelated increments stay
+// concurrent; Snapshot takes the write side, so a grouped update (e.g.
+// quarantined+replans, bumped together for one quarantine event) is never
+// observed half-applied — plain atomic loads could tear between the two
+// increments and report a replan without its quarantine.
 type recoveryCounters struct {
 	mu          sync.RWMutex
 	retries     atomic.Int64
@@ -200,34 +203,11 @@ type recoveryCounters struct {
 }
 
 // bump applies a group of counter increments atomically with respect to
-// Recovery snapshots.
+// Snapshot.
 func (r *recoveryCounters) bump(f func()) {
 	r.mu.RLock()
 	f()
 	r.mu.RUnlock()
-}
-
-// Recovery returns the service's fault-recovery counters. The snapshot is
-// internally consistent: no grouped update is seen half-applied.
-func (s *Service) Recovery() RecoveryStats {
-	s.recovery.mu.Lock()
-	rs := RecoveryStats{
-		VertexRetries:    s.recovery.retries.Load(),
-		QuarantinedViews: s.recovery.quarantined.Load(),
-		DegradedReplans:  s.recovery.replans.Load(),
-		ReuseSkipped:     s.recovery.reuseSkip.Load(),
-		Shed:             s.recovery.shed.Load(),
-		DeadlineExceeded: s.recovery.deadline.Load(),
-		Cancelled:        s.recovery.cancelled.Load(),
-	}
-	s.recovery.mu.Unlock()
-	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
-		if b != nil {
-			rs.BreakerOpens += b.Opens()
-			rs.BreakerShortCircuits += b.ShortCircuits()
-		}
-	}
-	return rs
 }
 
 // StorageStats snapshots the storage layer's byte gauges: how many
@@ -242,15 +222,6 @@ type StorageStats struct {
 	// Cache reports the decoded hot-view cache: resident entries/bytes
 	// plus hit/miss/eviction counters.
 	Cache storage.CacheStats
-}
-
-// StorageStats returns the service's storage byte gauges.
-func (s *Service) StorageStats() StorageStats {
-	return StorageStats{
-		ResidentEncodedBytes: s.Store.TotalBytes(),
-		Views:                s.Store.Len(),
-		Cache:                s.Store.CacheStats(),
-	}
 }
 
 // InstallFaults wires one fault injector into every layer of the service:
@@ -358,43 +329,95 @@ func defaultTags(spec JobSpec) []string {
 	return tags
 }
 
-// Submit runs one job through the full CloudViews pipeline.
-//
-// Deprecated: use Run, the canonical ctx-first entry point. Submit is
-// exactly Run with context.Background().
-func (s *Service) Submit(spec JobSpec) (*JobResult, error) {
-	return s.Run(context.Background(), spec)
+// Run submits one job through the full CloudViews pipeline under the
+// caller's context and records it in the workload repository. User plans
+// are never mutated — optimization operates on an internal clone
+// (transparency, §4). Cancelling ctx stops the job at the next vertex or
+// chunk boundary, releases its build locks and reservations, retracts any
+// views it published, and returns a ReasonCancelled JobError.
+func (s *Service) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
+	return s.submitAt(ctx, spec, s.Clock.Now())
 }
 
-// SubmitCtx is Submit with a caller-controlled lifecycle.
-//
-// Deprecated: use Run; SubmitCtx is an alias kept for source
-// compatibility.
-func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return s.Run(ctx, spec)
+// BatchOptions configures RunBatch.
+type BatchOptions struct {
+	// Concurrency bounds how many jobs of the batch run simultaneously;
+	// values ≤ 1 select one worker per CPU.
+	Concurrency int
 }
 
-// SubmitBatch runs a batch of jobs with up to concurrency in flight
-// (≤ 1 means GOMAXPROCS).
+// RunBatch submits a batch of jobs with up to opts.Concurrency in
+// flight, returning results in submission order. This is the paper's
+// operating regime — tens of thousands of concurrent jobs per cluster
+// (§2.1) — where build-build and build-consume coordination (§6.5) is
+// real: in-flight jobs arbitrate materialization through the metadata
+// service's locks, and a view sealed early (§6.4) is visible to every
+// other job in the batch immediately.
 //
-// Deprecated: use RunBatch, the canonical ctx-first entry point.
-func (s *Service) SubmitBatch(specs []JobSpec, concurrency int) ([]*JobResult, error) {
-	return s.RunBatch(context.Background(), specs, BatchOptions{Concurrency: concurrency})
+// All jobs share one submission timestamp (the clock at batch start),
+// modeling a concurrent arrival wave: admission queueing and lock TTLs
+// see the jobs as simultaneous, so a batch job cannot steal a build lock
+// another batch job still holds. Outputs are deterministic; which job
+// wins a build lock (and therefore pays materialization cost) depends on
+// scheduling, exactly as with concurrent submitters in production.
+//
+// Each job runs against a private clone of its plan, so specs may share
+// subtrees (or whole plans) with each other and with the caller.
+// Cancelling ctx stops every job still in flight. Per-job failures are
+// aggregated with errors.Join — results keeps its per-index entries, and
+// each joined error is wrapped with the batch index and job ID.
+func (s *Service) RunBatch(ctx context.Context, specs []JobSpec, opts BatchOptions) ([]*JobResult, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	concurrency := batchConcurrency(opts.Concurrency)
+	now := s.Clock.Now()
+	// Clone every plan up front, serially: plan nodes memoize derived
+	// state (schemas) in place, which would race if two in-flight jobs
+	// shared nodes.
+	jobs := make([]JobSpec, len(specs))
+	for i, spec := range specs {
+		spec.Root = plan.Clone(spec.Root)
+		jobs[i] = spec
+	}
+	results := make([]*JobResult, len(jobs))
+	errs := make([]error, len(jobs))
+	sem := make(chan struct{}, concurrency)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			results[i], errs[i] = s.submitAt(ctx, jobs[i], now)
+		}(i)
+	}
+	wg.Wait()
+	var joined []error
+	for i, err := range errs {
+		if err != nil {
+			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, jobs[i].Meta.JobID, err))
+		}
+	}
+	return results, errors.Join(joined...)
 }
 
-// SubmitBatchCtx is SubmitBatch under one shared submission context.
-//
-// Deprecated: use RunBatch; SubmitBatchCtx is an alias kept for source
-// compatibility.
-func (s *Service) SubmitBatchCtx(ctx context.Context, specs []JobSpec, concurrency int) ([]*JobResult, error) {
-	return s.RunBatch(ctx, specs, BatchOptions{Concurrency: concurrency})
+// batchConcurrency resolves the batch concurrency option: ≤ 1 means one
+// worker per CPU (a single caller-managed worker is what Run is for).
+func batchConcurrency(c int) int {
+	if c <= 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c
 }
 
 // submitAt is the observability shell around submitJob, shared by the
 // serial and batched paths: it counts the submission, opens the job's
 // trace, runs the pipeline, then stamps the outcome (completed/failed
-// counters, latency histogram, lifecycle-outcome counters, root-span
-// attributes) and publishes the finished trace.
+// counters, latency histogram, root-span attributes) and publishes the
+// finished trace. Shed / cancelled / deadline outcomes are counted where
+// they are classified (lifecycleError), not again here.
 func (s *Service) submitAt(ctx context.Context, spec JobSpec, now int64) (*JobResult, error) {
 	o := s.obsv
 	if o != nil {
@@ -411,17 +434,6 @@ func (s *Service) submitAt(ctx context.Context, spec JobSpec, now int64) (*JobRe
 		}
 	} else if o != nil {
 		o.jobsFailed.Inc()
-		var je *JobError
-		if errors.As(err, &je) {
-			switch je.Reason {
-			case ReasonShed:
-				o.jobsShed.Inc()
-			case ReasonDeadline:
-				o.jobsDeadline.Inc()
-			case ReasonCancelled:
-				o.jobsCancelled.Inc()
-			}
-		}
 	}
 	tb.finish(end, err)
 	return jr, err
@@ -524,34 +536,25 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *traceBuilder, pass int) error {
 	tick := float64(now)
 	opt := tb.span("optimize", tick, tick)
-	if pass > 0 {
-		opt.Set("replan", itoa(pass))
-	}
 	matchName := "match"
 	if pass > 0 {
+		opt.Set("replan", itoa(pass))
 		matchName = "re-match"
 	}
-	reuseSkip := func(why string) {
+	// degrade keeps the job on its original plan: reuse skipped, counted
+	// (once, here; Snapshot publishes it to the registry too), never fatal.
+	degrade := func(why string, dec *optimizer.Decision) error {
 		s.recovery.bump(func() { s.recovery.reuseSkip.Add(1) })
-		if o := s.obsv; o != nil {
-			o.reuseSkipped.Inc()
-		}
 		opt.Set("decision", "skip-reuse")
 		opt.Set("reason", why)
-	}
-	if s.storeBreaker != nil && !s.storeBreaker.Ready(now) {
-		reuseSkip("breaker-open:" + s.storeBreaker.Name())
-		jr.Plan = spec.Root
-		jr.Decision = &optimizer.Decision{BreakerOpen: s.storeBreaker.Name()}
-		jr.AnnotationsUsed = nil
+		jr.Plan, jr.Decision, jr.AnnotationsUsed = spec.Root, dec, nil
 		return nil
 	}
-	if s.metaBreaker != nil && !s.metaBreaker.Allow(now) {
-		reuseSkip("breaker-open:" + s.metaBreaker.Name())
-		jr.Plan = spec.Root
-		jr.Decision = &optimizer.Decision{MetaUnavailable: true, BreakerOpen: s.metaBreaker.Name()}
-		jr.AnnotationsUsed = nil
-		return nil
+	if b := s.storeBreaker; b != nil && !b.Ready(now) {
+		return degrade("breaker-open:"+b.Name(), &optimizer.Decision{BreakerOpen: b.Name()})
+	}
+	if b := s.metaBreaker; b != nil && !b.Allow(now) {
+		return degrade("breaker-open:"+b.Name(), &optimizer.Decision{MetaUnavailable: true, BreakerOpen: b.Name()})
 	}
 	anns, err := s.Meta.TryRelevantViews(spec.Meta.VC, defaultTags(spec))
 	if s.metaBreaker != nil {
@@ -563,11 +566,7 @@ func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *trac
 			return &JobError{JobID: spec.Meta.JobID, Reason: ReasonDependency,
 				Err: fmt.Errorf("core: metadata lookup for job %s: %w", spec.Meta.JobID, err)}
 		}
-		reuseSkip("metadata-unavailable")
-		jr.Plan = spec.Root
-		jr.Decision = &optimizer.Decision{MetaUnavailable: true}
-		jr.AnnotationsUsed = nil
-		return nil
+		return degrade("metadata-unavailable", &optimizer.Decision{MetaUnavailable: true})
 	}
 	opt.Child(matchName, tick, tick, obs.A("annotations", itoa(len(anns))))
 	jr.AnnotationsUsed = annotationsSnapshot(anns)
@@ -636,8 +635,8 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 		}
 		s.Store.Delete(path)
 		quarantined = append(quarantined, path)
-		// One grouped bump per quarantine event: a Recovery snapshot never
-		// sees the replan without its quarantine.
+		// One grouped bump per quarantine event: a Snapshot never sees the
+		// replan without its quarantine.
 		s.recovery.bump(func() {
 			s.recovery.quarantined.Add(1)
 			s.recovery.replans.Add(1)
@@ -682,7 +681,7 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 	}
 	// Independent Materialize operators can seal concurrently under the
 	// parallel DAG scheduler, so the hook's bookkeeping takes its own
-	// lock. The maps are read lock-free after ex.Run returns (all workers
+	// lock. The maps are read lock-free after ex.RunCtx returns (all workers
 	// have joined by then). sealed maps precise signature → view path so
 	// lifecycle retraction can reach the file.
 	var hookMu sync.Mutex
@@ -835,10 +834,11 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 }
 
 // runBaseline executes the unoptimized plan against a scratch view store
-// so validation can never interfere with real materializations.
+// so validation can never interfere with real materializations; the job
+// it checks has already completed, so it runs outside that job's lifecycle.
 func (s *Service) runBaseline(spec JobSpec) (*exec.Result, error) {
 	ex := exec.Executor{Catalog: s.Catalog, Store: storage.NewStore()}
-	return ex.Run(plan.Clone(spec.Root), spec.Meta.JobID+"-baseline", s.Clock.Now())
+	return ex.RunCtx(context.Background(), plan.Clone(spec.Root), spec.Meta.JobID+"-baseline", s.Clock.Now(), 0)
 }
 
 func outputsEqual(a, b *exec.Result) error {
@@ -880,13 +880,18 @@ func (s *Service) RunAnalyzer(cfg analyzer.Config) *analyzer.Analysis {
 
 // RunOfflinePhase pre-materializes the offline-annotated subgraphs of a
 // job ahead of the workload (§6.2's offline mode for tenants with slack).
-// It returns the number of views built.
+// It returns the number of views built. A failed metadata lookup is
+// returned, not degraded around: an admin call has no baseline plan to
+// fall back to.
 func (s *Service) RunOfflinePhase(spec JobSpec) (int, error) {
 	if !s.vcEnabled(spec.Meta.VC) {
 		return 0, nil
 	}
 	now := s.Clock.Now()
-	anns := s.Meta.RelevantViews(spec.Meta.VC, defaultTags(spec))
+	anns, err := s.Meta.TryRelevantViews(spec.Meta.VC, defaultTags(spec))
+	if err != nil {
+		return 0, fmt.Errorf("core: offline phase for job %s: %w", spec.Meta.JobID, err)
+	}
 	plans, intents := s.Opt.OfflineViewPlans(spec.Root, spec.Meta.JobID, anns, now)
 	built := 0
 	for i, p := range plans {

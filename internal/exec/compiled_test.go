@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func compiledRefPred() expr.Expr {
 func TestExecCompiledMatchesInterpreter(t *testing.T) {
 	e := env(t)
 	scan := plan.Scan("sales", "sales-v1", salesSchema()).Output("in")
-	inRes, err := e.Run(scan, "ref-in", 0)
+	inRes, err := e.RunCtx(context.Background(), scan, "ref-in", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestExecCompiledMatchesInterpreter(t *testing.T) {
 		Filter(pred).
 		Project([]string{"item", "rev", "bucket", "pad"}, projExprs).
 		Output("o")
-	res, err := e.Run(p, "compiled", 0)
+	res, err := e.RunCtx(context.Background(), p, "compiled", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCompiledSharedAcrossPartitionWorkers(t *testing.T) {
 			}).
 			Output("o")
 	}
-	res, err := e.Run(build(), "race-single", 0)
+	res, err := e.RunCtx(context.Background(), build(), "race-single", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestCompiledSharedAcrossPartitionWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r, err := e.Run(build(), fmt.Sprintf("race-%d", g), 0)
+			r, err := e.RunCtx(context.Background(), build(), fmt.Sprintf("race-%d", g), 0, 0)
 			if err != nil {
 				t.Error(err)
 				return

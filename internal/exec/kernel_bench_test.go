@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,9 +15,8 @@ import (
 
 // Kernel benchmarks for the data plane: each heavy operator (join, hash
 // agg, exchange, sort) over the same fact/dimension data at varying
-// partition counts, plus a TPC-DS-shaped end-to-end job. scripts/bench.sh
-// runs these and records seed-vs-current numbers in BENCH_exec.json; the
-// -short smoke in scripts/check.sh runs every case once.
+// partition counts, plus a TPC-DS-shaped end-to-end job. The -short
+// smoke in scripts/check.sh runs every case once.
 
 const (
 	benchFactRows = 100_000
@@ -97,7 +97,7 @@ func runKernelBench(b *testing.B, build func(parts int) *plan.Node) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(root, "bench", 0); err != nil {
+				if _, err := e.RunCtx(context.Background(), root, "bench", 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +207,7 @@ func BenchmarkStorageReuseHitJob(b *testing.B) {
 				Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0}, Count: parts},
 			}
 			builder := base.Materialize(path, sig.Precise, sig.Normalized, props).Output("o")
-			if _, err := e.Run(builder, "builder", 0); err != nil {
+			if _, err := e.RunCtx(context.Background(), builder, "builder", 0, 0); err != nil {
 				b.Fatal(err)
 			}
 			consumer := plan.ViewScan(path, base.Schema(), sig.Precise, sig.Normalized).
@@ -217,7 +217,7 @@ func BenchmarkStorageReuseHitJob(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(consumer, "consumer", 0); err != nil {
+				if _, err := e.RunCtx(context.Background(), consumer, "consumer", 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,9 +234,8 @@ func (nopObsHook) VertexDone(string, VertexEvent) {}
 
 // BenchmarkExecObsOverhead runs the join kernel with the vertex seam
 // empty (hook=off, the state after SetObserver(nil)) and with a no-op
-// hook installed (hook=on). scripts/bench.sh records the pair in
-// BENCH_obs.json; the service-level guard in scripts/check.sh bounds
-// the end-to-end cost this seam contributes to.
+// hook installed (hook=on). The service-level guard in scripts/check.sh
+// bounds the end-to-end cost this seam contributes to.
 func BenchmarkExecObsOverhead(b *testing.B) {
 	build := func() *plan.Node {
 		return plan.Scan("fact", "fact-v1", salesSchema()).
@@ -254,7 +253,7 @@ func BenchmarkExecObsOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(root, "bench", 0); err != nil {
+				if _, err := e.RunCtx(context.Background(), root, "bench", 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -267,7 +267,7 @@ func (in *Injector) WriteView(path string) (corrupt bool, err error) {
 // ---- metadata.FaultHook ---------------------------------------------------
 
 // Lookup implements the metadata hook: a fired decision simulates the
-// service being unreachable for one RelevantViews round trip.
+// service being unreachable for one TryRelevantViews round trip.
 func (in *Injector) Lookup(vc string) error {
 	if in.decide(KindMetaBlackout, "meta|"+vc, in.next("meta|"+vc), in.cfg.MetaBlackout) {
 		return &Error{Kind: KindMetaBlackout, Site: vc}

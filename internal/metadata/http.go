@@ -11,7 +11,7 @@ import (
 // (Figure 9). The in-process Service implements it directly; Client
 // implements it over HTTP against a Handler-wrapped Service.
 type API interface {
-	RelevantViews(vc string, jobTags []string) []Annotation
+	TryRelevantViews(vc string, jobTags []string) ([]Annotation, error)
 	Annotation(normSig string) (Annotation, bool)
 	ProposeMaterialize(normSig, preciseSig, jobID string, now int64) bool
 	ReportMaterialized(v ViewInfo)
@@ -35,7 +35,12 @@ func Handler(s *Service) http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		reply(w, s.RelevantViews(req.VC, req.Tags))
+		anns, err := s.TryRelevantViews(req.VC, req.Tags)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		reply(w, anns)
 	})
 	mux.HandleFunc("POST /annotation", func(w http.ResponseWriter, r *http.Request) {
 		var req struct{ NormSig string }
@@ -97,8 +102,13 @@ func Handler(s *Service) http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds one request body (/load carries a whole
+// analysis); anything larger is rejected rather than buffered.
+const maxRequestBytes = 16 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if err := json.NewDecoder(body).Decode(dst); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -110,9 +120,10 @@ func reply(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Client talks the Handler protocol. Errors are swallowed into negative
-// replies: a job that cannot reach the metadata service simply runs
-// without computation reuse, never fails (transparency requirement, §4).
+// Client talks the Handler protocol. The per-job lookup returns its
+// transport or status error, so the caller's circuit breaker sees a dead
+// service; the coordination calls swallow errors into negative replies: a
+// job that cannot reach the service runs without reuse, never fails (§4).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -142,17 +153,17 @@ func (c *Client) post(path string, req, resp any) error {
 	return json.NewDecoder(r.Body).Decode(resp)
 }
 
-// RelevantViews implements API.
-func (c *Client) RelevantViews(vc string, jobTags []string) []Annotation {
+// TryRelevantViews implements API.
+func (c *Client) TryRelevantViews(vc string, jobTags []string) ([]Annotation, error) {
 	var out []Annotation
 	req := struct {
 		VC   string
 		Tags []string
 	}{vc, jobTags}
 	if err := c.post("/relevant", req, &out); err != nil {
-		return nil
+		return nil, fmt.Errorf("metadata: relevant-views lookup for %s: %w", vc, err)
 	}
-	return out
+	return out, nil
 }
 
 // Annotation implements API.

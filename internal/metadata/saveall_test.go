@@ -31,10 +31,10 @@ func TestSaveAllMergesWithExisting(t *testing.T) {
 
 	// The tag index must reflect the merged set: new tag reaches n2, old
 	// tags still reach their annotations.
-	if got := s.RelevantViews("vc", []string{"tpl-b"}); len(got) != 1 || got[0].NormSig != "n2" {
+	if got := relevant(t, s, "vc", []string{"tpl-b"}); len(got) != 1 || got[0].NormSig != "n2" {
 		t.Errorf("tpl-b lookup = %v", got)
 	}
-	if got := s.RelevantViews("vc", []string{"clicks", "orders", "users"}); len(got) != 3 {
+	if got := relevant(t, s, "vc", []string{"clicks", "orders", "users"}); len(got) != 3 {
 		t.Errorf("merged lookup = %d annotations, want 3", len(got))
 	}
 

@@ -12,7 +12,7 @@
 //
 // Reads vastly outnumber writes — every submitted job performs a lookup,
 // while writes happen once per analysis reload or materialized view — so
-// the read paths (RelevantViews, Annotation, LookupView, Views) are served
+// the read paths (TryRelevantViews, Annotation, LookupView, Views) are served
 // from an immutable copy-on-write state swapped atomically by writers.
 // Readers never take the mutex; the mutex only serializes writers and the
 // build-lock table, which is inherently read-modify-write.
@@ -99,7 +99,7 @@ var emptyState = &state{
 }
 
 // FaultHook is the metadata service's fault-injection seam (see
-// internal/fault): Lookup is consulted once per RelevantViews round trip
+// internal/fault): Lookup is consulted once per TryRelevantViews round trip
 // and a non-nil error simulates the service being unreachable.
 type FaultHook interface {
 	Lookup(vc string) error
@@ -177,7 +177,7 @@ func (s *Service) SetOfflineVC(vc string, offline bool) {
 }
 
 // buildTagIndex derives the inverted tag index from an annotation map,
-// pre-sorting each tag's list so RelevantViews can merge without sorting
+// pre-sorting each tag's list so TryRelevantViews can merge without sorting
 // or deduplicating per call.
 func buildTagIndex(annotations map[string]*Annotation) map[string][]*Annotation {
 	tagAnns := make(map[string][]*Annotation)
@@ -238,17 +238,31 @@ func (s *Service) SaveAll(anns []Annotation) {
 	s.cur.Store(st)
 }
 
-// RelevantViews is the per-job lookup (Figure 9, steps 1–2): it returns
+// TryRelevantViews is the per-job lookup (Figure 9, steps 1–2): it returns
 // every annotation whose tags intersect the job's tags, in one round trip,
 // ordered by normalized signature. The result may contain annotations
 // whose signatures do not occur in the job (false positives); the
 // optimizer matches actual signatures. If the requesting job's VC is
 // configured for offline materialization, the returned annotations are
 // marked Offline (§6.2).
-func (s *Service) RelevantViews(vc string, jobTags []string) []Annotation {
+//
+// The lookup sits behind the fault seam: it fails when the (simulated)
+// metadata service is unreachable instead of silently returning nothing.
+// The job frontend treats that failure as a degradation signal — skip
+// reuse for this job, count it, and run the original plan — never as a
+// job abort.
+func (s *Service) TryRelevantViews(vc string, jobTags []string) ([]Annotation, error) {
+	if s.Faults != nil {
+		if err := s.Faults.Lookup(vc); err != nil {
+			err = fmt.Errorf("metadata: relevant-views lookup for %s: %w", vc, err)
+			if s.Obs != nil {
+				s.Obs.LookupDone(vc, 0, err)
+			}
+			return nil, err
+		}
+	}
 	s.lookups.Add(1)
 	st := s.cur.Load()
-	offline := st.offlineVCs[vc]
 
 	// Collect the pre-sorted per-tag lists; the common cases (zero or one
 	// non-empty tag) need no merge state at all.
@@ -261,15 +275,15 @@ func (s *Service) RelevantViews(vc string, jobTags []string) []Annotation {
 			total += len(l)
 		}
 	}
-	if len(lists) == 0 {
-		return nil
+	var out []Annotation
+	if total > 0 {
+		out = make([]Annotation, 0, total)
 	}
-	out := make([]Annotation, 0, total)
 	if len(lists) == 1 {
 		for _, a := range lists[0] {
 			out = append(out, *a)
 		}
-	} else {
+	} else if len(lists) > 1 {
 		// K-way merge of the NormSig-sorted lists. Annotations are unique
 		// per NormSig, so equal heads are the same annotation reached via
 		// different tags: emitting the minimum once and advancing every
@@ -297,30 +311,11 @@ func (s *Service) RelevantViews(vc string, jobTags []string) []Annotation {
 			}
 		}
 	}
-	if offline {
+	if st.offlineVCs[vc] {
 		for i := range out {
 			out[i].Offline = true
 		}
 	}
-	return out
-}
-
-// TryRelevantViews is RelevantViews behind the fault seam: it fails when
-// the (simulated) metadata service is unreachable instead of silently
-// returning nothing. The job frontend treats that failure as a degradation
-// signal — skip reuse for this job, count it, and run the original plan —
-// never as a job abort.
-func (s *Service) TryRelevantViews(vc string, jobTags []string) ([]Annotation, error) {
-	if s.Faults != nil {
-		if err := s.Faults.Lookup(vc); err != nil {
-			err = fmt.Errorf("metadata: relevant-views lookup for %s: %w", vc, err)
-			if s.Obs != nil {
-				s.Obs.LookupDone(vc, 0, err)
-			}
-			return nil, err
-		}
-	}
-	out := s.RelevantViews(vc, jobTags)
 	if s.Obs != nil {
 		s.Obs.LookupDone(vc, len(out), nil)
 	}

@@ -22,7 +22,7 @@ func benchService() *Service {
 	return s
 }
 
-// BenchmarkMetadataLookupParallel measures RelevantViews under concurrent
+// BenchmarkMetadataLookupParallel measures TryRelevantViews under concurrent
 // submission: every job in a batch performs one lookup, so the call must
 // scale with GOMAXPROCS instead of serializing on the service mutex.
 func BenchmarkMetadataLookupParallel(b *testing.B) {
@@ -31,7 +31,7 @@ func BenchmarkMetadataLookupParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if len(s.RelevantViews("vc1", tags)) == 0 {
+			if got, err := s.TryRelevantViews("vc1", tags); err != nil || len(got) == 0 {
 				b.Fatal("lookup returned nothing")
 			}
 		}
@@ -45,7 +45,7 @@ func BenchmarkMetadataLookupSerial(b *testing.B) {
 	tags := []string{"input-7", "template-3", "input-21"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(s.RelevantViews("vc1", tags)) == 0 {
+		if got, err := s.TryRelevantViews("vc1", tags); err != nil || len(got) == 0 {
 			b.Fatal("lookup returned nothing")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -21,23 +22,33 @@ func ann(sig string, tags ...string) Annotation {
 	}
 }
 
-func TestLoadAndRelevantViews(t *testing.T) {
+// relevant is the per-job lookup for tests that expect it to succeed.
+func relevant(t testing.TB, api API, vc string, tags []string) []Annotation {
+	t.Helper()
+	got, err := api.TryRelevantViews(vc, tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func TestLoadAndTryRelevantViews(t *testing.T) {
 	s := NewService()
 	s.LoadAnalysis([]Annotation{
 		ann("n1", "clicks", "tpl-a"),
 		ann("n2", "clicks", "users"),
 		ann("n3", "orders"),
 	})
-	got := s.RelevantViews("vc1", []string{"clicks"})
+	got := relevant(t, s, "vc1", []string{"clicks"})
 	if len(got) != 2 {
 		t.Fatalf("relevant = %d, want 2", len(got))
 	}
 	// Union without duplicates across tags.
-	got = s.RelevantViews("vc1", []string{"clicks", "users", "tpl-a"})
+	got = relevant(t, s, "vc1", []string{"clicks", "users", "tpl-a"})
 	if len(got) != 2 {
 		t.Fatalf("deduped relevant = %d, want 2", len(got))
 	}
-	if len(s.RelevantViews("vc1", []string{"nothing"})) != 0 {
+	if len(relevant(t, s, "vc1", []string{"nothing"})) != 0 {
 		t.Error("false positive for unknown tag")
 	}
 	if _, ok := s.Annotation("n3"); !ok {
@@ -48,7 +59,7 @@ func TestLoadAndRelevantViews(t *testing.T) {
 	}
 	// Reload replaces annotations.
 	s.LoadAnalysis([]Annotation{ann("n9", "clicks")})
-	got = s.RelevantViews("vc1", []string{"clicks"})
+	got = relevant(t, s, "vc1", []string{"clicks"})
 	if len(got) != 1 || got[0].NormSig != "n9" {
 		t.Errorf("after reload = %v", got)
 	}
@@ -165,8 +176,8 @@ func TestOnlyOneConcurrentBuilderWins(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := NewService()
 	s.LoadAnalysis([]Annotation{ann("n1", "t")})
-	s.RelevantViews("vc1", []string{"t"})
-	s.RelevantViews("vc1", []string{"t"})
+	relevant(t, s, "vc1", []string{"t"})
+	relevant(t, s, "vc1", []string{"t"})
 	s.ProposeMaterialize("n1", "p1", "j", 0)
 	a, v, l, lookups, proposals := s.Stats()
 	if a != 1 || v != 0 || l != 1 || lookups != 2 || proposals != 1 {
@@ -183,7 +194,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err := c.LoadAnalysis([]Annotation{ann("n1", "clicks")}); err != nil {
 		t.Fatal(err)
 	}
-	got := c.RelevantViews("vc1", []string{"clicks"})
+	got := relevant(t, c, "vc1", []string{"clicks"})
 	if len(got) != 1 || got[0].NormSig != "n1" {
 		t.Fatalf("relevant over HTTP = %v", got)
 	}
@@ -210,12 +221,37 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandlerBoundsRequestBody: a body over maxRequestBytes is rejected
+// with a 4xx instead of being buffered, and the annotation set survives —
+// unbounded, this padded-but-valid empty array decoded fine and cleared it.
+func TestHandlerBoundsRequestBody(t *testing.T) {
+	s := NewService()
+	s.LoadAnalysis([]Annotation{ann("n1", "clicks")})
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	body := append([]byte("["), bytes.Repeat([]byte(" "), maxRequestBytes)...)
+	body = append(body, ']')
+	resp, err := http.Post(srv.URL+"/load", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("oversized /load answered %s, want a 4xx", resp.Status)
+	}
+	if got := relevant(t, s, "vc", []string{"clicks"}); len(got) != 1 || got[0].NormSig != "n1" {
+		t.Errorf("oversized /load changed the annotation set: %v", got)
+	}
+}
+
 func TestClientSwallowsConnectionErrors(t *testing.T) {
 	// Transparency (§4): an unreachable metadata service disables reuse
-	// but never breaks the job.
+	// but never breaks the job. The coordination calls answer negatively;
+	// only the per-job lookup reports the failure (the breaker's signal).
 	c := NewClient("http://127.0.0.1:1") // nothing listens there
-	if got := c.RelevantViews("vc1", []string{"t"}); got != nil {
-		t.Errorf("unreachable service returned %v", got)
+	if got, err := c.TryRelevantViews("vc1", []string{"t"}); err == nil || got != nil {
+		t.Errorf("unreachable service returned %v, %v; the lookup must report it", got, err)
 	}
 	if c.ProposeMaterialize("n", "p", "j", 0) {
 		t.Error("unreachable propose should be negative")
@@ -234,18 +270,18 @@ func TestOfflineVCConfiguration(t *testing.T) {
 	s := NewService()
 	s.LoadAnalysis([]Annotation{ann("n1", "t")})
 	// Default: online.
-	got := s.RelevantViews("vc-online", []string{"t"})
+	got := relevant(t, s, "vc-online", []string{"t"})
 	if len(got) != 1 || got[0].Offline {
 		t.Fatalf("online VC got %+v", got)
 	}
 	// Configure a VC for offline materialization (§6.2): its lookups come
 	// back marked Offline; other VCs are unaffected.
 	s.SetOfflineVC("vc-batch", true)
-	got = s.RelevantViews("vc-batch", []string{"t"})
+	got = relevant(t, s, "vc-batch", []string{"t"})
 	if len(got) != 1 || !got[0].Offline {
 		t.Fatalf("offline VC got %+v", got)
 	}
-	if s.RelevantViews("vc-online", []string{"t"})[0].Offline {
+	if relevant(t, s, "vc-online", []string{"t"})[0].Offline {
 		t.Error("offline flag leaked to another VC")
 	}
 	// Stored annotation itself is untouched.
@@ -254,7 +290,7 @@ func TestOfflineVCConfiguration(t *testing.T) {
 	}
 	// Toggle back.
 	s.SetOfflineVC("vc-batch", false)
-	if s.RelevantViews("vc-batch", []string{"t"})[0].Offline {
+	if relevant(t, s, "vc-batch", []string{"t"})[0].Offline {
 		t.Error("offline flag survived unconfiguration")
 	}
 }
@@ -278,7 +314,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Annotations and inverted index restored.
-	if got := r.RelevantViews("vc", []string{"clicks"}); len(got) != 1 || got[0].NormSig != "n1" {
+	if got := relevant(t, r, "vc", []string{"clicks"}); len(got) != 1 || got[0].NormSig != "n1" {
 		t.Errorf("annotations lost: %v", got)
 	}
 	// Views restored.
@@ -286,7 +322,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("views lost: %+v %v", v, ok)
 	}
 	// Offline VC config restored.
-	if got := r.RelevantViews("batch", []string{"clicks"}); !got[0].Offline {
+	if got := relevant(t, r, "batch", []string{"clicks"}); !got[0].Offline {
 		t.Error("offline VC config lost")
 	}
 	// Locks dropped: a different job can immediately propose p2.
@@ -388,7 +424,7 @@ func TestRestoreLegacyV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.RelevantViews("batch", []string{"clicks"}); len(got) != 1 || !got[0].Offline {
+	if got := relevant(t, r, "batch", []string{"clicks"}); len(got) != 1 || !got[0].Offline {
 		t.Errorf("v1 payload lost: %v", got)
 	}
 	if _, ok := r.LookupView("p1"); !ok {
@@ -401,8 +437,9 @@ type blackoutHook struct{}
 
 func (blackoutHook) Lookup(string) error { return errors.New("metadata unreachable") }
 
-// TestTryRelevantViewsFaultSeam: the fault hook fails TryRelevantViews
-// while leaving the plain RelevantViews read path untouched.
+// TestTryRelevantViewsFaultSeam: the fault hook fails TryRelevantViews,
+// in process and through the HTTP handler (503), and the lookup recovers
+// when the hook is removed.
 func TestTryRelevantViewsFaultSeam(t *testing.T) {
 	s := NewService()
 	s.LoadAnalysis([]Annotation{ann("n1", "clicks")})
@@ -413,7 +450,14 @@ func TestTryRelevantViewsFaultSeam(t *testing.T) {
 	if _, err := s.TryRelevantViews("vc", []string{"clicks"}); err == nil {
 		t.Fatal("blackout not surfaced")
 	}
-	if got := s.RelevantViews("vc", []string{"clicks"}); len(got) != 1 {
-		t.Fatal("RelevantViews must stay fault-free")
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	if _, err := c.TryRelevantViews("vc", []string{"clicks"}); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("remote lookup during blackout: %v, want a 503", err)
+	}
+	s.Faults = nil
+	if got := relevant(t, c, "vc", []string{"clicks"}); len(got) != 1 {
+		t.Fatalf("lookup after blackout = %v", got)
 	}
 }

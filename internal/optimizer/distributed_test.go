@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -32,9 +33,9 @@ func TestDistributedOptimizersOverHTTP(t *testing.T) {
 		}
 	}
 	optA, optB := mk(), mk()
-	anns := optA.Meta.(*metadata.Client).RelevantViews("vc1", []string{"logs"})
-	if len(anns) != 1 {
-		t.Fatalf("annotations over HTTP = %d", len(anns))
+	anns, err := optA.Meta.TryRelevantViews("vc1", []string{"logs"})
+	if err != nil || len(anns) != 1 {
+		t.Fatalf("annotations over HTTP = %d, %v", len(anns), err)
 	}
 
 	// Both machines optimize concurrently: exactly one wins the build lock.
@@ -66,7 +67,7 @@ func TestDistributedOptimizersOverHTTP(t *testing.T) {
 		}
 	}
 	p, _ := env.opt.Optimize(pipeline("g1").Output("o"), winnerJob, anns, 0)
-	if _, err := env.ex.Run(p, winnerJob, 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, winnerJob, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, err := env.st.Get(winner.ViewsBuilt[0].Path)
@@ -85,7 +86,7 @@ func TestDistributedOptimizersOverHTTP(t *testing.T) {
 	if len(d2.ViewsUsed) != 1 {
 		t.Fatalf("machine B did not reuse: %+v", d2)
 	}
-	res, err := env.ex.Run(p2, "jobB2", 1)
+	res, err := env.ex.RunCtx(context.Background(), p2, "jobB2", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func BenchmarkOptimizeFrontend(b *testing.B) {
 			Tags:       []string{"logs"},
 			AvgRuntime: 10,
 		}})
-		anns := env.meta.RelevantViews("vc1", []string{"logs"})
+		anns := env.relevant(b)
 		job := pipeline("g1").Output("o")
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -44,7 +44,7 @@ func BenchmarkOptimizeFrontend(b *testing.B) {
 			PreciseSig: sig.Precise, NormSig: sig.Normalized, Path: "/v/bench",
 			Rows: 40, Bytes: 4000, ExpiresAt: 1 << 40,
 		})
-		anns := env.meta.RelevantViews("vc1", []string{"logs"})
+		anns := env.relevant(b)
 		job := pipeline("g1").Output("o")
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -60,7 +60,7 @@ func BenchmarkOptimizeFrontend(b *testing.B) {
 		env := newEnv(b)
 		agg := pipeline("g1")
 		annotate(b, env, agg, false)
-		anns := env.meta.RelevantViews("vc1", []string{"logs"})
+		anns := env.relevant(b)
 		job := pipeline("g1").Output("o")
 		b.ReportAllocs()
 		b.ResetTimer()

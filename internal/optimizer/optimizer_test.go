@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -48,6 +49,17 @@ func newEnv(t testing.TB) *testEnv {
 			MaxMaterializePerJob: 1,
 		},
 	}
+}
+
+// relevant is the metadata lookup of a job reading "logs"; with no fault
+// hook installed it cannot fail.
+func (env *testEnv) relevant(t testing.TB) []metadata.Annotation {
+	t.Helper()
+	anns, err := env.meta.TryRelevantViews("vc1", []string{"logs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return anns
 }
 
 // pipeline is the shared computation used in most tests.
@@ -110,7 +122,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 
 	// Job 1: no view exists yet -> follow-up phase injects Materialize.
 	job1 := agg.Output("o")
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	p1, d1 := env.opt.Optimize(job1, "job1", anns, 0)
 	if len(d1.ViewsBuilt) != 1 || len(d1.ViewsUsed) != 0 {
 		t.Fatalf("job1 decision: built=%d used=%d", len(d1.ViewsBuilt), len(d1.ViewsUsed))
@@ -118,7 +130,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 	if d1.ViewsBuilt[0].PreciseSig != sig.Precise {
 		t.Error("built wrong signature")
 	}
-	res1, err := env.ex.Run(p1, "job1", 0)
+	res1, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +151,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 	if len(d2.ViewsUsed) != 1 || len(d2.ViewsBuilt) != 0 {
 		t.Fatalf("job2 decision: used=%d built=%d", len(d2.ViewsUsed), len(d2.ViewsBuilt))
 	}
-	res2, err := env.ex.Run(p2, "job2", 1)
+	res2, err := env.ex.RunCtx(context.Background(), p2, "job2", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +171,11 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 
 	// Build the view for GUID g1.
 	p1, d1 := env.opt.Optimize(pipeline("g1").Output("o"), "job1", anns, 0)
-	if _, err := env.ex.Run(p1, "job1", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := env.st.Get(d1.ViewsBuilt[0].Path)
@@ -188,7 +200,7 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 	if len(d2.ViewsBuilt) != 1 {
 		t.Fatal("new instance should build its own view")
 	}
-	if _, err := env.ex.Run(p2, "job2", 1); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p2, "job2", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -197,7 +209,7 @@ func TestCostBasedRejection(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	sig := annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	// Register a view whose read cost dwarfs recomputation.
 	env.meta.ReportMaterialized(metadata.ViewInfo{
 		PreciseSig: sig.Precise, NormSig: sig.Normalized, Path: "/v/huge",
@@ -215,7 +227,7 @@ func TestCostBasedRejection(t *testing.T) {
 		t.Error("must not rebuild existing view")
 	}
 	// The job still runs fine (recomputes).
-	if _, err := env.ex.Run(p, "job", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, "job", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +245,7 @@ func TestPerJobMaterializationLimit(t *testing.T) {
 		{NormSig: sigF.Normalized, Tags: []string{"logs"}, AvgRuntime: 10},
 		{NormSig: sigA.Normalized, Tags: []string{"logs"}, AvgRuntime: 10},
 	})
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 
 	// Limit 1: bottom-up order materializes the *smaller* subgraph (filter).
 	_, d := env.opt.Optimize(agg.Output("o"), "job", anns, 0)
@@ -251,12 +263,12 @@ func TestPerJobMaterializationLimit(t *testing.T) {
 		{NormSig: sigA.Normalized, Tags: []string{"logs"}, AvgRuntime: 10},
 	})
 	env2.opt.MaxMaterializePerJob = 2
-	p2, d2 := env2.opt.Optimize(agg.Output("o"), "job", env2.meta.RelevantViews("vc1", []string{"logs"}), 0)
+	p2, d2 := env2.opt.Optimize(agg.Output("o"), "job", env2.relevant(t), 0)
 	if len(d2.ViewsBuilt) != 2 {
 		t.Fatalf("built %d views, want 2", len(d2.ViewsBuilt))
 	}
 	// Nested materializations execute correctly.
-	res, err := env2.ex.Run(p2, "job", 0)
+	res, err := env2.ex.RunCtx(context.Background(), p2, "job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +281,7 @@ func TestConcurrentBuildLockPreventsDoubleMaterialization(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 
 	// Two concurrent jobs optimized before either executes: only the
 	// first gets to materialize (build-build synchronization).
@@ -299,9 +311,9 @@ func TestMaterializeEnforcesAnnotatedPhysicalDesign(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	p, d := env.opt.Optimize(agg.Output("o"), "job", anns, 0)
-	if _, err := env.ex.Run(p, "job", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, "job", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, err := env.st.Get(d.ViewsBuilt[0].Path)
@@ -317,14 +329,14 @@ func TestOfflineViewPlans(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	sig := annotate(t, env, agg, true) // offline mode
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 
 	plans, intents := env.opt.OfflineViewPlans(agg.Output("o"), "offline-job", anns, 0)
 	if len(plans) != 1 || len(intents) != 1 {
 		t.Fatalf("offline plans = %d, intents = %d", len(plans), len(intents))
 	}
 	// The offline plan materializes the view without running the full job.
-	res, err := env.ex.Run(plans[0], "offline-job", 0)
+	res, err := env.ex.RunCtx(context.Background(), plans[0], "offline-job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +355,7 @@ func TestOfflineViewPlans(t *testing.T) {
 	// Online annotations are ignored by the offline extractor.
 	annotate(t, env, agg, false)
 	plans3, _ := env.opt.OfflineViewPlans(agg.Output("o"), "offline-3",
-		env.meta.RelevantViews("vc1", []string{"logs"}), 2)
+		env.relevant(t), 2)
 	if len(plans3) != 0 {
 		t.Error("online annotations must not produce offline plans")
 	}
@@ -353,7 +365,7 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	job := agg.Output("o")
 	before := job.EncodeString(expr.Precise)
 	_, _ = env.opt.Optimize(job, "job", anns, 0)
@@ -432,9 +444,9 @@ func TestOptimizeIdempotent(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
 	annotate(t, env, agg, false)
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	p1, _ := env.opt.Optimize(pipeline("g1").Output("o"), "job1", anns, 0)
-	if _, err := env.ex.Run(p1, "job1", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := env.st.Get(storageLookup(env, t))
@@ -476,7 +488,7 @@ func TestInvertedIndexFalsePositivesAreHarmless(t *testing.T) {
 		Tags:       []string{"logs"}, // tag matches the job's input
 		AvgRuntime: 10,
 	}})
-	anns := env.meta.RelevantViews("vc1", []string{"logs"})
+	anns := env.relevant(t)
 	if len(anns) != 1 {
 		t.Fatalf("lookup = %d", len(anns))
 	}

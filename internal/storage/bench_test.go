@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -54,7 +55,7 @@ func BenchmarkStorageWrite(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := NewStore()
 				v := mkView(fmt.Sprintf("w%d", i), 100)
-				if _, err := s.Write(v, parts); err != nil {
+				if _, err := s.WriteCtx(context.Background(), v, parts); err != nil {
 					b.Fatal(err)
 				}
 				last = v
@@ -74,13 +75,13 @@ func BenchmarkStorageConsumeCold(b *testing.B) {
 			s.SetCacheBudget(-1)
 			parts := benchParts(nparts, 2048)
 			v := mkView("cold", 100)
-			if _, err := s.Write(v, parts); err != nil {
+			if _, err := s.WriteCtx(context.Background(), v, parts); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(logicalSize(parts))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Consume(v.Path); err != nil {
+				if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,16 +97,16 @@ func BenchmarkStorageConsumeHot(b *testing.B) {
 			s := NewStore()
 			parts := benchParts(nparts, 2048)
 			v := mkView("hot", 100)
-			if _, err := s.Write(v, parts); err != nil {
+			if _, err := s.WriteCtx(context.Background(), v, parts); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := s.Consume(v.Path); err != nil {
+			if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 				b.Fatal(err) // warm the cache
 			}
 			b.SetBytes(logicalSize(parts))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Consume(v.Path); err != nil {
+				if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,7 +20,7 @@ const cacheShardCount = 16
 
 // CacheStats is a point-in-time snapshot of the hot-view cache.
 type CacheStats struct {
-	// Hits and Misses count Consume calls served from / past the cache.
+	// Hits and Misses count ConsumeCtx calls served from / past the cache.
 	Hits   int64
 	Misses int64
 	// Evictions counts entries displaced to fit the byte budget (drops
@@ -42,7 +42,7 @@ type cacheEntry struct {
 }
 
 // viewCache is a sharded, utility-ranked cache of decoded view partitions.
-// Admission is miss-driven (Consume decodes, then offers the result);
+// Admission is miss-driven (ConsumeCtx decodes, then offers the result);
 // eviction ranks resident entries by (hits, recency) across all shards and
 // displaces the least useful until the newcomer fits the byte budget.
 // Entries larger than the whole budget are never admitted — a single giant

@@ -13,15 +13,15 @@
 // At rest a view is *encoded*: each partition is one columnar byte block
 // (internal/data/colenc — typed vectors, dictionaries, null bitmaps), so
 // the resident footprint is the compressed payload, not boxed rows.
-// Write encodes partitions in parallel; Consume — the data-plane read used
-// by executing jobs — verifies the payload checksum, decodes in parallel,
+// WriteCtx encodes partitions in parallel; ConsumeCtx — the data-plane
+// read used by executing jobs — verifies the payload checksum, decodes in parallel,
 // and serves repeat consumers out of a sharded, byte-budgeted hot-view
 // cache of decoded partitions (zero-copy under the engine's read-only
 // aliasing contract). Metadata-level accessors (Get, Views, LookupPrecise)
 // never decode: listing, ranking, and reclaim work off headers alone.
 //
-// Integrity: Write records a checksum of the encoded payload on the view;
-// Consume verifies it and reports a CorruptError on mismatch, so silent
+// Integrity: WriteCtx records a checksum of the encoded payload on the
+// view; ConsumeCtx verifies it and reports a CorruptError on mismatch, so silent
 // corruption (or an injected fault, see internal/fault — a bit flip in the
 // encoded bytes) is caught at consume time and the runtime can quarantine
 // the view instead of returning wrong rows.
@@ -42,10 +42,10 @@ import (
 // FaultHook is the storage fault-injection surface (implemented by
 // *fault.Injector). A nil hook costs nothing.
 type FaultHook interface {
-	// ReadView is consulted by Consume; an error fails the read. Injected
+	// ReadView is consulted by ConsumeCtx; an error fails the read. Injected
 	// errors are transient — the executor's vertex retry re-reads.
 	ReadView(path string) error
-	// WriteView is consulted by Write for a view about to be created: err
+	// WriteView is consulted by WriteCtx for a view about to be created: err
 	// fails the write before anything is installed; corrupt=true lets the
 	// write proceed but silently damages the stored payload (detected
 	// later by checksum verification on consume).
@@ -94,7 +94,7 @@ type View struct {
 	Props     plan.PhysicalProps
 	// Encoded holds the at-rest payload: one columnar block per partition
 	// of the view's physical design (see internal/data/colenc). Set by
-	// Store.Write; read through Store.Consume, which decodes.
+	// Store.WriteCtx; read through Store.ConsumeCtx, which decodes.
 	Encoded [][]byte
 	// Bytes is the true at-rest footprint — the total size of the encoded
 	// blocks. Storage accounting (TotalBytes, Purge, ReclaimLowestUtility)
@@ -107,7 +107,7 @@ type View struct {
 	LogicalBytes int64
 	Rows         int64
 	// Checksum is the content hash of the encoded payload recorded by
-	// Store.Write; Consume verifies the stored blocks against it.
+	// Store.WriteCtx; ConsumeCtx verifies the stored blocks against it.
 	Checksum uint64
 }
 
@@ -135,7 +135,7 @@ type Store struct {
 	// metadata service referencing deleted paths.
 	Deregister func(preciseSig, path string)
 
-	// Gate, if set, is consulted before every Consume touches the store —
+	// Gate, if set, is consulted before every ConsumeCtx touches the store —
 	// the circuit-breaker admission seam. A non-nil error short-circuits
 	// the read (nothing is looked up, verified, or decoded) and is returned
 	// as-is, so the owner controls its classification; the job frontend
@@ -179,7 +179,7 @@ func NewStore() *Store {
 
 // checksumEncoded folds every encoded partition block with its partition
 // index (FNV-1a over the block bytes). Ordering matters: the physical
-// layout is part of what Write sealed, so reordered, truncated, or
+// layout is part of what WriteCtx sealed, so reordered, truncated, or
 // bit-damaged payloads must verify differently.
 func checksumEncoded(blocks [][]byte) uint64 {
 	const prime64 = 1099511628211
@@ -299,13 +299,13 @@ func partitionRange(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Write encodes parts into the view's at-rest payload and installs it,
+// WriteCtx encodes parts into the view's at-rest payload and installs it,
 // reporting whether this call created the view. A second view for an
 // already-materialized precise signature is not an error: build-lock
 // expiry (§6.1 fault tolerance) can hand the lock to a takeover builder
 // while the original is still running, and equal precise signatures
 // compute byte-identical results, so the race resolves first-writer-wins —
-// the losing write is discarded and Write returns created=false. A path
+// the losing write is discarded and WriteCtx returns created=false. A path
 // collision where the resident view has the same precise signature and
 // producer is the producer's own retry — a vertex that crashed after its
 // write landed re-runs, and the installed copy already is this payload —
@@ -313,15 +313,13 @@ func partitionRange(n int, fn func(i int)) {
 // paths embed the producing job ID, so that collision means one job wrote
 // two different views to the same place.
 //
-// Write records the payload checksum on the view. An injected write fault
-// fails the call before anything is installed (safe to retry); an injected
-// corruption stores a bit-damaged payload under the clean checksum,
-// modeling silent data loss that only consume-time verification can catch.
-func (s *Store) Write(v *View, parts [][]data.Row) (created bool, err error) {
-	return s.WriteCtx(context.Background(), v, parts)
-}
-
-// WriteCtx is Write under a job lifecycle: the partition-parallel encode
+// WriteCtx records the payload checksum on the view. An injected write
+// fault fails the call before anything is installed (safe to retry); an
+// injected corruption stores a bit-damaged payload under the clean
+// checksum, modeling silent data loss that only consume-time verification
+// can catch.
+//
+// The write runs under the job's lifecycle: the partition-parallel encode
 // polls ctx at chunk boundaries, and the context is re-checked before the
 // install lock — a cancelled job's write fails with the context's error
 // and never installs a (possibly partial) payload.
@@ -407,7 +405,7 @@ func (s *Store) install(v *View, blocks [][]byte, checksum uint64, encBytes, log
 // Get returns the view at path without integrity verification or decoding
 // — the metadata-level accessor used by maintenance and tests. Listing and
 // reclaim ranking work off the returned headers alone; executing jobs read
-// views through Consume.
+// views through ConsumeCtx.
 func (s *Store) Get(path string) (*View, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -418,27 +416,24 @@ func (s *Store) Get(path string) (*View, error) {
 	return v, nil
 }
 
-// Consume returns the view at path, decoded, for a consuming job: injected
-// read faults surface first (transient — the vertex retry re-reads), then
-// the hot cache is tried, and on a miss the encoded payload is verified
-// against the checksum recorded at Write and decoded partition-parallel. A
-// mismatch (or an undecodable block) is a CorruptError; the caller is
-// expected to quarantine the view and re-plan without it.
+// ConsumeCtx returns the view at path, decoded, for a consuming job. The
+// Gate (circuit breaker) is consulted first — a rejection returns without
+// touching the store and without an OnConsume report. Then injected read
+// faults surface (transient — the vertex retry re-reads), the hot cache is
+// tried, and on a miss the encoded payload is verified against the
+// checksum recorded at WriteCtx and decoded partition-parallel. A mismatch
+// (or an undecodable block) is a CorruptError; the caller is expected to
+// quarantine the view and re-plan without it.
+//
+// Admitted reads poll ctx at the partition boundaries of the parallel
+// decode and re-check it before classifying failures or caching: an
+// attempt abandoned by cancellation returns the context's error (never a
+// spurious CorruptError from an interrupted decode) and is not reported
+// to OnConsume.
 //
 // The returned partitions may be shared with other consumers (the cache
 // serves them zero-copy): callers must treat rows as immutable, the same
 // read-only aliasing contract every view scan already obeys.
-func (s *Store) Consume(path string) (*View, [][]data.Row, error) {
-	return s.ConsumeCtx(context.Background(), path)
-}
-
-// ConsumeCtx is Consume under a job lifecycle. The Gate (circuit breaker)
-// is consulted first — a rejection returns without touching the store and
-// without an OnConsume report. Admitted reads poll ctx at the partition
-// boundaries of the parallel decode and re-check it before classifying
-// failures or caching: an attempt abandoned by cancellation returns the
-// context's error (never a spurious CorruptError from an interrupted
-// decode) and is not reported to OnConsume.
 func (s *Store) ConsumeCtx(ctx context.Context, path string) (*View, [][]data.Row, error) {
 	if s.Gate != nil {
 		if err := s.Gate(path); err != nil {

@@ -1,6 +1,7 @@
 package tpcds
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/exec"
@@ -83,7 +84,7 @@ func TestAll99QueriesBuildAndRun(t *testing.T) {
 		if q.Root.Kind != plan.OpOutput {
 			t.Fatalf("%s root is %v", q.Name, q.Root.Kind)
 		}
-		res, err := ex.Run(q.Root, q.Name, 0)
+		res, err := ex.RunCtx(context.Background(), q.Root, q.Name, 0, 0)
 		if err != nil {
 			t.Fatalf("%s failed: %v", q.Name, err)
 		}

@@ -1,6 +1,7 @@
 package workgen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestAllJobsExecute(t *testing.T) {
 	}
 	repo := workload.NewRepository()
 	for _, j := range jobs {
-		res, err := ex.Run(j.Root, j.Meta.JobID, 0)
+		res, err := ex.RunCtx(context.Background(), j.Root, j.Meta.JobID, 0, 0)
 		if err != nil {
 			t.Fatalf("job %s: %v", j.Meta.JobID, err)
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	e, p := setup(t)
 	repo := NewRepository()
 	for i := int64(0); i < 3; i++ {
-		res, err := e.Run(p, "j", i)
+		res, err := e.RunCtx(context.Background(), p, "j", i, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Truncated observation stream.
 	e, p := setup(t)
 	repo := NewRepository()
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
