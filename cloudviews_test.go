@@ -85,7 +85,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	_ = r1
 
 	// Overlap statistics through the public API.
-	st := ComputeOverlapStats(svc.Repo.Observations())
+	st := ComputeOverlapStats(svc.Repo.Snapshot())
 	if st.TotalJobs != 4 || st.PctJobsOverlapping <= 0 {
 		t.Errorf("stats: %+v", st)
 	}

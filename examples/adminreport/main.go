@@ -37,7 +37,7 @@ func main() {
 		snap.Storage.Views, snap.Storage.ResidentEncodedBytes)
 
 	// The overlap profile (what the Power BI dashboard summarizes).
-	stats := cv.ComputeOverlapStats(svc.Repo.Observations())
+	stats := cv.ComputeOverlapStats(svc.Repo.Snapshot())
 	fmt.Printf("cluster %q: %d jobs, %d users, %d subgraph occurrences\n",
 		profile.Name, stats.TotalJobs, stats.TotalUsers, stats.TotalOccurrences)
 	fmt.Printf("  %.0f%% of jobs overlap, %.0f%% of users have overlap, avg frequency %.1f\n\n",

@@ -282,7 +282,7 @@ func TestCoordinationOrder(t *testing.T) {
 	// specifically the one with the smallest runtime.
 	sel := an.Selected[0]
 	jobRuntime := map[string]float64{}
-	for _, o := range f.repo.Observations() {
+	for _, o := range f.repo.Snapshot() {
 		if o.JobLatency > jobRuntime[o.Job.JobID] {
 			jobRuntime[o.Job.JobID] = o.JobLatency
 		}

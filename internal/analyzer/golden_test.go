@@ -121,7 +121,7 @@ func TestOverlapStatsGolden(t *testing.T) {
 				t.Errorf("profile %s config %d: sharded OverlapStats diverges from serial", p.Name, ci)
 			}
 		}
-		obs := repo.Observations()
+		obs := repo.Snapshot()
 		if want, got := computeOverlapStatsSerial(obs), ComputeOverlapStats(obs); !reflect.DeepEqual(want, got) {
 			t.Errorf("profile %s: ComputeOverlapStats diverges from serial", p.Name)
 		}

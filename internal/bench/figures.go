@@ -71,7 +71,7 @@ func Figure1() ([]ClusterOverlap, error) {
 		}
 		out = append(out, ClusterOverlap{
 			Cluster: p.Name,
-			Stats:   analyzer.ComputeOverlapStats(repo.Observations()),
+			Stats:   analyzer.ComputeOverlapStats(repo.Snapshot()),
 		})
 	}
 	return out, nil
@@ -103,7 +103,7 @@ func Figure2() (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := analyzer.ComputeOverlapStats(repo.Observations())
+	st := analyzer.ComputeOverlapStats(repo.Snapshot())
 	res := &Figure2Result{Stats: st}
 	for _, vc := range st.VCNames {
 		res.PctJobsOverlapping = append(res.PctJobsOverlapping, st.VCJobOverlapPct[vc])
@@ -169,7 +169,7 @@ func Figure3() (*Figure3Result, error) {
 	}
 	// Largest business unit by observation count.
 	counts := map[string]int{}
-	for _, o := range repo.Observations() {
+	for _, o := range repo.Snapshot() {
 		counts[o.Job.BusinessUnit]++
 	}
 	bu, best := "", 0

@@ -45,7 +45,7 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &OverheadResult{AnalyzerJobs: repo.NumJobs(), AnalyzerSubgraphs: len(repo.Observations())}
+	res := &OverheadResult{AnalyzerJobs: repo.NumJobs(), AnalyzerSubgraphs: len(repo.Snapshot())}
 
 	// 1. Analyzer wall time.
 	start := time.Now()

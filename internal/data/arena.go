@@ -31,7 +31,7 @@ type RowArena struct {
 }
 
 // arenaBlockValues is the number of Values per full-size arena block
-// (~384 KiB at 48 bytes per Value).
+// (320 KiB at 40 bytes per Value).
 const arenaBlockValues = 8192
 
 // arenaFirstBlock keeps small emits cheap: the first block is modest and

@@ -82,7 +82,7 @@ func TestSyntheticObservationsShape(t *testing.T) {
 	}
 	repo := workload.NewRepository()
 	repo.Append(more...)
-	if repo.NumJobs() == 0 || len(repo.Observations()) != len(more) {
+	if repo.NumJobs() == 0 || len(repo.Snapshot()) != len(more) {
 		t.Fatalf("repository ingest lost observations")
 	}
 }

@@ -26,17 +26,15 @@ const (
 )
 
 // Save streams every observation to w as JSON lines, preceded by a header
-// line. Plans are not persisted — signatures and statistics are what the
-// analyzer needs; plans live with their jobs.
+// line. The repository holds no plans, so none are persisted: signatures
+// and statistics are what the analyzer needs.
 func (r *Repository) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(persistHeader{Format: persistFormat, Version: persistVersion}); err != nil {
 		return fmt.Errorf("workload: write header: %w", err)
 	}
-	r.mu.RLock()
-	obs := append([]Observation(nil), r.obs...)
-	r.mu.RUnlock()
+	obs := r.Snapshot()
 	for i := range obs {
 		if err := enc.Encode(&obs[i]); err != nil {
 			return fmt.Errorf("workload: write observation %d: %w", i, err)
@@ -45,9 +43,7 @@ func (r *Repository) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a stream written by Save into a fresh repository. Job records
-// are reconstructed in summary form (one per distinct job ID) so NumJobs
-// and the analyzer's aggregates work; plans are not restored.
+// Load reads a stream written by Save into a fresh repository.
 func Load(rd io.Reader) (*Repository, error) {
 	dec := json.NewDecoder(bufio.NewReader(rd))
 	var h persistHeader
@@ -61,16 +57,13 @@ func Load(rd io.Reader) (*Repository, error) {
 		return nil, fmt.Errorf("workload: unsupported version %d", h.Version)
 	}
 	repo := NewRepository()
-	var obs []Observation
 	for {
 		var o Observation
 		if err := dec.Decode(&o); err == io.EOF {
-			break
+			return repo, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("workload: read observation: %w", err)
 		}
-		obs = append(obs, o)
+		repo.Append(o)
 	}
-	repo.Append(obs...)
-	return repo, nil
 }

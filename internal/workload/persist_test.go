@@ -16,6 +16,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		repo.Record(meta("job-"+string(rune('a'+i)), i), p, res)
+		// One job ID recorded in every instance counts once.
+		repo.Record(meta("rerun", i), p, res)
 	}
 
 	var buf bytes.Buffer
@@ -26,10 +28,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumJobs() != repo.NumJobs() {
-		t.Errorf("jobs = %d, want %d", loaded.NumJobs(), repo.NumJobs())
+	if repo.NumJobs() != 4 || loaded.NumJobs() != 4 {
+		t.Errorf("jobs = %d before save, %d after load, want 4", repo.NumJobs(), loaded.NumJobs())
 	}
-	a, b := repo.Observations(), loaded.Observations()
+	a, b := repo.Snapshot(), loaded.Snapshot()
 	if len(a) != len(b) {
 		t.Fatalf("observations = %d, want %d", len(b), len(a))
 	}
@@ -95,7 +97,7 @@ func TestSaveEmptyRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumJobs() != 0 || len(loaded.Observations()) != 0 {
+	if loaded.NumJobs() != 0 || len(loaded.Snapshot()) != 0 {
 		t.Error("empty round trip not empty")
 	}
 }

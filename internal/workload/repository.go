@@ -10,6 +10,7 @@
 package workload
 
 import (
+	"maps"
 	"sync"
 
 	"cloudviews/internal/exec"
@@ -62,44 +63,28 @@ type Observation struct {
 	Ops int
 }
 
-// JobRecord is one executed job with its plan and totals.
-type JobRecord struct {
-	Meta    JobMeta
-	Root    *plan.Node
-	CPU     float64
-	Latency float64
-	// Subgraphs are the job's observation indexes into the repository.
-	Subgraphs []int
-}
-
-// Repository accumulates executed jobs and their subgraph observations.
-// It is safe for concurrent Record/snapshot use.
+// Repository accumulates the subgraph observations of executed jobs. Plans
+// are joined with their runtime statistics at Record and then dropped: the
+// repository keeps the observations and, folded in as they land, each
+// input's longest consumer period. It is safe for concurrent use.
 type Repository struct {
-	mu   sync.RWMutex
-	jobs []*JobRecord
-	obs  []Observation
+	mu      sync.RWMutex
+	obs     []Observation
+	periods map[string]int64
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{}
+	return &Repository{periods: map[string]int64{}}
 }
 
 // Record reconciles the compiled plan of a finished job with the runtime
 // statistics of its execution, appending one observation per distinct
 // non-transparent subgraph. This is the feedback-loop join: the executed
-// data flow is linked back to the query tree node by node (§5.1).
-func (r *Repository) Record(meta JobMeta, root *plan.Node, res *exec.Result) *JobRecord {
-	comp := signature.NewComputer()
-	subs := comp.AllSubgraphs(root)
-
-	rec := &JobRecord{
-		Meta:    meta,
-		Root:    root,
-		CPU:     res.TotalCPU,
-		Latency: res.Latency,
-	}
-
+// data flow is linked back to the query tree node by node (§5.1). The
+// repository keeps no reference to root or res.
+func (r *Repository) Record(meta JobMeta, root *plan.Node, res *exec.Result) {
+	subs := signature.NewComputer().AllSubgraphs(root)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range subs {
@@ -109,7 +94,7 @@ func (r *Repository) Record(meta JobMeta, root *plan.Node, res *exec.Result) *Jo
 			// job); skip rather than fabricate statistics.
 			continue
 		}
-		o := Observation{
+		r.add(Observation{
 			Job:            meta,
 			PreciseSig:     s.Sig.Precise,
 			NormSig:        s.Sig.Normalized,
@@ -124,43 +109,35 @@ func (r *Repository) Record(meta JobMeta, root *plan.Node, res *exec.Result) *Jo
 			Inputs:         plan.Inputs(s.Node),
 			Props:          plan.DeriveProps(s.Node),
 			Ops:            plan.Count(s.Node),
-		}
-		rec.Subgraphs = append(rec.Subgraphs, len(r.obs))
-		r.obs = append(r.obs, o)
+		})
 	}
-	r.jobs = append(r.jobs, rec)
-	return rec
 }
 
-// Jobs returns a snapshot of all recorded jobs.
-func (r *Repository) Jobs() []*JobRecord {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*JobRecord(nil), r.jobs...)
+// Append ingests already-reconciled observations directly — the offline
+// log-ingestion path: production workload repositories are populated from
+// cluster telemetry as well as live Record calls, and the analyzer's
+// large-workload tests and benchmarks build repositories the same way.
+func (r *Repository) Append(obs ...Observation) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, o := range obs {
+		r.add(o)
+	}
 }
 
-// Observations returns a snapshot of all subgraph observations.
-func (r *Repository) Observations() []Observation {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]Observation(nil), r.obs...)
-}
-
-// Window returns the observations of jobs whose instance index lies in
-// [from, to] — the analyzer's time-window filter.
-func (r *Repository) Window(from, to int64) []Observation {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Observation
-	for _, o := range r.obs {
-		if o.Job.Instance >= from && o.Job.Instance <= to {
-			out = append(out, o)
+// add appends o and folds its job's period into each of its inputs'
+// longest consumer period. The caller holds r.mu for writing.
+func (r *Repository) add(o Observation) {
+	r.obs = append(r.obs, o)
+	for _, in := range o.Inputs {
+		if o.Job.Period > r.periods[in] {
+			r.periods[in] = o.Job.Period
 		}
 	}
-	return out
 }
 
 // Snapshot returns a zero-copy view of every observation recorded so far.
+// It is the repository's one read path.
 //
 // Aliasing contract: the returned slice aliases repository-internal
 // storage. Recorded observations are immutable — writers only ever append —
@@ -175,69 +152,34 @@ func (r *Repository) Snapshot() []Observation {
 	return r.obs
 }
 
-// Scan streams every observation whose job instance lies in [from, to] to
-// fn, in record order, without materializing a windowed copy the way
-// Window does. The *Observation handed to fn is owned by the repository
-// (see Snapshot's aliasing contract): fn must not retain or mutate it
-// past the call. Scan is safe to call concurrently, including from
-// multiple analyzer workers folding the same window.
-func (r *Repository) Scan(from, to int64, fn func(o *Observation)) {
-	obs := r.Snapshot()
-	for i := range obs {
-		if o := &obs[i]; o.Job.Instance >= from && o.Job.Instance <= to {
-			fn(o)
+// Window returns a copy of the observations of jobs whose instance index
+// lies in [from, to] — the analyzer's time-window filter.
+func (r *Repository) Window(from, to int64) []Observation {
+	var out []Observation
+	for _, o := range r.Snapshot() {
+		if o.Job.Instance >= from && o.Job.Instance <= to {
+			out = append(out, o)
 		}
 	}
+	return out
 }
 
-// Append ingests already-reconciled observations directly — the offline
-// log-ingestion path: production workload repositories are populated from
-// cluster telemetry as well as live Record calls, and the analyzer's
-// large-workload tests and benchmarks build repositories the same way.
-// Job records are reconstructed in summary form, one per distinct job ID
-// in first-appearance order, exactly as Load does; plans are not part of
-// an ingested observation.
-func (r *Repository) Append(obs ...Observation) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	byJob := make(map[string]*JobRecord, len(r.jobs))
-	for _, rec := range r.jobs {
-		byJob[rec.Meta.JobID] = rec
-	}
-	for _, o := range obs {
-		idx := len(r.obs)
-		r.obs = append(r.obs, o)
-		rec, ok := byJob[o.Job.JobID]
-		if !ok {
-			rec = &JobRecord{Meta: o.Job, CPU: o.JobCPU, Latency: o.JobLatency}
-			byJob[o.Job.JobID] = rec
-			r.jobs = append(r.jobs, rec)
-		}
-		rec.Subgraphs = append(rec.Subgraphs, idx)
-	}
-}
-
-// NumJobs returns the number of recorded jobs.
+// NumJobs returns the number of distinct job IDs observed.
 func (r *Repository) NumJobs() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.jobs)
+	obs := r.Snapshot()
+	jobs := map[string]struct{}{}
+	for i := range obs {
+		jobs[obs[i].Job.JobID] = struct{}{}
+	}
+	return len(jobs)
 }
 
 // InputPeriods returns, per logical input, the longest recurrence period
 // of any template reading it. The view-expiry heuristic of §5.4 uses this
 // lineage: a view over an input also consumed by weekly jobs must outlive
-// the week.
+// the week. The map is a copy; add keeps the live one current.
 func (r *Repository) InputPeriods() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := map[string]int64{}
-	for _, o := range r.obs {
-		for _, in := range o.Inputs {
-			if o.Job.Period > out[in] {
-				out[in] = o.Job.Period
-			}
-		}
-	}
-	return out
+	return maps.Clone(r.periods)
 }

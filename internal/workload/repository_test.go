@@ -2,7 +2,9 @@ package workload
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"weak"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
@@ -43,17 +45,14 @@ func TestRecordReconcilesPlanWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	repo := NewRepository()
-	rec := repo.Record(meta("j1", 0), p, res)
+	repo.Record(meta("j1", 0), p, res)
 
 	if repo.NumJobs() != 1 {
 		t.Fatalf("NumJobs = %d", repo.NumJobs())
 	}
-	obs := repo.Observations()
+	obs := repo.Snapshot()
 	if len(obs) != 5 { // scan, filter, exchange, agg, output
 		t.Fatalf("observations = %d, want 5", len(obs))
-	}
-	if len(rec.Subgraphs) != 5 {
-		t.Errorf("job record subgraphs = %d", len(rec.Subgraphs))
 	}
 	// Every observation carries real runtime stats and correct identity.
 	comp := signature.NewComputer()
@@ -105,8 +104,8 @@ func TestWindowFilter(t *testing.T) {
 	if got := len(repo.Window(5, 9)); got != 0 {
 		t.Errorf("empty window obs = %d", got)
 	}
-	if got := len(repo.Jobs()); got != 3 {
-		t.Errorf("jobs = %d", got)
+	if got := repo.NumJobs(); got != 1 {
+		t.Errorf("jobs = %d, want 1 (one job ID recorded three times)", got)
 	}
 }
 
@@ -145,7 +144,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 	}
 	repo.Record(meta("j2", 1), p2, res2)
 
-	obs := repo.Observations()
+	obs := repo.Snapshot()
 	byNorm := map[string][]Observation{}
 	for _, o := range obs {
 		byNorm[o.NormSig] = append(byNorm[o.NormSig], o)
@@ -183,5 +182,27 @@ func TestInputPeriods(t *testing.T) {
 	periods := repo.InputPeriods()
 	if periods["events"] != 7 {
 		t.Errorf("events period = %d, want 7 (longest consumer)", periods["events"])
+	}
+}
+
+// TestRecordPinsNoPlan pins that the repository keeps observations only:
+// once the caller drops a recorded plan and its result, the plan is
+// garbage.
+func TestRecordPinsNoPlan(t *testing.T) {
+	e, p := setup(t)
+	res, err := e.RunCtx(context.Background(), p, "j1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := NewRepository()
+	repo.Record(meta("j1", 0), p, res)
+	root := weak.Make(p)
+	p, res = nil, nil
+	runtime.GC()
+	if root.Value() != nil {
+		t.Error("the repository still pins the recorded plan")
+	}
+	if got := len(repo.Snapshot()); got != 5 {
+		t.Errorf("observations = %d, want 5", got)
 	}
 }

@@ -11,7 +11,8 @@ go build ./...
 go test ./...
 go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/ \
 	./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
-	./internal/breaker/ ./internal/obs/ ./internal/metadata/
+	./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
+	./internal/workload/
 # Fuzz smokes over the seeded corpora: the columnar codec round trip (all
 # kinds, NULLs, corrupt-payload rejection) and compiled-vs-interpreted
 # expression evaluation (bit-identical on wrong-kind, NULL and NaN rows).
