@@ -8,7 +8,6 @@ package analyzer
 
 import (
 	"sort"
-	"strconv"
 
 	"cloudviews/internal/exec"
 	"cloudviews/internal/metadata"
@@ -106,7 +105,9 @@ type Candidate struct {
 	Tags []string
 	// RootOp is the operator at the subgraph root (Figure 4a).
 	RootOp plan.OpKind
-	// Jobs lists distinct job IDs containing the computation.
+	// Jobs lists the distinct job IDs containing the computation, in
+	// first-occurrence (record) order. Its readers use it as a set or
+	// under a total order, so it is not sorted.
 	Jobs []string
 	// Inputs lists the logical inputs the computation reads.
 	Inputs []string
@@ -164,16 +165,32 @@ func analysisWindow(cfg Config) (from, to int64) {
 }
 
 // Analyze runs the full pipeline — enumerate → aggregate → filter →
-// select → annotate → order — as a parallel, sharded, streaming fold:
-// observations are scanned off one zero-copy repository snapshot, sharded
-// by the top bits of the normalized-signature hash, and folded by
-// GOMAXPROCS workers into per-candidate accumulators of running sums, so
-// peak memory scales with the number of candidates rather than with
-// materialized observation groups. The output is byte-identical to the
-// serial reference walk (Serial): every signature's statistics fold in
-// repository order inside exactly one worker, and every ordering the
-// pipeline emits is a total order (see DESIGN.md §12).
+// select → annotate → order. A config whose window covers every recorded
+// instance, with no admin scope and measured costs, reads exactly what the
+// repository already folded as observations landed, so Analyze finalizes
+// those running statistics without a pass over the log (analyzeFolded).
+// Every other config runs a parallel, sharded, streaming fold: observations
+// are scanned off one zero-copy repository snapshot, sharded by the top
+// bits of the normalized-signature hash, and folded by GOMAXPROCS workers
+// into per-signature running statistics, so peak memory scales with the
+// number of candidates rather than with materialized observation groups.
+// Either way the output is byte-identical to the serial reference walk
+// (Serial): every signature's statistics fold in record order through one
+// fold body, and every ordering the pipeline emits is a total order (see
+// DESIGN.md §12).
 func (a *Analyzer) Analyze(cfg Config) *Analysis {
+	an, ok := a.analyzeFolded(cfg)
+	if !ok {
+		an = a.analyzeSnapshot(cfg)
+	}
+	if a.Obs != nil {
+		a.Obs.AnalyzeDone(an.TotalJobs, an.TotalSubgraphs, len(an.Candidates), len(an.Selected))
+	}
+	return an
+}
+
+// analyzeSnapshot is Analyze's sharded fold over one repository snapshot.
+func (a *Analyzer) analyzeSnapshot(cfg Config) *Analysis {
 	from, to := analysisWindow(cfg)
 	obs := a.Repo.Snapshot()
 	shards := shardObservations(obs, from, to, &cfg)
@@ -190,10 +207,17 @@ func (a *Analyzer) Analyze(cfg Config) *Analysis {
 			}
 		}
 	})
-	if a.Obs != nil {
-		a.Obs.AnalyzeDone(an.TotalJobs, an.TotalSubgraphs, len(an.Candidates), len(an.Selected))
-	}
 	return an
+}
+
+// scoped reports whether any Clusters / BusinessUnits / VCs filter is set.
+func (cfg *Config) scoped() bool {
+	return len(cfg.Clusters) > 0 || len(cfg.BusinessUnits) > 0 || len(cfg.VCs) > 0
+}
+
+// estimates reports whether EstimateCost replaces measured costs.
+func (cfg *Config) estimates() bool {
+	return cfg.UseEstimates && cfg.EstimateCost != nil
 }
 
 // Serial is the single-threaded reference walk — the pre-scale-out
@@ -278,7 +302,10 @@ func aggregate(obs []workload.Observation, periods map[string]int64, cfg Config)
 		tagSet := map[string]bool{}
 		var cost, lat, rows, bytes, ratio float64
 		for _, o := range g {
-			jobSet[o.Job.JobID] = true
+			if !jobSet[o.Job.JobID] {
+				jobSet[o.Job.JobID] = true
+				c.Jobs = append(c.Jobs, o.Job.JobID)
+			}
 			userSet[o.Job.User] = true
 			for _, in := range o.Inputs {
 				inputSet[in] = true
@@ -312,7 +339,6 @@ func aggregate(obs []workload.Observation, periods map[string]int64, cfg Config)
 		c.Utility = float64(c.Frequency-1) * saving
 		c.JobCount = len(jobSet)
 		c.UserCount = len(userSet)
-		c.Jobs = sortedKeys(jobSet)
 		c.Inputs = sortedKeys(inputSet)
 		c.Tags = sortedKeys(tagSet)
 		c.Props, c.MultiDesign = electDesign(g)
@@ -328,85 +354,14 @@ func aggregate(obs []workload.Observation, periods map[string]int64, cfg Config)
 	return out
 }
 
-// designTally counts occurrences of one physical design.
-type designTally struct {
-	props plan.PhysicalProps
-	count int
-}
-
 // electDesign picks the most popular output physical design among the
 // occurrences (§5.3). It reports whether multiple designs were in play.
 func electDesign(g []workload.Observation) (plan.PhysicalProps, bool) {
-	counts := map[string]*designTally{}
+	var t workload.DesignTally
 	for _, o := range g {
-		tallyDesign(counts, o.Props)
+		t.Add(o.Props)
 	}
-	return electFromTally(counts)
-}
-
-// tallyDesign folds one occurrence's design into the tally.
-func tallyDesign(counts map[string]*designTally, props plan.PhysicalProps) {
-	key := designKey(props)
-	if b, ok := counts[key]; ok {
-		b.count++
-	} else {
-		counts[key] = &designTally{props: props, count: 1}
-	}
-}
-
-// electFromTally resolves the election: highest count wins, ties broken by
-// the smaller design key — a total order, so the winner is independent of
-// map iteration order (and of which fold path built the tally).
-func electFromTally(counts map[string]*designTally) (plan.PhysicalProps, bool) {
-	var best *designTally
-	var bestKey string
-	for k, b := range counts {
-		if best == nil || b.count > best.count || (b.count == best.count && k < bestKey) {
-			best, bestKey = b, k
-		}
-	}
-	return best.props, len(counts) > 1
-}
-
-// designKey renders a physical design as a comparable string. The format
-// is pinned — election ties break on it — and matches what
-// fmt.Sprintf("%v|%v|%d|%v|%v", ...) produced before this append-based
-// version removed the fmt overhead from the per-observation fold path
-// (a designKeyReference test holds the two together).
-func designKey(p plan.PhysicalProps) string {
-	var buf [64]byte
-	b := append(buf[:0], p.Part.Kind.String()...)
-	b = append(b, '|')
-	b = appendIntSlice(b, p.Part.Cols)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(p.Part.Count), 10)
-	b = append(b, '|')
-	b = appendIntSlice(b, p.Sort.Cols)
-	b = append(b, '|')
-	b = appendBoolSlice(b, p.Sort.Desc)
-	return string(b)
-}
-
-func appendIntSlice(dst []byte, xs []int) []byte {
-	dst = append(dst, '[')
-	for i, x := range xs {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		dst = strconv.AppendInt(dst, int64(x), 10)
-	}
-	return append(dst, ']')
-}
-
-func appendBoolSlice(dst []byte, xs []bool) []byte {
-	dst = append(dst, '[')
-	for i, x := range xs {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		dst = strconv.AppendBool(dst, x)
-	}
-	return append(dst, ']')
+	return t.Elect()
 }
 
 // expiryFromLineage returns the view lifetime: the longest recurrence
@@ -540,11 +495,8 @@ func annotate(selected []Candidate) []metadata.Annotation {
 // repository snapshot through its precomputed shard filter.
 type obsStream func(fn func(o *workload.Observation))
 
-// coordinate produces the job submission order of §6.5: per selected view,
-// jobs containing it form a group; the group's builder is its shortest job
-// (ties broken by fewer overlaps, then ID). Deduplicated builders run
-// first — ordered by runtime, ties by overlap count — so each view is
-// built exactly once before its consumers arrive. Both maps it folds are
+// coordinate produces the job submission order of §6.5 (see orderBuilders)
+// from a stream of the analyzed observations. Both maps it folds are
 // order-insensitive (max and count), so any stream over the same
 // observation set yields the same order.
 func coordinate(selected []Candidate, stream obsStream) []string {
@@ -565,6 +517,17 @@ func coordinate(selected []Candidate, stream obsStream) []string {
 			jobOverlaps[o.Job.JobID]++
 		}
 	})
+	return orderBuilders(selected, jobRuntime, jobOverlaps)
+}
+
+// orderBuilders is the §6.5 order: per selected view, jobs containing it
+// form a group; the group's builder is its shortest job (ties broken by
+// fewer overlaps, then ID). Deduplicated builders run first — ordered by
+// runtime, ties by overlap count — so each view is built exactly once
+// before its consumers arrive. jobRuntime holds each job's longest
+// latency and jobOverlaps its occurrences of selected signatures; only
+// the selected candidates' jobs are read.
+func orderBuilders(selected []Candidate, jobRuntime map[string]float64, jobOverlaps map[string]int) []string {
 	builderSet := map[string]bool{}
 	for _, c := range selected {
 		best := ""

@@ -46,22 +46,36 @@ func benchSizes(b *testing.B) []int {
 	return []int{10_000, 100_000, 500_000}
 }
 
-// BenchmarkAnalyzerAnalyze is the end-to-end parallel pipeline: shard,
-// fold, select, annotate, coordinate.
+// BenchmarkAnalyzerAnalyze is the end-to-end pipeline on both of its
+// paths. history=whole reads the repository's write-time fold: finalize,
+// select, annotate, coordinate. history=windowed drops the first instance,
+// so it runs the sharded snapshot fold: shard, fold, select, annotate,
+// coordinate.
 func BenchmarkAnalyzerAnalyze(b *testing.B) {
+	windowed := benchCfg
+	windowed.WindowFrom = 1
 	for _, n := range benchSizes(b) {
 		repo := benchRepo(b, n)
-		b.Run(fmt.Sprintf("obs=%d", n), func(b *testing.B) {
-			a := New(repo)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				an := a.Analyze(benchCfg)
-				if an.TotalSubgraphs != n {
-					b.Fatalf("analyzed %d subgraphs, want %d", an.TotalSubgraphs, n)
+		for _, v := range []struct {
+			name   string
+			cfg    Config
+			folded bool
+		}{{"whole", benchCfg, true}, {"windowed", windowed, false}} {
+			b.Run(fmt.Sprintf("history=%s/obs=%d", v.name, n), func(b *testing.B) {
+				a := New(repo)
+				if _, folded := a.analyzeFolded(v.cfg); folded != v.folded {
+					b.Fatalf("served from the write-time fold = %v, want %v", folded, v.folded)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					an := a.Analyze(v.cfg)
+					if an.TotalSubgraphs == 0 || an.TotalSubgraphs > n || v.folded && an.TotalSubgraphs != n {
+						b.Fatalf("analyzed %d subgraphs of %d", an.TotalSubgraphs, n)
+					}
+				}
+			})
+		}
 	}
 }
 

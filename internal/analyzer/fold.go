@@ -1,0 +1,179 @@
+package analyzer
+
+import (
+	"sort"
+
+	"cloudviews/internal/exec"
+	"cloudviews/internal/plan"
+	"cloudviews/internal/workload"
+)
+
+// fold.go mines candidates from per-signature running statistics
+// (workload.SigFold) along two paths: Analyze finalizes the repository's
+// own write-time fold when the config reads exactly what it folded
+// (analyzeFolded), and otherwise folds the snapshot in parallel shards
+// with the same fold body (aggregateSharded). DESIGN.md §12 has both.
+
+// analyzeFolded is Analyze for a config that reads exactly what the
+// repository folded at write: every recorded instance, no admin scope,
+// measured costs. Under one read lock it finalizes the running statistics,
+// selects, and orders the builders, with no pass over the observations.
+// ok is false, and nothing is computed, for any other config.
+func (a *Analyzer) analyzeFolded(cfg Config) (an *Analysis, ok bool) {
+	from, to := analysisWindow(cfg)
+	a.Repo.ReadFold(func(f *workload.Fold) {
+		if cfg.scoped() || cfg.estimates() ||
+			(f.Observations > 0 && (from > f.MinInstance || to < f.MaxInstance)) {
+			return
+		}
+		ok = true
+		an = &Analysis{WindowFrom: from, WindowTo: to,
+			TotalJobs: len(f.Jobs.IDs), TotalSubgraphs: f.Observations}
+		for sig, s := range f.Sigs.Overlaps {
+			an.Candidates = append(an.Candidates, finalize(sig, s, f.Jobs.IDs, f.Periods))
+		}
+		byUtility(an.Candidates)
+		an.Selected = selectViews(an.Candidates, cfg, true)
+		an.JobOrder = coordinateFolded(an.Selected, f)
+	})
+	if ok {
+		an.Annotations = annotate(an.Selected)
+	}
+	return an, ok
+}
+
+// coordinateFolded is coordinate over the write-time fold: each job's
+// runtime comes from the job index and its overlap count from the
+// selected signatures' per-job occurrence counts — the same two maps
+// coordinate streams from the observations.
+func coordinateFolded(selected []Candidate, f *workload.Fold) []string {
+	if len(selected) == 0 {
+		return nil
+	}
+	jobRuntime := map[string]float64{}
+	jobOverlaps := map[string]int{}
+	for _, c := range selected {
+		for _, j := range f.Sigs.Overlaps[c.NormSig].Jobs {
+			id := f.Jobs.IDs[j.Job]
+			jobRuntime[id] = f.Jobs.Latency[j.Job]
+			jobOverlaps[id] += int(j.Count)
+		}
+	}
+	return orderBuilders(selected, jobRuntime, jobOverlaps)
+}
+
+// finalize renders one recurring signature's running statistics as a
+// Candidate, mirroring the serial aggregate's per-group epilogue. Every
+// slice it returns is a fresh copy, so nothing of the fold it reads
+// escapes; jobIDs resolves the fold's job indices.
+func finalize(sig string, f *workload.SigFold, jobIDs []string, periods map[string]int64) Candidate {
+	c := Candidate{NormSig: sig, Frequency: f.Freq, RootOp: f.RootOp}
+	n := float64(f.Freq)
+	c.AvgCost = f.Cost / n
+	c.AvgLatency = f.Latency / n
+	c.AvgRuntime = c.AvgLatency
+	c.AvgRows = f.Rows / n
+	c.AvgBytes = f.Bytes / n
+	c.CostRatio = f.Ratio / n
+	c.ReadCost = exec.OperatorCost(plan.OpViewScan, 0, int64(c.AvgRows), int64(c.AvgBytes))
+	saving := c.AvgCost - c.ReadCost
+	if saving < 0 {
+		saving = 0
+	}
+	c.Utility = float64(c.Frequency-1) * saving
+	c.JobCount = len(f.Jobs)
+	c.UserCount = len(f.Users)
+	c.Jobs = make([]string, len(f.Jobs))
+	for k, j := range f.Jobs {
+		c.Jobs[k] = jobIDs[j.Job]
+	}
+	c.Inputs = append(make([]string, 0, len(f.Inputs)), f.Inputs...)
+	c.Tags = mergeSorted(f.Inputs, f.Templates)
+	c.Props, c.MultiDesign = f.Designs.Elect()
+	c.ExpiryDelta = expiryFromLineage(c.Inputs, periods)
+	return c
+}
+
+// mergeSorted returns the sorted union of two sorted, duplicate-free
+// slices as a fresh slice.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// aggregateSharded mines candidates from the snapshot in parallel: each
+// worker walks the full snapshot in record order, folds the observations
+// whose shard it owns into per-signature workload.SigFolds over a
+// worker-local job index, and finalizes its overlaps. Because a
+// signature's every occurrence hashes to one shard and shard ranges
+// partition the shard space, each signature is folded by exactly one
+// worker in record order — the serial fold order — and the merged,
+// utility-sorted candidate list is byte-identical to the serial aggregate.
+// Also returns the distinct-job and in-scope observation counts the
+// workers tally for free along the way.
+func aggregateSharded(obs []workload.Observation, shards []uint8, periods map[string]int64, cfg Config) (cands []Candidate, totalJobs, totalSubgraphs int) {
+	workers := foldWorkers(len(obs))
+	type workerOut struct {
+		cands []Candidate
+		jobs  []string
+		count int
+	}
+	outs := make([]workerOut, workers)
+	runWorkers(workers, func(w int) {
+		lo, hi := workerShardRange(w, workers)
+		var sigs workload.SigFolds
+		var jobs workload.JobIndex
+		count := 0
+		for i := range obs {
+			if s := shards[i]; s < lo || s >= hi {
+				continue
+			}
+			o := &obs[i]
+			count++
+			cost := o.CumulativeCost
+			if cfg.estimates() {
+				cost = cfg.EstimateCost(*o)
+			}
+			sigs.Add(obs, i, cost, jobs.Add(o))
+		}
+		var out []Candidate
+		for sig, s := range sigs.Overlaps {
+			out = append(out, finalize(sig, s, jobs.IDs, periods))
+		}
+		outs[w] = workerOut{cands: out, jobs: jobs.IDs, count: count}
+	})
+
+	allJobs := map[string]bool{}
+	for _, wo := range outs {
+		cands = append(cands, wo.cands...)
+		totalSubgraphs += wo.count
+		for _, j := range wo.jobs {
+			allJobs[j] = true
+		}
+	}
+	totalJobs = len(allJobs)
+	byUtility(cands)
+	return cands, totalJobs, totalSubgraphs
+}
+
+// byUtility sorts candidates by utility descending, ties by signature —
+// a total order, so the result is independent of fold and merge order.
+func byUtility(cands []Candidate) {
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].Utility != cands[j].Utility {
+			return cands[i].Utility > cands[j].Utility
+		}
+		return cands[i].NormSig < cands[j].NormSig
+	})
+}

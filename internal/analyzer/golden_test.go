@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"cloudviews/internal/plan"
 	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
 )
@@ -50,33 +49,77 @@ func goldenRepo(t testing.TB, p workgen.Profile, minObs int) *workload.Repositor
 	return repo
 }
 
+// goldenCase is one analyzer config and whether Analyze serves it from the
+// repository's write-time fold (analyzeFolded) rather than the snapshot.
+type goldenCase struct {
+	cfg    Config
+	folded bool
+}
+
 // goldenConfigs exercises every Strategy and every admin knob, including
 // the combinations that steer selectViews between the bounded heap and the
-// full sort, scoped runs, windowed runs, and the estimates ablation.
-func goldenConfigs(cluster string) []Config {
-	return []Config{
-		{},
-		{Strategy: TopKUtility, TopK: 5},
-		{Strategy: TopKUtility, TopK: 5, MaxPerJob: 1},
-		{Strategy: TopKUtilityPerByte, TopK: 8},
-		{Strategy: TopKUtilityPerByte, TopK: 8, MaxPerJob: 1},
-		{Strategy: TopKUtilityPerByte},
-		{Strategy: PackStorageBudget, TopK: 6},
-		{Strategy: PackStorageBudget, TopK: 6, StorageBudget: 1 << 22},
-		{Strategy: PackStorageBudget, StorageBudget: 1 << 21},
-		{Strategy: PackStorageBudgetOptimal, StorageBudget: 1 << 21},
-		{MinFrequency: 3, MinCostRatio: 0.05, MinRuntime: 10, TopK: 10, Strategy: TopKUtilityPerByte},
-		{WindowFrom: 1, WindowTo: 3},
-		{VCs: []string{"bu1_vc0", "bu2_vc1"}, Strategy: TopKUtilityPerByte, TopK: 4},
-		{Clusters: []string{cluster}, BusinessUnits: []string{"bu0", "bu3"}},
-		{UseEstimates: true, EstimateCost: func(o workload.Observation) float64 { return float64(o.Rows) * 0.5 }},
+// full sort, scoped runs, windowed runs, and the estimates ablation, over
+// a repository whose instances run 0..lastInstance.
+func goldenConfigs(cluster string, lastInstance int64) []goldenCase {
+	estimate := func(o workload.Observation) float64 { return float64(o.Rows) * 0.5 }
+	return []goldenCase{
+		{Config{}, true},
+		{Config{Strategy: TopKUtility, TopK: 5}, true},
+		{Config{Strategy: TopKUtility, TopK: 5, MaxPerJob: 1}, true},
+		{Config{Strategy: TopKUtilityPerByte, TopK: 8}, true},
+		{Config{Strategy: TopKUtilityPerByte, TopK: 8, MaxPerJob: 1}, true},
+		{Config{Strategy: TopKUtilityPerByte}, true},
+		{Config{Strategy: PackStorageBudget, TopK: 6}, true},
+		{Config{Strategy: PackStorageBudget, TopK: 6, StorageBudget: 1 << 22}, true},
+		{Config{Strategy: PackStorageBudget, StorageBudget: 1 << 21}, true},
+		{Config{Strategy: PackStorageBudgetOptimal, StorageBudget: 1 << 21}, true},
+		{Config{MinFrequency: 3, MinCostRatio: 0.05, MinRuntime: 10, TopK: 10, Strategy: TopKUtilityPerByte}, true},
+		{Config{WindowFrom: 0, WindowTo: lastInstance, TopK: 7}, true},
+		{Config{UseEstimates: true}, true}, // no EstimateCost: measured costs
+		{Config{WindowFrom: 1, WindowTo: 3}, false},
+		{Config{WindowFrom: 1, WindowTo: 0}, false},
+		{Config{WindowFrom: 0, WindowTo: lastInstance - 1}, false},
+		{Config{VCs: []string{"bu1_vc0", "bu2_vc1"}, Strategy: TopKUtilityPerByte, TopK: 4}, false},
+		{Config{Clusters: []string{cluster}, BusinessUnits: []string{"bu0", "bu3"}}, false},
+		{Config{UseEstimates: true, EstimateCost: estimate}, false},
 	}
 }
 
-// TestAnalyzerGolden pins the parallel sharded pipeline to the serial
-// reference: for every profile and config, Analyze must equal Serial on
-// every field — candidate order, selection, annotations, job order, and
-// every float bit in between.
+// lastInstance returns the largest instance recorded in repo.
+func lastInstance(repo *workload.Repository) int64 {
+	var last int64
+	for _, o := range repo.Snapshot() {
+		last = max(last, o.Job.Instance)
+	}
+	return last
+}
+
+// checkPaths diffs every analyzer path against Serial for one config: the
+// path Analyze takes, the sharded snapshot fold, and — when the config
+// reads the whole fold — the write-time fold, asserting which one that is.
+func checkPaths(t *testing.T, name string, a *Analyzer, gc goldenCase) {
+	t.Helper()
+	want := a.Serial(gc.cfg)
+	if got := a.Analyze(gc.cfg); !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: Analyze diverges from Serial\nserial:  %+v\nanalyze: %+v", name, summary(want), summary(got))
+	}
+	if got := a.analyzeSnapshot(gc.cfg); !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: snapshot fold diverges from Serial\nserial:   %+v\nsnapshot: %+v", name, summary(want), summary(got))
+	}
+	got, folded := a.analyzeFolded(gc.cfg)
+	if folded != gc.folded {
+		t.Errorf("%s: served from the write-time fold = %v, want %v", name, folded, gc.folded)
+	}
+	if folded && !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: write-time fold diverges from Serial\nserial: %+v\nfolded: %+v", name, summary(want), summary(got))
+	}
+}
+
+// TestAnalyzerGolden pins both Analyze paths — the write-time fold and the
+// parallel sharded snapshot fold — to the serial reference: for every
+// profile and config, each must equal Serial on every field — candidate
+// order, selection, annotations, job order, and every float bit in
+// between — and each config must take the path it is listed with.
 func TestAnalyzerGolden(t *testing.T) {
 	forceWorkers(t)
 	for pi, p := range goldenProfiles() {
@@ -88,13 +131,8 @@ func TestAnalyzerGolden(t *testing.T) {
 		}
 		repo := goldenRepo(t, p, minObs)
 		a := New(repo)
-		for ci, cfg := range goldenConfigs(p.Name) {
-			want := a.Serial(cfg)
-			got := a.Analyze(cfg)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("profile %s config %d: parallel Analyze diverges from Serial\nserial:   %+v\nparallel: %+v",
-					p.Name, ci, summary(want), summary(got))
-			}
+		for ci, gc := range goldenConfigs(p.Name, lastInstance(repo)) {
+			checkPaths(t, fmt.Sprintf("profile %s config %d", p.Name, ci), a, gc)
 		}
 	}
 }
@@ -113,10 +151,10 @@ func TestOverlapStatsGolden(t *testing.T) {
 	for _, p := range goldenProfiles() {
 		repo := goldenRepo(t, p, 6000)
 		a := New(repo)
-		for ci, cfg := range goldenConfigs(p.Name) {
-			from, to := analysisWindow(cfg)
-			want := computeOverlapStatsSerial(filterScope(repo.Window(from, to), cfg))
-			got := a.OverlapStats(cfg)
+		for ci, gc := range goldenConfigs(p.Name, lastInstance(repo)) {
+			from, to := analysisWindow(gc.cfg)
+			want := computeOverlapStatsSerial(filterScope(repo.Window(from, to), gc.cfg))
+			got := a.OverlapStats(gc.cfg)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("profile %s config %d: sharded OverlapStats diverges from serial", p.Name, ci)
 			}
@@ -204,24 +242,6 @@ func TestTopKByDensity(t *testing.T) {
 		got := topKByDensity(append([]Candidate(nil), pool...), k)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (n=%d k=%d): heap top-k != sort prefix\nwant %v\ngot  %v", trial, n, k, want, got)
-		}
-	}
-}
-
-// TestDesignKeyReference pins the append-based designKey to the fmt format
-// it replaced — election tie-breaks compare these strings.
-func TestDesignKeyReference(t *testing.T) {
-	cases := []plan.PhysicalProps{
-		{},
-		{Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0, 3}, Count: 16}},
-		{Part: plan.Partitioning{Kind: plan.PartRange, Cols: []int{2}, Count: 8},
-			Sort: plan.SortOrder{Cols: []int{2, 1}, Desc: []bool{true, false}}},
-		{Sort: plan.SortOrder{Cols: []int{0}, Desc: []bool{false}}},
-	}
-	for _, p := range cases {
-		want := fmt.Sprintf("%v|%v|%d|%v|%v", p.Part.Kind, p.Part.Cols, p.Part.Count, p.Sort.Cols, p.Sort.Desc)
-		if got := designKey(p); got != want {
-			t.Errorf("designKey(%+v) = %q, want %q", p, got, want)
 		}
 	}
 }

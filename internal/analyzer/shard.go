@@ -48,8 +48,7 @@ func sigShard(sig string) uint8 {
 // parallel pipeline materializes.
 func shardObservations(obs []workload.Observation, from, to int64, cfg *Config) []uint8 {
 	shards := make([]uint8, len(obs))
-	scoped := cfg != nil &&
-		(len(cfg.Clusters) > 0 || len(cfg.BusinessUnits) > 0 || len(cfg.VCs) > 0)
+	scoped := cfg != nil && cfg.scoped()
 	chunk := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			o := &obs[i]

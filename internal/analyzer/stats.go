@@ -75,7 +75,7 @@ func (a *Analyzer) OverlapStats(cfg Config) *OverlapStats {
 }
 
 // sigStat folds one normalized signature's occurrences for the statistics
-// pass. Like candidateAccumulator it parks the first occurrence and only
+// pass. Like workload.SigFold it parks the first occurrence and only
 // allocates per-signature maps when a second occurrence arrives, so the
 // long tail of non-overlapping signatures costs one pointer each.
 type sigStat struct {

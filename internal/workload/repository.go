@@ -11,6 +11,7 @@ package workload
 
 import (
 	"maps"
+	"slices"
 	"sync"
 
 	"cloudviews/internal/exec"
@@ -65,17 +66,34 @@ type Observation struct {
 
 // Repository accumulates the subgraph observations of executed jobs. Plans
 // are joined with their runtime statistics at Record and then dropped: the
-// repository keeps the observations and, folded in as they land, each
-// input's longest consumer period. It is safe for concurrent use.
+// repository keeps the observations and, folded in as they land, the
+// statistics the analyzer mines from them (see Fold). It is safe for
+// concurrent use.
 type Repository struct {
-	mu      sync.RWMutex
-	obs     []Observation
-	periods map[string]int64
+	mu   sync.RWMutex
+	obs  []Observation
+	fold Fold
+}
+
+// Fold is the repository's write-time fold of every observation recorded
+// so far, in record order: what a whole-history analysis needs, kept
+// current as observations land instead of re-derived from the log.
+type Fold struct {
+	// Sigs holds each normalized signature's running statistics; job
+	// indices in them refer to Jobs.
+	Sigs SigFolds
+	Jobs JobIndex
+	// Periods is each input's longest consumer period (§5.4 lineage).
+	Periods map[string]int64
+	// Observations counts the observations folded; MinInstance and
+	// MaxInstance bound their Job.Instance (both zero while empty).
+	Observations             int
+	MinInstance, MaxInstance int64
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{periods: map[string]int64{}}
+	return &Repository{fold: Fold{Periods: map[string]int64{}}}
 }
 
 // Record reconciles the compiled plan of a finished job with the runtime
@@ -120,20 +138,34 @@ func (r *Repository) Record(meta JobMeta, root *plan.Node, res *exec.Result) {
 func (r *Repository) Append(obs ...Observation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.obs = slices.Grow(r.obs, len(obs))
 	for _, o := range obs {
 		r.add(o)
 	}
 }
 
-// add appends o and folds its job's period into each of its inputs'
-// longest consumer period. The caller holds r.mu for writing.
+// add appends o and folds it into the repository's Fold: its signature's
+// running statistics, its job's index entry, its job's period into each
+// of its inputs' longest consumer period, and the instance bounds. The
+// caller holds r.mu for writing.
 func (r *Repository) add(o Observation) {
 	r.obs = append(r.obs, o)
-	for _, in := range o.Inputs {
-		if o.Job.Period > r.periods[in] {
-			r.periods[in] = o.Job.Period
+	f := &r.fold
+	i := len(r.obs) - 1
+	p := &r.obs[i]
+	f.Sigs.Add(r.obs, i, p.CumulativeCost, f.Jobs.Add(p))
+	for _, in := range p.Inputs {
+		if p.Job.Period > f.Periods[in] {
+			f.Periods[in] = p.Job.Period
 		}
 	}
+	if f.Observations == 0 || p.Job.Instance < f.MinInstance {
+		f.MinInstance = p.Job.Instance
+	}
+	if f.Observations == 0 || p.Job.Instance > f.MaxInstance {
+		f.MaxInstance = p.Job.Instance
+	}
+	f.Observations++
 }
 
 // Snapshot returns a zero-copy view of every observation recorded so far.
@@ -166,12 +198,9 @@ func (r *Repository) Window(from, to int64) []Observation {
 
 // NumJobs returns the number of distinct job IDs observed.
 func (r *Repository) NumJobs() int {
-	obs := r.Snapshot()
-	jobs := map[string]struct{}{}
-	for i := range obs {
-		jobs[obs[i].Job.JobID] = struct{}{}
-	}
-	return len(jobs)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.fold.Jobs.IDs)
 }
 
 // InputPeriods returns, per logical input, the longest recurrence period
@@ -181,5 +210,15 @@ func (r *Repository) NumJobs() int {
 func (r *Repository) InputPeriods() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return maps.Clone(r.periods)
+	return maps.Clone(r.fold.Periods)
+}
+
+// ReadFold calls fn with the live Fold under the read lock, so everything
+// fn reads comes from one generation. fn must copy out whatever it keeps,
+// must not modify the fold, and must neither block nor call back into the
+// repository: writers wait until it returns.
+func (r *Repository) ReadFold(fn func(f *Fold)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fn(&r.fold)
 }
