@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -136,17 +137,7 @@ func main() {
 	}
 	t.Write(os.Stdout)
 
-	fmt.Printf("\n== Selected views (%d) ==\n", len(an.Selected))
-	ts := &report.Table{Header: []string{"#", "signature", "root", "freq", "utility", "partitioning", "tags"}}
-	for i, c := range an.Selected {
-		tags := strings.Join(c.Tags, ",")
-		if len(tags) > 48 {
-			tags = tags[:45] + "..."
-		}
-		ts.Add(i+1, c.NormSig[:16], c.RootOp.String(), c.Frequency, c.Utility,
-			fmt.Sprintf("%s%v x%d", c.Props.Part.Kind, c.Props.Part.Cols, c.Props.Part.Count), tags)
-	}
-	ts.Write(os.Stdout)
+	writeSelected(os.Stdout, an.Selected)
 
 	if len(an.JobOrder) > 0 {
 		fmt.Printf("\n== Job coordination hints (submit first, in order) ==\n")
@@ -154,4 +145,29 @@ func main() {
 			fmt.Printf("%2d. %s\n", i+1, j)
 		}
 	}
+}
+
+// writeSelected prints the selected views as a table, with each signature
+// cut to its first 16 characters and the tags to 48.
+func writeSelected(w io.Writer, selected []analyzer.Candidate) {
+	fmt.Fprintf(w, "\n== Selected views (%d) ==\n", len(selected))
+	ts := &report.Table{Header: []string{"#", "signature", "root", "freq", "utility", "partitioning", "tags"}}
+	for i, c := range selected {
+		tags := strings.Join(c.Tags, ",")
+		if len(tags) > 48 {
+			tags = tags[:45] + "..."
+		}
+		ts.Add(i+1, prefix(c.NormSig, 16), c.RootOp.String(), c.Frequency, c.Utility,
+			fmt.Sprintf("%s%v x%d", c.Props.Part.Kind, c.Props.Part.Cols, c.Props.Part.Count), tags)
+	}
+	ts.Write(w)
+}
+
+// prefix returns the first n bytes of s, or all of s when it is shorter: a
+// repository read with -load may carry signatures of any length.
+func prefix(s string, n int) string {
+	if len(s) > n {
+		return s[:n]
+	}
+	return s
 }

@@ -169,15 +169,14 @@ func analysisWindow(cfg Config) (from, to int64) {
 // instance, with no admin scope and measured costs, reads exactly what the
 // repository already folded as observations landed, so Analyze finalizes
 // those running statistics without a pass over the log (analyzeFolded).
-// Every other config runs a parallel, sharded, streaming fold: observations
-// are scanned off one zero-copy repository snapshot, sharded by the top
-// bits of the normalized-signature hash, and folded by GOMAXPROCS workers
-// into per-signature running statistics, so peak memory scales with the
-// number of candidates rather than with materialized observation groups.
-// Either way the output is byte-identical to the serial reference walk
-// (Serial): every signature's statistics fold in record order through one
-// fold body, and every ordering the pipeline emits is a total order (see
-// DESIGN.md §12).
+// Every other config folds exactly the window's observations, visited
+// through the repository's run index on one zero-copy snapshot, into
+// per-signature running statistics (analyzeSnapshot), so peak memory
+// scales with the number of candidates rather than with materialized
+// observation groups. Either way the output is byte-identical to the
+// serial reference walk (Serial): every signature's statistics fold in
+// record order through one fold body, and every ordering the pipeline
+// emits is a total order (see DESIGN.md §12).
 func (a *Analyzer) Analyze(cfg Config) *Analysis {
 	an, ok := a.analyzeFolded(cfg)
 	if !ok {
@@ -186,27 +185,6 @@ func (a *Analyzer) Analyze(cfg Config) *Analysis {
 	if a.Obs != nil {
 		a.Obs.AnalyzeDone(an.TotalJobs, an.TotalSubgraphs, len(an.Candidates), len(an.Selected))
 	}
-	return an
-}
-
-// analyzeSnapshot is Analyze's sharded fold over one repository snapshot.
-func (a *Analyzer) analyzeSnapshot(cfg Config) *Analysis {
-	from, to := analysisWindow(cfg)
-	obs := a.Repo.Snapshot()
-	shards := shardObservations(obs, from, to, &cfg)
-
-	an := &Analysis{WindowFrom: from, WindowTo: to}
-	periods := a.Repo.InputPeriods()
-	an.Candidates, an.TotalJobs, an.TotalSubgraphs = aggregateSharded(obs, shards, periods, cfg)
-	an.Selected = selectViews(an.Candidates, cfg, true)
-	an.Annotations = annotate(an.Selected)
-	an.JobOrder = coordinate(an.Selected, func(fn func(o *workload.Observation)) {
-		for i := range obs {
-			if shards[i] != shardSkip {
-				fn(&obs[i])
-			}
-		}
-	})
 	return an
 }
 
@@ -220,10 +198,10 @@ func (cfg *Config) estimates() bool {
 	return cfg.UseEstimates && cfg.EstimateCost != nil
 }
 
-// Serial is the single-threaded reference walk — the pre-scale-out
-// analyzer, kept verbatim as the golden oracle the parallel Analyze is
-// diffed against. It materializes the windowed copy, the scoped copy, and
-// the per-signature observation groups that Analyze streams past.
+// Serial is the reference walk — the original analyzer, kept verbatim as
+// the golden oracle Analyze is diffed against. It materializes the
+// windowed copy, the scoped copy, and the per-signature observation
+// groups that Analyze folds past.
 func (a *Analyzer) Serial(cfg Config) *Analysis {
 	from, to := analysisWindow(cfg)
 	obs := a.Repo.Window(from, to)
@@ -241,11 +219,7 @@ func (a *Analyzer) Serial(cfg Config) *Analysis {
 	selected := selectViews(an.Candidates, cfg, false)
 	an.Selected = selected
 	an.Annotations = annotate(selected)
-	an.JobOrder = coordinate(selected, func(fn func(o *workload.Observation)) {
-		for i := range obs {
-			fn(&obs[i])
-		}
-	})
+	an.JobOrder = coordinate(selected, obs)
 	return an
 }
 
@@ -489,17 +463,9 @@ func annotate(selected []Candidate) []metadata.Annotation {
 	return out
 }
 
-// obsStream invokes fn once per in-scope observation, in repository
-// record order. It abstracts where the observations live: the serial walk
-// streams its materialized scoped slice, the parallel pipeline streams the
-// repository snapshot through its precomputed shard filter.
-type obsStream func(fn func(o *workload.Observation))
-
 // coordinate produces the job submission order of §6.5 (see orderBuilders)
-// from a stream of the analyzed observations. Both maps it folds are
-// order-insensitive (max and count), so any stream over the same
-// observation set yields the same order.
-func coordinate(selected []Candidate, stream obsStream) []string {
+// from the analyzed observations.
+func coordinate(selected []Candidate, obs []workload.Observation) []string {
 	if len(selected) == 0 {
 		return nil
 	}
@@ -509,14 +475,15 @@ func coordinate(selected []Candidate, stream obsStream) []string {
 	for _, c := range selected {
 		selectedSigs[c.NormSig] = true
 	}
-	stream(func(o *workload.Observation) {
+	for i := range obs {
+		o := &obs[i]
 		if o.JobLatency > jobRuntime[o.Job.JobID] {
 			jobRuntime[o.Job.JobID] = o.JobLatency
 		}
 		if selectedSigs[o.NormSig] {
 			jobOverlaps[o.Job.JobID]++
 		}
-	})
+	}
 	return orderBuilders(selected, jobRuntime, jobOverlaps)
 }
 

@@ -49,18 +49,21 @@ func benchSizes(b *testing.B) []int {
 // BenchmarkAnalyzerAnalyze is the end-to-end pipeline on both of its
 // paths. history=whole reads the repository's write-time fold: finalize,
 // select, annotate, coordinate. history=windowed drops the first instance,
-// so it runs the sharded snapshot fold: shard, fold, select, annotate,
-// coordinate.
+// so it folds nearly the whole log off the snapshot: fold, finalize,
+// select, annotate, coordinate. history=instance folds one instance's
+// runs, the shape of the benchmark's per-round re-mines.
 func BenchmarkAnalyzerAnalyze(b *testing.B) {
-	windowed := benchCfg
-	windowed.WindowFrom = 1
 	for _, n := range benchSizes(b) {
 		repo := benchRepo(b, n)
+		windowed, instance := benchCfg, benchCfg
+		windowed.WindowFrom = 1
+		instance.WindowFrom = lastInstance(repo) / 2
+		instance.WindowTo = instance.WindowFrom
 		for _, v := range []struct {
 			name   string
 			cfg    Config
 			folded bool
-		}{{"whole", benchCfg, true}, {"windowed", windowed, false}} {
+		}{{"whole", benchCfg, true}, {"windowed", windowed, false}, {"instance", instance, false}} {
 			b.Run(fmt.Sprintf("history=%s/obs=%d", v.name, n), func(b *testing.B) {
 				a := New(repo)
 				if _, folded := a.analyzeFolded(v.cfg); folded != v.folded {
@@ -79,8 +82,8 @@ func BenchmarkAnalyzerAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerSerial is the pinned single-threaded reference over the
-// same repositories — the before-side of the scale-out comparison.
+// BenchmarkAnalyzerSerial is the pinned reference walk over the same
+// repositories.
 func BenchmarkAnalyzerSerial(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		repo := benchRepo(b, n)
@@ -98,30 +101,8 @@ func BenchmarkAnalyzerSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerAggregate isolates the candidate-mining fold (shard
-// pass + sharded aggregation), without selection or coordination.
-func BenchmarkAnalyzerAggregate(b *testing.B) {
-	for _, n := range benchSizes(b) {
-		repo := benchRepo(b, n)
-		b.Run(fmt.Sprintf("obs=%d", n), func(b *testing.B) {
-			obs := repo.Snapshot()
-			periods := repo.InputPeriods()
-			from, to := analysisWindow(benchCfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shards := shardObservations(obs, from, to, &benchCfg)
-				cands, _, _ := aggregateSharded(obs, shards, periods, benchCfg)
-				if len(cands) == 0 {
-					b.Fatal("no candidates mined")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAnalyzerAggregateSerial is the group-materializing serial
-// aggregation the fold replaced.
+// aggregation the folds replaced.
 func BenchmarkAnalyzerAggregateSerial(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		repo := benchRepo(b, n)
@@ -140,8 +121,7 @@ func BenchmarkAnalyzerAggregateSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerOverlapStats is the sharded Figures 1–5 statistics
-// pass.
+// BenchmarkAnalyzerOverlapStats is the Figures 1–5 statistics pass.
 func BenchmarkAnalyzerOverlapStats(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		repo := benchRepo(b, n)

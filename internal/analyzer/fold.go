@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"iter"
 	"sort"
 
 	"cloudviews/internal/exec"
@@ -9,10 +10,11 @@ import (
 )
 
 // fold.go mines candidates from per-signature running statistics
-// (workload.SigFold) along two paths: Analyze finalizes the repository's
-// own write-time fold when the config reads exactly what it folded
-// (analyzeFolded), and otherwise folds the snapshot in parallel shards
-// with the same fold body (aggregateSharded). DESIGN.md §12 has both.
+// (workload.SigFold) along two paths that share one tail (mine): Analyze
+// finalizes the repository's own write-time fold when the config reads
+// exactly what it folded (analyzeFolded), and otherwise folds the window's
+// observations with the same fold body (analyzeSnapshot). DESIGN.md §12
+// has both.
 
 // analyzeFolded is Analyze for a config that reads exactly what the
 // repository folded at write: every recorded instance, no admin scope,
@@ -27,25 +29,66 @@ func (a *Analyzer) analyzeFolded(cfg Config) (an *Analysis, ok bool) {
 			return
 		}
 		ok = true
-		an = &Analysis{WindowFrom: from, WindowTo: to,
-			TotalJobs: len(f.Jobs.IDs), TotalSubgraphs: f.Observations}
-		for sig, s := range f.Sigs.Overlaps {
-			an.Candidates = append(an.Candidates, finalize(sig, s, f.Jobs.IDs, f.Periods))
-		}
-		byUtility(an.Candidates)
-		an.Selected = selectViews(an.Candidates, cfg, true)
-		an.JobOrder = coordinateFolded(an.Selected, f)
+		an = mine(from, to, f, cfg)
 	})
-	if ok {
-		an.Annotations = annotate(an.Selected)
-	}
 	return an, ok
 }
 
-// coordinateFolded is coordinate over the write-time fold: each job's
-// runtime comes from the job index and its overlap count from the
-// selected signatures' per-job occurrence counts — the same two maps
-// coordinate streams from the observations.
+// analyzeSnapshot is Analyze for every other config: one single-threaded
+// pass over exactly the window's runs of one repository generation folds
+// each in-scope observation, with its measured or estimated cost, into a
+// local Fold — the same fold body the repository runs at write, in the
+// same record order.
+func (a *Analyzer) analyzeSnapshot(cfg Config) *Analysis {
+	from, to := analysisWindow(cfg)
+	obs, runs := a.Repo.WindowRuns(from, to)
+	f := workload.Fold{Periods: a.Repo.InputPeriods()}
+	estimates := cfg.estimates()
+	for i, o := range inWindow(obs, runs, &cfg) {
+		cost := o.CumulativeCost
+		if estimates {
+			cost = cfg.EstimateCost(*o)
+		}
+		f.Sigs.Add(obs, i, cost, f.Jobs.Add(o))
+		f.Observations++
+	}
+	return mine(from, to, &f, cfg)
+}
+
+// inWindow yields the index and address of every observation of the runs
+// that passes cfg's admin scope, in record order.
+func inWindow(obs []workload.Observation, runs []workload.Run, cfg *Config) iter.Seq2[int, *workload.Observation] {
+	scoped := cfg.scoped()
+	return func(yield func(int, *workload.Observation) bool) {
+		for _, run := range runs {
+			for i := run.Lo; i < run.Hi; i++ {
+				if o := &obs[i]; (!scoped || scopeMatch(o, cfg)) && !yield(i, o) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// mine is both paths' tail: it finalizes every signature f saw twice,
+// sorts the candidates, selects, annotates, and orders the builders.
+func mine(from, to int64, f *workload.Fold, cfg Config) *Analysis {
+	an := &Analysis{WindowFrom: from, WindowTo: to,
+		TotalJobs: len(f.Jobs.IDs), TotalSubgraphs: f.Observations}
+	for sig, s := range f.Sigs.Overlaps {
+		an.Candidates = append(an.Candidates, finalize(sig, s, f.Jobs.IDs, f.Periods))
+	}
+	byUtility(an.Candidates)
+	an.Selected = selectViews(an.Candidates, cfg, true)
+	an.Annotations = annotate(an.Selected)
+	an.JobOrder = coordinateFolded(an.Selected, f)
+	return an
+}
+
+// coordinateFolded is coordinate over a fold: each job's runtime comes
+// from the job index and its overlap count from the selected signatures'
+// per-job occurrence counts — the same two maps coordinate builds from the
+// observations.
 func coordinateFolded(selected []Candidate, f *workload.Fold) []string {
 	if len(selected) == 0 {
 		return nil
@@ -112,63 +155,8 @@ func mergeSorted(a, b []string) []string {
 	return append(out, b...)
 }
 
-// aggregateSharded mines candidates from the snapshot in parallel: each
-// worker walks the full snapshot in record order, folds the observations
-// whose shard it owns into per-signature workload.SigFolds over a
-// worker-local job index, and finalizes its overlaps. Because a
-// signature's every occurrence hashes to one shard and shard ranges
-// partition the shard space, each signature is folded by exactly one
-// worker in record order — the serial fold order — and the merged,
-// utility-sorted candidate list is byte-identical to the serial aggregate.
-// Also returns the distinct-job and in-scope observation counts the
-// workers tally for free along the way.
-func aggregateSharded(obs []workload.Observation, shards []uint8, periods map[string]int64, cfg Config) (cands []Candidate, totalJobs, totalSubgraphs int) {
-	workers := foldWorkers(len(obs))
-	type workerOut struct {
-		cands []Candidate
-		jobs  []string
-		count int
-	}
-	outs := make([]workerOut, workers)
-	runWorkers(workers, func(w int) {
-		lo, hi := workerShardRange(w, workers)
-		var sigs workload.SigFolds
-		var jobs workload.JobIndex
-		count := 0
-		for i := range obs {
-			if s := shards[i]; s < lo || s >= hi {
-				continue
-			}
-			o := &obs[i]
-			count++
-			cost := o.CumulativeCost
-			if cfg.estimates() {
-				cost = cfg.EstimateCost(*o)
-			}
-			sigs.Add(obs, i, cost, jobs.Add(o))
-		}
-		var out []Candidate
-		for sig, s := range sigs.Overlaps {
-			out = append(out, finalize(sig, s, jobs.IDs, periods))
-		}
-		outs[w] = workerOut{cands: out, jobs: jobs.IDs, count: count}
-	})
-
-	allJobs := map[string]bool{}
-	for _, wo := range outs {
-		cands = append(cands, wo.cands...)
-		totalSubgraphs += wo.count
-		for _, j := range wo.jobs {
-			allJobs[j] = true
-		}
-	}
-	totalJobs = len(allJobs)
-	byUtility(cands)
-	return cands, totalJobs, totalSubgraphs
-}
-
 // byUtility sorts candidates by utility descending, ties by signature —
-// a total order, so the result is independent of fold and merge order.
+// a total order, so the result is independent of map iteration order.
 func byUtility(cands []Candidate) {
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Utility != cands[j].Utility {

@@ -2,9 +2,9 @@ package analyzer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -12,15 +12,6 @@ import (
 	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
 )
-
-// forceWorkers raises GOMAXPROCS for the duration of the test so the
-// multi-worker fold and merge paths run even on a single-CPU machine —
-// goroutines still interleave, so the concurrent shape is real.
-func forceWorkers(t *testing.T) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(8)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // goldenProfiles are three workload shapes spanning the overlap spectrum:
 // the default mid-overlap cluster, a bespoke low-overlap cluster, and a
@@ -47,6 +38,64 @@ func goldenRepo(t testing.TB, p workgen.Profile, minObs int) *workload.Repositor
 	repo := workload.NewRepository()
 	repo.Append(obs...)
 	return repo
+}
+
+// interleavedRepo is goldenRepo with the profile's job blocks appended in
+// a seeded shuffle, so record order is not instance order: instances
+// interleave and each splits into many runs. A fold that visited the
+// window by instance rather than by record order would sum in a different
+// order and diverge from Serial.
+func interleavedRepo(t testing.TB, p workgen.Profile, minObs int) *workload.Repository {
+	t.Helper()
+	obs := goldenRepo(t, p, minObs).Snapshot()
+	var blocks [][]workload.Observation
+	for lo := 0; lo < len(obs); {
+		hi := lo + 1
+		for hi < len(obs) && obs[hi].Job.JobID == obs[lo].Job.JobID {
+			hi++
+		}
+		blocks = append(blocks, obs[lo:hi])
+		lo = hi
+	}
+	rand.New(rand.NewSource(p.Seed)).Shuffle(len(blocks), func(i, j int) {
+		blocks[i], blocks[j] = blocks[j], blocks[i]
+	})
+	repo := workload.NewRepository()
+	for _, b := range blocks {
+		repo.Append(b...)
+	}
+	instances := map[int64]bool{}
+	for _, o := range obs {
+		instances[o.Job.Instance] = true
+	}
+	if _, runs := repo.WindowRuns(math.MinInt64, math.MaxInt64); len(runs) <= 2*len(instances) {
+		t.Fatalf("profile %s: %d runs over %d instances, want the instances to interleave", p.Name, len(runs), len(instances))
+	}
+	return repo
+}
+
+// namedRepo is one golden repository and the cluster its profile names.
+type namedRepo struct {
+	name, cluster string
+	repo          *workload.Repository
+}
+
+// goldenRepos returns a repository per golden profile — the first twice
+// the size of the others — plus the first profile again in interleaved
+// record order.
+func goldenRepos(t testing.TB) []namedRepo {
+	t.Helper()
+	var out []namedRepo
+	profiles := goldenProfiles()
+	for pi, p := range profiles {
+		minObs := 6000
+		if pi == 0 {
+			minObs = 12000
+		}
+		out = append(out, namedRepo{p.Name, p.Name, goldenRepo(t, p, minObs)})
+	}
+	p := profiles[0]
+	return append(out, namedRepo{p.Name + "-interleaved", p.Name, interleavedRepo(t, p, 6000)})
 }
 
 // goldenCase is one analyzer config and whether Analyze serves it from the
@@ -95,8 +144,9 @@ func lastInstance(repo *workload.Repository) int64 {
 }
 
 // checkPaths diffs every analyzer path against Serial for one config: the
-// path Analyze takes, the sharded snapshot fold, and — when the config
-// reads the whole fold — the write-time fold, asserting which one that is.
+// path Analyze takes, the snapshot fold over the window's runs, and — when
+// the config reads the whole fold — the write-time fold, asserting which
+// one that is.
 func checkPaths(t *testing.T, name string, a *Analyzer, gc goldenCase) {
 	t.Helper()
 	want := a.Serial(gc.cfg)
@@ -116,23 +166,16 @@ func checkPaths(t *testing.T, name string, a *Analyzer, gc goldenCase) {
 }
 
 // TestAnalyzerGolden pins both Analyze paths — the write-time fold and the
-// parallel sharded snapshot fold — to the serial reference: for every
-// profile and config, each must equal Serial on every field — candidate
-// order, selection, annotations, job order, and every float bit in
-// between — and each config must take the path it is listed with.
+// snapshot fold over the window's runs — to the serial reference: for
+// every golden repository and config, each must equal Serial on every
+// field — candidate order, selection, annotations, job order, and every
+// float bit in between — and each config must take the path it is listed
+// with.
 func TestAnalyzerGolden(t *testing.T) {
-	forceWorkers(t)
-	for pi, p := range goldenProfiles() {
-		minObs := 6000
-		if pi == 0 {
-			// One profile comfortably above minParallelObs even after
-			// windowing, so the multi-worker path is really exercised.
-			minObs = 12000
-		}
-		repo := goldenRepo(t, p, minObs)
-		a := New(repo)
-		for ci, gc := range goldenConfigs(p.Name, lastInstance(repo)) {
-			checkPaths(t, fmt.Sprintf("profile %s config %d", p.Name, ci), a, gc)
+	for _, g := range goldenRepos(t) {
+		a := New(g.repo)
+		for ci, gc := range goldenConfigs(g.cluster, lastInstance(g.repo)) {
+			checkPaths(t, fmt.Sprintf("repository %s config %d", g.name, ci), a, gc)
 		}
 	}
 }
@@ -143,25 +186,22 @@ func summary(an *Analysis) string {
 		len(an.Annotations), an.JobOrder)
 }
 
-// TestOverlapStatsGolden pins the sharded statistics fold to the serial
-// reference over the same profile/config matrix, plus the public
+// TestOverlapStatsGolden pins the statistics fold to the serial reference
+// over the same repository/config matrix, plus the public
 // ComputeOverlapStats entry point and the empty input.
 func TestOverlapStatsGolden(t *testing.T) {
-	forceWorkers(t)
-	for _, p := range goldenProfiles() {
-		repo := goldenRepo(t, p, 6000)
-		a := New(repo)
-		for ci, gc := range goldenConfigs(p.Name, lastInstance(repo)) {
+	for _, g := range goldenRepos(t) {
+		a := New(g.repo)
+		for ci, gc := range goldenConfigs(g.cluster, lastInstance(g.repo)) {
 			from, to := analysisWindow(gc.cfg)
-			want := computeOverlapStatsSerial(filterScope(repo.Window(from, to), gc.cfg))
-			got := a.OverlapStats(gc.cfg)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("profile %s config %d: sharded OverlapStats diverges from serial", p.Name, ci)
+			want := computeOverlapStatsSerial(filterScope(g.repo.Window(from, to), gc.cfg))
+			if got := a.OverlapStats(gc.cfg); !reflect.DeepEqual(want, got) {
+				t.Errorf("repository %s config %d: OverlapStats diverges from serial", g.name, ci)
 			}
 		}
-		obs := repo.Snapshot()
+		obs := g.repo.Snapshot()
 		if want, got := computeOverlapStatsSerial(obs), ComputeOverlapStats(obs); !reflect.DeepEqual(want, got) {
-			t.Errorf("profile %s: ComputeOverlapStats diverges from serial", p.Name)
+			t.Errorf("repository %s: ComputeOverlapStats diverges from serial", g.name)
 		}
 	}
 	if want, got := computeOverlapStatsSerial(nil), ComputeOverlapStats(nil); !reflect.DeepEqual(want, got) {
@@ -169,11 +209,10 @@ func TestOverlapStatsGolden(t *testing.T) {
 	}
 }
 
-// TestAnalyzerConcurrent runs Analyze and OverlapStats from several
-// goroutines while Append keeps growing the repository — the race-detector
-// companion to the Snapshot aliasing contract.
+// TestAnalyzerConcurrent runs both Analyze paths and OverlapStats from
+// several goroutines while Append keeps growing the repository — the
+// race-detector companion to the Snapshot aliasing contract.
 func TestAnalyzerConcurrent(t *testing.T) {
-	forceWorkers(t)
 	p := workgen.DefaultProfile("conc", 7)
 	obs := workgen.Generate(p).SyntheticUntil(9000)
 	repo := workload.NewRepository()
@@ -198,9 +237,10 @@ func TestAnalyzerConcurrent(t *testing.T) {
 			defer wg.Done()
 			cfg := Config{Strategy: Strategy(g % 3), TopK: 5 + g}
 			for i := 0; i < 3; i++ {
-				an := a.Analyze(cfg)
-				if an.TotalSubgraphs < 4500 {
-					t.Errorf("goroutine %d: analysis saw %d subgraphs, want >= 4500", g, an.TotalSubgraphs)
+				for _, an := range []*Analysis{a.Analyze(cfg), a.analyzeSnapshot(cfg)} {
+					if an.TotalSubgraphs < 4500 {
+						t.Errorf("goroutine %d: analysis saw %d subgraphs, want >= 4500", g, an.TotalSubgraphs)
+					}
 				}
 				st := a.OverlapStats(cfg)
 				if st.TotalOccurrences < 4500 {

@@ -37,7 +37,7 @@ type OverlapStats struct {
 	OperatorFrequencies map[plan.OpKind][]float64
 
 	// Figure 5: per-overlapping-signature distributions, emitted in
-	// normalized-signature order so repeated runs (and the parallel and
+	// normalized-signature order so repeated runs (and the folded and
 	// serial paths) produce identical slices.
 	Frequencies  []float64 // occurrence count per signature
 	Runtimes     []float64 // average latency per signature
@@ -57,21 +57,17 @@ func newOverlapStats() *OverlapStats {
 }
 
 // ComputeOverlapStats derives the overlap statistics of a set of subgraph
-// observations, using the same sharded parallel fold as Analyze.
+// observations, with the same fold as OverlapStats.
 func ComputeOverlapStats(obs []workload.Observation) *OverlapStats {
-	shards := shardObservations(obs, -1<<62, 1<<62-1, nil)
-	return overlapStatsSharded(obs, shards)
+	return overlapStats(obs, []workload.Run{{Hi: len(obs)}}, &Config{})
 }
 
 // OverlapStats computes the statistics for the configured window/scope,
-// streaming off the zero-copy repository snapshot — the window and scope
-// filters fold into the shard pass instead of materializing filtered
-// copies of the observation set.
+// folding exactly the window's observations off the zero-copy repository
+// snapshot instead of materializing filtered copies of the observation set.
 func (a *Analyzer) OverlapStats(cfg Config) *OverlapStats {
-	from, to := analysisWindow(cfg)
-	obs := a.Repo.Snapshot()
-	shards := shardObservations(obs, from, to, &cfg)
-	return overlapStatsSharded(obs, shards)
+	obs, runs := a.Repo.WindowRuns(analysisWindow(cfg))
+	return overlapStats(obs, runs, &cfg)
 }
 
 // sigStat folds one normalized signature's occurrences for the statistics
@@ -114,104 +110,25 @@ func (s *sigStat) foldObs(o *workload.Observation) {
 	s.vcCounts[o.Job.VC]++
 }
 
-// statsWorker is one worker's private fold state: per-signature statistics
-// for its owned shards plus the entity aggregates over its owned
-// observations. Entity keys (jobs, users, VCs, inputs) cut across shards,
-// so those maps are set-unioned / count-summed in the merge; signatures
-// never are — each lives wholly inside one worker.
-type statsWorker struct {
-	stats                             map[string]*sigStat
-	count                             int
-	jobs, users                       map[string]bool
-	jobsOverlapping, usersOverlapping map[string]bool
-	vcJobs, vcJobsOverlap             map[string]map[string]bool
-	perJob, perInput, perUser, perVC  map[string]float64
-	overlapOccurrences                int
-}
-
-// overlapStatsSharded computes OverlapStats over the observations whose
-// shard is not shardSkip, byte-identical to computeOverlapStatsSerial over
-// the equivalent filtered slice. Each worker runs two passes over its
-// owned shards: first the per-signature fold, then the entity pass, which
-// needs the finished per-signature counts to evaluate the "overlapping"
-// (count ≥ 2) and "cross-job" (distinct jobs ≥ 2) predicates — both
-// worker-local, since a signature's occurrences all land in one worker.
-// Entity aggregates merge exactly (set unions and sums of integer-valued
-// counts), and the per-signature distributions are emitted in sorted
+// overlapStats computes OverlapStats over the in-scope observations of the
+// runs, byte-identical to computeOverlapStatsSerial over the equivalent
+// filtered slice. It makes two passes: first the per-signature fold, then
+// the entity pass, which needs the finished per-signature counts to
+// evaluate the "overlapping" (count ≥ 2) and "cross-job" (distinct jobs ≥
+// 2) predicates. The per-signature distributions are emitted in sorted
 // signature order, the same canonical order the serial path uses.
-func overlapStatsSharded(obs []workload.Observation, shards []uint8) *OverlapStats {
+func overlapStats(obs []workload.Observation, runs []workload.Run, cfg *Config) *OverlapStats {
 	st := newOverlapStats()
-	workers := foldWorkers(len(obs))
-	ws := make([]*statsWorker, workers)
-	runWorkers(workers, func(wi int) {
-		lo, hi := workerShardRange(wi, workers)
-		w := &statsWorker{
-			stats:            map[string]*sigStat{},
-			jobs:             map[string]bool{},
-			users:            map[string]bool{},
-			jobsOverlapping:  map[string]bool{},
-			usersOverlapping: map[string]bool{},
-			vcJobs:           map[string]map[string]bool{},
-			vcJobsOverlap:    map[string]map[string]bool{},
-			perJob:           map[string]float64{},
-			perInput:         map[string]float64{},
-			perUser:          map[string]float64{},
-			perVC:            map[string]float64{},
-		}
-		for i := range obs {
-			if s := shards[i]; s < lo || s >= hi {
-				continue
-			}
-			o := &obs[i]
-			sig := w.stats[o.NormSig]
-			if sig == nil {
-				sig = &sigStat{}
-				w.stats[o.NormSig] = sig
-			}
-			sig.fold(o)
-		}
-		for i := range obs {
-			if s := shards[i]; s < lo || s >= hi {
-				continue
-			}
-			o := &obs[i]
-			w.count++
-			w.jobs[o.Job.JobID] = true
-			w.users[o.Job.User] = true
-			vj := w.vcJobs[o.Job.VC]
-			if vj == nil {
-				vj = map[string]bool{}
-				w.vcJobs[o.Job.VC] = vj
-			}
-			vj[o.Job.JobID] = true
-
-			sig := w.stats[o.NormSig]
-			if sig.count >= 2 {
-				w.overlapOccurrences++
-				w.perJob[o.Job.JobID]++
-				w.perUser[o.Job.User]++
-				w.perVC[o.Job.VC]++
-				for _, in := range o.Inputs {
-					w.perInput[in]++
-				}
-			}
-			if len(sig.jobs) >= 2 {
-				w.jobsOverlapping[o.Job.JobID] = true
-				w.usersOverlapping[o.Job.User] = true
-				vo := w.vcJobsOverlap[o.Job.VC]
-				if vo == nil {
-					vo = map[string]bool{}
-					w.vcJobsOverlap[o.Job.VC] = vo
-				}
-				vo[o.Job.JobID] = true
-			}
-		}
-		ws[wi] = w
-	})
-
+	stats := map[string]*sigStat{}
 	total := 0
-	for _, w := range ws {
-		total += w.count
+	for _, o := range inWindow(obs, runs, cfg) {
+		sig := stats[o.NormSig]
+		if sig == nil {
+			sig = &sigStat{}
+			stats[o.NormSig] = sig
+		}
+		sig.fold(o)
+		total++
 	}
 	if total == 0 {
 		// Matches the serial empty-input early return: counters zero,
@@ -230,37 +147,46 @@ func overlapStatsSharded(obs []workload.Observation, shards []uint8) *OverlapSta
 	perUser := map[string]float64{}
 	perVC := map[string]float64{}
 	overlapOccurrences := 0
+	for _, o := range inWindow(obs, runs, cfg) {
+		jobs[o.Job.JobID] = true
+		users[o.Job.User] = true
+		vj := vcJobs[o.Job.VC]
+		if vj == nil {
+			vj = map[string]bool{}
+			vcJobs[o.Job.VC] = vj
+		}
+		vj[o.Job.JobID] = true
+
+		sig := stats[o.NormSig]
+		if sig.count >= 2 {
+			overlapOccurrences++
+			perJob[o.Job.JobID]++
+			perUser[o.Job.User]++
+			perVC[o.Job.VC]++
+			for _, in := range o.Inputs {
+				perInput[in]++
+			}
+		}
+		if len(sig.jobs) >= 2 {
+			jobsOverlapping[o.Job.JobID] = true
+			usersOverlapping[o.Job.User] = true
+			vo := vcJobsOverlap[o.Job.VC]
+			if vo == nil {
+				vo = map[string]bool{}
+				vcJobsOverlap[o.Job.VC] = vo
+			}
+			vo[o.Job.JobID] = true
+		}
+	}
+
 	type sigEntry struct {
 		sig string
 		st  *sigStat
 	}
 	var entries []sigEntry
-	for _, w := range ws {
-		union(jobs, w.jobs)
-		union(users, w.users)
-		union(jobsOverlapping, w.jobsOverlapping)
-		union(usersOverlapping, w.usersOverlapping)
-		for vc, js := range w.vcJobs {
-			if vcJobs[vc] == nil {
-				vcJobs[vc] = map[string]bool{}
-			}
-			union(vcJobs[vc], js)
-		}
-		for vc, js := range w.vcJobsOverlap {
-			if vcJobsOverlap[vc] == nil {
-				vcJobsOverlap[vc] = map[string]bool{}
-			}
-			union(vcJobsOverlap[vc], js)
-		}
-		sumCounts(perJob, w.perJob)
-		sumCounts(perInput, w.perInput)
-		sumCounts(perUser, w.perUser)
-		sumCounts(perVC, w.perVC)
-		overlapOccurrences += w.overlapOccurrences
-		for sig, s := range w.stats {
-			if s.count >= 2 {
-				entries = append(entries, sigEntry{sig: sig, st: s})
-			}
+	for sig, s := range stats {
+		if s.count >= 2 {
+			entries = append(entries, sigEntry{sig: sig, st: s})
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].sig < entries[j].sig })
@@ -316,10 +242,10 @@ func overlapStatsSharded(obs []workload.Observation, shards []uint8) *OverlapSta
 	return st
 }
 
-// computeOverlapStatsSerial is the single-threaded reference the sharded
-// path is diffed against — the pre-scale-out walk, with one fix pinned into
-// both: per-signature distributions emit in sorted signature order rather
-// than map iteration order, so the output is deterministic at all.
+// computeOverlapStatsSerial is the reference overlapStats is diffed
+// against — the original walk, with one fix pinned into both:
+// per-signature distributions emit in sorted signature order rather than
+// map iteration order, so the output is deterministic at all.
 func computeOverlapStatsSerial(obs []workload.Observation) *OverlapStats {
 	st := newOverlapStats()
 	if len(obs) == 0 {
@@ -475,20 +401,4 @@ func values(m map[string]float64) []float64 {
 		out[i] = m[k]
 	}
 	return out
-}
-
-// union adds src's keys to dst.
-func union(dst, src map[string]bool) {
-	for k := range src {
-		dst[k] = true
-	}
-}
-
-// sumCounts adds src's counts into dst. The counts are integer-valued
-// floats (increments of 1), so the cross-worker sum is exact and
-// order-independent.
-func sumCounts(dst, src map[string]float64) {
-	for k, v := range src {
-		dst[k] += v
-	}
 }

@@ -57,10 +57,11 @@ func InternBytes(b []byte) string {
 	return s
 }
 
-// Hash64 returns the 64-bit FNV-1a hash of s. Signature-keyed parallel
-// structures (the analyzer's sharded fold) shard by its top bits, so the
-// whole hash must be well-mixed — FNV-1a is, and over the 32-byte hex
-// strings signatures intern to it costs a few tens of nanoseconds.
+// Hash64 returns the 64-bit FNV-1a hash of s: a stable, well-mixed hash
+// of a string, used to seed workgen's per-job statistics from the job ID
+// and to fold signatures into the benchmark's output digests. Over the
+// 32-byte hex strings signatures intern to it costs a few tens of
+// nanoseconds.
 func Hash64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

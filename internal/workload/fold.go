@@ -10,8 +10,9 @@ import (
 // fold.go is the per-signature fold of paper §5.1's feedback loop: the
 // running statistics the analyzer renders as view candidates. The
 // repository folds every observation as it lands (see Repository.add);
-// the analyzer's windowed, scoped and estimate runs fold a snapshot with
-// the same body, so the two paths cannot drift statement by statement.
+// the analyzer's windowed, scoped and estimate runs fold the window's
+// observations with the same body, so the two paths cannot drift
+// statement by statement.
 
 // SigFolds folds observations into per-signature running statistics,
 // keyed by normalized signature. Add folds occurrences in the order it is

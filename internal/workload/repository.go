@@ -66,18 +66,28 @@ type Observation struct {
 
 // Repository accumulates the subgraph observations of executed jobs. Plans
 // are joined with their runtime statistics at Record and then dropped: the
-// repository keeps the observations and, folded in as they land, the
-// statistics the analyzer mines from them (see Fold). It is safe for
-// concurrent use.
+// repository keeps the observations, the runs that index them by instance,
+// and, folded in as they land, the statistics the analyzer mines from them
+// (see Fold). It is safe for concurrent use.
 type Repository struct {
 	mu   sync.RWMutex
 	obs  []Observation
+	runs []Run
 	fold Fold
 }
 
-// Fold is the repository's write-time fold of every observation recorded
-// so far, in record order: what a whole-history analysis needs, kept
-// current as observations land instead of re-derived from the log.
+// Run is a maximal stretch of consecutively recorded observations of one
+// instance: obs[Lo:Hi] all have Job.Instance == Instance. The runs tile the
+// log in record order, so instances that interleave split into several.
+type Run struct {
+	Instance int64
+	Lo, Hi   int
+}
+
+// Fold is a record-order fold of observations. The repository keeps one
+// over every observation recorded so far — what a whole-history analysis
+// needs, kept current as observations land instead of re-derived from the
+// log — and the analyzer folds a window's observations into its own.
 type Fold struct {
 	// Sigs holds each normalized signature's running statistics; job
 	// indices in them refer to Jobs.
@@ -85,8 +95,9 @@ type Fold struct {
 	Jobs JobIndex
 	// Periods is each input's longest consumer period (§5.4 lineage).
 	Periods map[string]int64
-	// Observations counts the observations folded; MinInstance and
-	// MaxInstance bound their Job.Instance (both zero while empty).
+	// Observations counts the observations folded. In the repository's
+	// fold MinInstance and MaxInstance bound their Job.Instance (both zero
+	// while empty).
 	Observations             int
 	MinInstance, MaxInstance int64
 }
@@ -144,15 +155,21 @@ func (r *Repository) Append(obs ...Observation) {
 	}
 }
 
-// add appends o and folds it into the repository's Fold: its signature's
-// running statistics, its job's index entry, its job's period into each
-// of its inputs' longest consumer period, and the instance bounds. The
-// caller holds r.mu for writing.
+// add appends o, extends the last run or starts a new one, and folds o
+// into the repository's Fold: its signature's running statistics, its
+// job's index entry, its job's period into each of its inputs' longest
+// consumer period, and the instance bounds. The caller holds r.mu for
+// writing.
 func (r *Repository) add(o Observation) {
 	r.obs = append(r.obs, o)
 	f := &r.fold
 	i := len(r.obs) - 1
 	p := &r.obs[i]
+	if n := len(r.runs); n > 0 && r.runs[n-1].Instance == p.Job.Instance {
+		r.runs[n-1].Hi++
+	} else {
+		r.runs = append(r.runs, Run{Instance: p.Job.Instance, Lo: i, Hi: i + 1})
+	}
 	f.Sigs.Add(r.obs, i, p.CumulativeCost, f.Jobs.Add(p))
 	for _, in := range p.Inputs {
 		if p.Job.Period > f.Periods[in] {
@@ -169,19 +186,33 @@ func (r *Repository) add(o Observation) {
 }
 
 // Snapshot returns a zero-copy view of every observation recorded so far.
-// It is the repository's one read path.
 //
 // Aliasing contract: the returned slice aliases repository-internal
 // storage. Recorded observations are immutable — writers only ever append —
 // so the snapshot is a stable, internally consistent generation that stays
 // valid while Record keeps running; callers must treat it as read-only.
-// This is what lets the analyzer's parallel fold run several passes over
-// one consistent generation without copying hundreds of thousands of
-// observations first.
+// This is what lets the analyzer run several passes over one consistent
+// generation without copying hundreds of thousands of observations first.
 func (r *Repository) Snapshot() []Observation {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.obs
+}
+
+// WindowRuns returns the Snapshot and, in record order, the runs whose
+// instance lies in [from, to], both from one generation: obs[run.Lo:run.Hi]
+// over the returned runs visits exactly the window's observations in
+// record order. The runs are a copy.
+func (r *Repository) WindowRuns(from, to int64) ([]Observation, []Run) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var runs []Run
+	for _, run := range r.runs {
+		if run.Instance >= from && run.Instance <= to {
+			runs = append(runs, run)
+		}
+	}
+	return r.obs, runs
 }
 
 // Window returns a copy of the observations of jobs whose instance index

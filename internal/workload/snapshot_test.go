@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -38,6 +41,84 @@ func TestSnapshotAliasesLiveStorage(t *testing.T) {
 	}
 }
 
+// allRuns returns every run of r.
+func allRuns(r *Repository) []Run {
+	_, runs := r.WindowRuns(math.MinInt64, math.MaxInt64)
+	return runs
+}
+
+// TestWindowRuns pins the run index: consecutive observations of one
+// instance coalesce into one run, an instance recorded again after another
+// starts a new run, WindowRuns keeps record order and aliases the
+// snapshot, returned runs are copies, and Load rebuilds the same runs.
+func TestWindowRuns(t *testing.T) {
+	if obs, runs := NewRepository().WindowRuns(math.MinInt64, math.MaxInt64); len(obs) != 0 || len(runs) != 0 {
+		t.Errorf("empty repository: %d observations, runs %v", len(obs), runs)
+	}
+
+	r := NewRepository()
+	r.Append(obsFor("a", 0, "x"), obsFor("a", 0, "y"), obsFor("b", 0, "x"))
+	r.Append(obsFor("c", 2, "x"))
+	r.Append(obsFor("d", 1, "x"), obsFor("d", 1, "y"))
+	r.Append(obsFor("e", 2, "z"))
+	want := []Run{{0, 0, 3}, {2, 3, 4}, {1, 4, 6}, {2, 6, 7}}
+	if got := allRuns(r); !slices.Equal(got, want) {
+		t.Errorf("runs = %v, want %v", got, want)
+	}
+	obs, runs := r.WindowRuns(1, 2)
+	if want := []Run{{2, 3, 4}, {1, 4, 6}, {2, 6, 7}}; !slices.Equal(runs, want) {
+		t.Errorf("window [1, 2] runs = %v, want %v (record order)", runs, want)
+	}
+	if len(obs) != 7 || &obs[0] != &r.Snapshot()[0] {
+		t.Errorf("WindowRuns should return the snapshot itself")
+	}
+	if _, none := r.WindowRuns(3, 9); len(none) != 0 {
+		t.Errorf("window [3, 9] runs = %v, want none", none)
+	}
+
+	r.Append(obsFor("e", 2, "w"))
+	if runs[2] != (Run{2, 6, 7}) {
+		t.Errorf("a later append changed a returned run: %v", runs[2])
+	}
+	want[3].Hi = 8
+	if got := allRuns(r); !slices.Equal(got, want) {
+		t.Errorf("after extending the last run: runs = %v, want %v", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := allRuns(loaded); !slices.Equal(got, want) {
+		t.Errorf("loaded runs = %v, want %v", got, want)
+	}
+}
+
+// checkRuns reports whether runs tile obs exactly, in order, with every
+// observation in a run of its own instance.
+func checkRuns(obs []Observation, runs []Run) error {
+	next := 0
+	for _, run := range runs {
+		if run.Lo != next || run.Hi <= run.Lo {
+			return fmt.Errorf("run %v does not start at %d", run, next)
+		}
+		for i := run.Lo; i < run.Hi; i++ {
+			if obs[i].Job.Instance != run.Instance {
+				return fmt.Errorf("observation %d of instance %d in run %v", i, obs[i].Job.Instance, run)
+			}
+		}
+		next = run.Hi
+	}
+	if next != len(obs) {
+		return fmt.Errorf("runs end at %d of %d observations", next, len(obs))
+	}
+	return nil
+}
+
 // TestAppendCountsDistinctJobs pins NumJobs to distinct job IDs: a job
 // whose observations arrive in several places counts once.
 func TestAppendCountsDistinctJobs(t *testing.T) {
@@ -62,11 +143,12 @@ func periodsOf(obs []Observation) map[string]int64 {
 }
 
 // TestConcurrentWritersAndReaders runs Record and Append writers against
-// Snapshot, InputPeriods and NumJobs readers — the shape of RunBatch
-// recording while the analyzer mines — and then checks that the periods
-// folded at write match a recomputation from the final snapshot. Readers
-// clear the maps InputPeriods hands them, so a live map leaks into the
-// final comparison as well as into the race detector.
+// Snapshot, WindowRuns, InputPeriods and NumJobs readers — the shape of
+// RunBatch recording while the analyzer mines — and then checks that the
+// periods folded at write match a recomputation from the final snapshot.
+// Readers clear the maps InputPeriods hands them, so a live map leaks into
+// the final comparison as well as into the race detector; every run index
+// they read must tile its snapshot.
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	e, p := setup(t)
 	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
@@ -116,6 +198,10 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				}
 				lastObs, lastJobs = n, jobs
 				clear(repo.InputPeriods())
+				if err := checkRuns(repo.WindowRuns(math.MinInt64, math.MaxInt64)); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -132,5 +218,8 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	if got, want := len(repo.Snapshot()), 2*rounds*(5+2); got != want {
 		t.Errorf("observations = %d, want %d", got, want)
+	}
+	if err := checkRuns(repo.WindowRuns(math.MinInt64, math.MaxInt64)); err != nil {
+		t.Error(err)
 	}
 }
