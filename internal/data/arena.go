@@ -3,19 +3,25 @@ package data
 import "sync"
 
 // RowArena allocates many short-lived-to-build, long-lived-to-hold rows out
-// of large Value blocks, replacing one make(Row, w) per emitted row with one
-// block allocation per arenaBlockValues values. Operators that emit a fresh
-// row per input row (project, join, process, reduce, aggregate emit) each
-// build their output through an arena.
+// of Value blocks, replacing one make(Row, w) per emitted row with one
+// block allocation per arena (or a few, if it outgrows its hint). Operators
+// that emit a fresh row per input row (project, join, process, reduce,
+// aggregate emit) each build their output through an arena.
+//
+// Sizing: an emit arena's first block holds exactly its hint, which the
+// kernel derives from the rows it will emit, so a 3-row partition reserves
+// 3 rows. An arena that outgrows its block takes a new one twice the size
+// of the last, capped at arenaBlockValues, and never smaller than the
+// request that overflowed.
 //
 // Ownership rules (DESIGN.md §9):
 //
 //   - An arena is single-writer: one goroutine fills it. Parallel kernels
 //     use one arena per partition, never a shared one.
 //   - Rows returned by NewRow alias the arena's blocks. An emit arena
-//     (NewRowArena) must never be released: its rows escape into operator
-//     outputs, job results, and materialized views, so its blocks are owned
-//     by the garbage collector once the operator returns.
+//     (NewRowArenaSized) must never be released: its rows escape into
+//     operator outputs, job results, and materialized views, so its blocks
+//     are owned by the garbage collector once the operator returns.
 //   - A scratch arena (NewScratchRowArena) recycles its blocks through a
 //     process-wide sync.Pool on Release. It is only for rows that provably
 //     do not outlive the operator — e.g. aggregate group keys, whose values
@@ -27,16 +33,12 @@ type RowArena struct {
 	used    int       // Values carved from block so far
 	full    [][]Value // exhausted blocks (sliced to their used prefix), for Release
 	pooled  bool      // blocks come from (and return to) blockPool
-	firstSz int       // size of the first block; later blocks use arenaBlockValues
+	firstSz int       // size of the first block; later blocks double the last
 }
 
-// arenaBlockValues is the number of Values per full-size arena block
-// (320 KiB at 40 bytes per Value).
+// arenaBlockValues caps the size of a growth block (320 KiB at 40 bytes
+// per Value) and is the size of every pooled scratch block.
 const arenaBlockValues = 8192
-
-// arenaFirstBlock keeps small emits cheap: the first block is modest and
-// growth jumps to full-size blocks only if the arena keeps allocating.
-const arenaFirstBlock = 512
 
 var blockPool = sync.Pool{
 	New: func() any {
@@ -45,20 +47,11 @@ var blockPool = sync.Pool{
 	},
 }
 
-// NewRowArena returns an emit arena whose blocks are garbage-collected with
-// the rows allocated from them.
-func NewRowArena() *RowArena {
-	return &RowArena{firstSz: arenaFirstBlock}
-}
-
-// NewRowArenaSized returns an emit arena whose first block holds hint
-// Values — for kernels that know their output volume up front (project and
-// join emit about one row per input row), so the arena allocates once
-// instead of stepping through growth blocks.
+// NewRowArenaSized returns an emit arena whose blocks are garbage-collected
+// with the rows allocated from them and whose first block holds exactly
+// hint Values, the Values the kernel expects to emit. A hint <= 0 sizes the
+// first block from the first request.
 func NewRowArenaSized(hint int) *RowArena {
-	if hint < arenaFirstBlock {
-		hint = arenaFirstBlock
-	}
 	return &RowArena{firstSz: hint}
 }
 
@@ -97,8 +90,8 @@ func (a *RowArena) newRowSlow(width int) Row {
 // row (compiled projection). Rows come out identical to len(out) NewRow
 // calls (full capacity == width, carved in order), but the cursor bumps
 // once per block instead of once per row. When a block runs out, the next
-// one is sized for everything still owed, so a pre-sized emit arena serves
-// the whole batch from a single allocation.
+// one holds at least everything still owed, so an exactly hinted emit arena
+// serves the whole batch from a single allocation.
 func (a *RowArena) NewRows(out []Row, width int) {
 	if width <= 0 {
 		for i := range out {
@@ -149,13 +142,11 @@ func (a *RowArena) grow(width int) {
 	if a.block != nil && a.pooled {
 		a.full = append(a.full, a.block[:a.used])
 	}
-	size := arenaBlockValues
-	if a.block == nil && a.firstSz > 0 {
-		size = a.firstSz
+	size := a.firstSz
+	if a.block != nil {
+		size = min(2*len(a.block), arenaBlockValues)
 	}
-	if width > size {
-		size = width
-	}
+	size = max(size, width)
 	if a.pooled && size <= arenaBlockValues {
 		b := *blockPool.Get().(*[]Value)
 		a.block = b[:cap(b)]

@@ -70,7 +70,7 @@ func TestValueHash64MatchesFNVReference(t *testing.T) {
 }
 
 func TestRowArenaIsolation(t *testing.T) {
-	a := NewRowArena()
+	a := NewRowArenaSized(0)
 	rows := make([]Row, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		r := a.NewRow(3)
@@ -119,5 +119,88 @@ func TestScratchRowArenaReleaseClearsBlocks(t *testing.T) {
 	blockPool.Put(&bb)
 	if a.block != nil || a.full != nil {
 		t.Fatal("arena retains blocks after Release")
+	}
+}
+
+// TestRowArenaFirstBlockIsHint pins that an emit arena's first block holds
+// exactly its hint, however small: a 3-row partition reserves 3 rows.
+func TestRowArenaFirstBlockIsHint(t *testing.T) {
+	for hint := 1; hint < 512; hint++ {
+		a := NewRowArenaSized(hint)
+		a.NewRow(1)
+		if cap(a.block) != hint {
+			t.Fatalf("hint %d: first block holds %d Values", hint, cap(a.block))
+		}
+	}
+	// A hint <= 0 sizes the first block from the first request.
+	for _, hint := range []int{0, -5} {
+		a := NewRowArenaSized(hint)
+		a.NewRow(7)
+		if cap(a.block) != 7 {
+			t.Fatalf("hint %d: first block holds %d Values, want 7", hint, cap(a.block))
+		}
+	}
+}
+
+// TestRowArenaGrowthDoubles pins the growth rule: past its hint an arena's
+// next block is twice the last, capped at arenaBlockValues, and never
+// smaller than the request that overflowed.
+func TestRowArenaGrowthDoubles(t *testing.T) {
+	a := NewRowArenaSized(10)
+	var sizes []int
+	for i := 0; i < 40_000; i++ {
+		a.NewRow(1)
+		if a.used == 1 { // the row opened a new block
+			sizes = append(sizes, len(a.block))
+		}
+	}
+	want := []int{10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120, 8192, 8192, 8192}
+	if len(sizes) < len(want) {
+		t.Fatalf("block sizes %v, want prefix %v", sizes, want)
+	}
+	for i, w := range want {
+		if sizes[i] != w {
+			t.Fatalf("block sizes %v, want prefix %v", sizes[:len(want)], want)
+		}
+	}
+
+	// A request wider than the doubled block gets a block of its width.
+	b := NewRowArenaSized(4)
+	b.NewRow(4)
+	b.NewRow(100)
+	if len(b.block) != 100 {
+		t.Fatalf("block after 100-wide request holds %d Values, want 100", len(b.block))
+	}
+	b.NewRow(1)
+	if len(b.block) != 200 {
+		t.Fatalf("block after a 100-Value block holds %d Values, want 200", len(b.block))
+	}
+	// An oversized block does not lift the cap on the one after it.
+	b.NewRow(3 * arenaBlockValues)
+	b.NewRow(1)
+	if len(b.block) != arenaBlockValues {
+		t.Fatalf("block after an oversized one holds %d Values, want %d", len(b.block), arenaBlockValues)
+	}
+}
+
+// TestRowArenaNewRowsExactHintAllocatesOnce pins that a batch emit over an
+// exactly hinted arena costs one block allocation and fills it.
+func TestRowArenaNewRowsExactHintAllocatesOnce(t *testing.T) {
+	const rows, width = 100, 5
+	out := make([]Row, rows)
+	arenas := make([]*RowArena, 101)
+	for i := range arenas {
+		arenas[i] = NewRowArenaSized(rows * width)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		arenas[next].NewRows(out, width)
+		next++
+	})
+	if allocs != 1 {
+		t.Fatalf("NewRows over an exact hint: %.1f allocs, want 1", allocs)
+	}
+	if a := arenas[0]; len(a.block) != rows*width || a.used != rows*width {
+		t.Fatalf("block %d Values with %d carved, want %d of %d", len(a.block), a.used, rows*width, rows*width)
 	}
 }

@@ -230,44 +230,74 @@ func (d *decoder) plausibleCount(v uint64) bool {
 	return v <= uint64(len(d.buf)-d.pos)
 }
 
+// Block is a partition block produced by Encode whose header Open has
+// read: Rows × Cols Values size the storage Into fills.
+type Block struct {
+	Rows, Cols int
+	d          decoder // positioned just past the header
+}
+
+// Open reads the header of a partition block produced by Encode.
+func Open(payload []byte) (Block, error) {
+	b := Block{d: decoder{buf: payload}}
+	d := &b.d
+	m, err := d.byte()
+	if err != nil {
+		return Block{}, err
+	}
+	if m != magic {
+		return Block{}, d.err("bad magic 0x%02x", m)
+	}
+	nrows64, err := d.uvarint()
+	if err != nil {
+		return Block{}, err
+	}
+	ncols64, err := d.uvarint()
+	if err != nil {
+		return Block{}, err
+	}
+	if nrows64 > maxRows || ncols64 > maxCols || nrows64*ncols64 > maxValues {
+		return Block{}, d.err("implausible shape %dx%d", nrows64, ncols64)
+	}
+	b.Rows, b.Cols = int(nrows64), int(ncols64)
+	return b, nil
+}
+
 // Decode decodes one partition block produced by Encode. Rows are carved
 // from a contiguous value arena; string values alias the block's decoded
 // dictionary.
 func Decode(payload []byte) ([]data.Row, error) {
-	d := &decoder{buf: payload}
-	m, err := d.byte()
+	b, err := Open(payload)
 	if err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, d.err("bad magic 0x%02x", m)
-	}
-	nrows64, err := d.uvarint()
-	if err != nil {
+	rows := make([]data.Row, b.Rows)
+	if err := b.Into(make([]data.Value, b.Rows*b.Cols), rows); err != nil {
 		return nil, err
 	}
-	ncols64, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	return rows, nil
+}
+
+// Into decodes the block into storage the caller sized from its shape:
+// rows holds exactly Rows rows and values exactly Rows × Cols Values, from
+// which the rows are carved.
+func (b Block) Into(values []data.Value, rows []data.Row) error {
+	d, nrows, ncols := &b.d, b.Rows, b.Cols
+	if len(rows) != nrows || len(values) != nrows*ncols {
+		return fmt.Errorf("colenc: a %dx%d block decoded into %d rows of %d values", nrows, ncols, len(rows), len(values))
 	}
-	if nrows64 > maxRows || ncols64 > maxCols || nrows64*ncols64 > maxValues {
-		return nil, d.err("implausible shape %dx%d", nrows64, ncols64)
-	}
-	nrows, ncols := int(nrows64), int(ncols64)
-	arena := make([]data.Value, nrows*ncols)
-	rows := make([]data.Row, nrows)
 	for i := range rows {
-		rows[i] = data.Row(arena[i*ncols : (i+1)*ncols : (i+1)*ncols])
+		rows[i] = data.Row(values[i*ncols : (i+1)*ncols : (i+1)*ncols])
 	}
 	for c := 0; c < ncols; c++ {
 		if err := d.column(rows, c, nrows); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if d.pos != len(d.buf) {
-		return nil, d.err("%d trailing bytes", len(d.buf)-d.pos)
+		return d.err("%d trailing bytes", len(d.buf)-d.pos)
 	}
-	return rows, nil
+	return nil
 }
 
 func (d *decoder) column(rows []data.Row, c, nrows int) error {

@@ -844,7 +844,7 @@ func applyProcess(ctx context.Context, n *plan.Node, in partitions, inStats *Sta
 }
 
 // width returns the column count of the first row, the emit-width hint for
-// extend-shaped kernels (0 on empty input keeps the arena default-sized).
+// extend-shaped kernels (0 on empty input, which emits no rows).
 func width(rows []data.Row) int {
 	if len(rows) == 0 {
 		return 0

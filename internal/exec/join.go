@@ -24,9 +24,20 @@ import (
 // pool on typical machines while keeping per-shard tables dense.
 const joinShardBits = 4
 
-// joinSlabRows is how many output rows' worth of Values one arena call
+// joinSlabRows caps how many output rows' worth of Values one arena call
 // reserves for the probe emit loop (see applyJoin).
 const joinSlabRows = 128
+
+// slabRows is how many rows the probe's next slab carves for a partition
+// of n input rows that has emitted rows so far: the rows it still owes
+// against its one-row-per-input hint, at most joinSlabRows, so the slabs
+// tile the hinted block exactly; or a full slab once matches exceed inputs.
+func slabRows(n, emitted int) int {
+	if owed := n - emitted; owed > 0 && owed < joinSlabRows {
+		return owed
+	}
+	return joinSlabRows
+}
 
 // joinSlot is one open-addressed chain entry, packed so a probe touches a
 // single cache line: the chain's key hash and the [head, tail] row indexes
@@ -233,12 +244,14 @@ func applyJoin(ctx context.Context, n *plan.Node, left, right partitions, leftSt
 	if fastKey {
 		lk0, rk0 = n.LeftKeys[0], n.RightKeys[0]
 	}
-	// Emit rows are carved from chunked slabs: one arena call reserves
-	// joinSlabRows output rows' worth of Values, and the loop sub-slices
-	// rows out of the local slab. This keeps the per-match path free of
-	// function calls, so the compiler holds the slab cursor and shard
-	// state in registers. The unused tail of the final slab (< one chunk
-	// per partition) stays zeroed arena memory, which is harmless.
+	// Emit rows are carved from chunked slabs: one arena call reserves up
+	// to joinSlabRows output rows' worth of Values, and the loop
+	// sub-slices rows out of the local slab. This keeps the per-match path
+	// free of function calls, so the compiler holds the slab cursor and
+	// shard state in registers. Slabs carve only the rows the partition
+	// still owes (slabRows), so a 5-row partition reserves 5 rows; only a
+	// partition whose matches fall short of its inputs leaves zeroed
+	// arena memory unused.
 	probe := func(i int) {
 		// Chunk-boundary cancellation poll. Skipping also protects the
 		// probe from a partially built table: the build passes bail under
@@ -247,11 +260,9 @@ func applyJoin(ctx context.Context, n *plan.Node, left, right partitions, leftSt
 			return
 		}
 		part := left[i]
-		// Hint a whole number of slabs so chunk carving tiles the first
-		// block exactly; the arena grows only when matches exceed the
-		// one-output-row-per-input-row estimate.
-		slabs := (len(part) + joinSlabRows - 1) / joinSlabRows
-		arena := data.NewRowArenaSized(slabs * joinSlabRows * outWidth)
+		// Hint one output row per input row; the arena grows only when
+		// matches exceed that estimate.
+		arena := data.NewRowArenaSized(len(part) * outWidth)
 		rows := make([]data.Row, 0, len(part))
 		var slab []data.Value
 		fill := 0
@@ -269,7 +280,7 @@ func applyJoin(ctx context.Context, n *plan.Node, left, right partitions, leftSt
 					r := br.row
 					if rv := r[rk0]; rv.K == lv.K && rv.I == lv.I {
 						if fill+outWidth > len(slab) {
-							slab = arena.NewRow(joinSlabRows * outWidth)
+							slab = arena.NewRow(slabRows(len(part), len(rows)) * outWidth)
 							fill = 0
 						}
 						nr := slab[fill : fill+outWidth : fill+outWidth]
@@ -294,7 +305,7 @@ func applyJoin(ctx context.Context, n *plan.Node, left, right partitions, leftSt
 					r := br.row
 					if joinKeysMatch(l, r, n.LeftKeys, n.RightKeys) {
 						if fill+outWidth > len(slab) {
-							slab = arena.NewRow(joinSlabRows * outWidth)
+							slab = arena.NewRow(slabRows(len(part), len(rows)) * outWidth)
 							fill = 0
 						}
 						nr := slab[fill : fill+outWidth : fill+outWidth]

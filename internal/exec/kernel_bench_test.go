@@ -15,17 +15,21 @@ import (
 
 // Kernel benchmarks for the data plane: each heavy operator (join, hash
 // agg, exchange, sort) over the same fact/dimension data at varying
-// partition counts, plus a TPC-DS-shaped end-to-end job. The -short
-// smoke in scripts/check.sh runs every case once.
+// partition counts, plus a TPC-DS-shaped end-to-end job. Join, project
+// emit and hash agg also run at the recurring workloads' input size
+// (rows=64), where most partitions hold under 16 rows and per-partition
+// fixed costs dominate. The -short smoke in scripts/check.sh runs every
+// case once.
 
 const (
-	benchFactRows = 100_000
-	benchDimRows  = 10_000
+	benchFactRows  = 100_000
+	benchDimRows   = 10_000
+	benchSmallRows = 64
 )
 
 // benchSchemas matches the sales/items shape used by the unit tests but at
 // benchmark scale.
-func benchEnv(b *testing.B, parts int) *Executor {
+func benchEnv(b *testing.B, factRows, dimRows, parts int) *Executor {
 	b.Helper()
 	cat := catalog.New()
 	// Fixture rows are carved from one contiguous slab (and brand strings
@@ -35,15 +39,15 @@ func benchEnv(b *testing.B, parts int) *Executor {
 	// allocated, partition-interleaved fixture would add a fixed GC-mark
 	// and cache-miss cost to every measured iteration, diluting the
 	// kernel cost the benchmark is after.
-	slab := make([]data.Value, benchFactRows*4+benchDimRows*2)
+	slab := make([]data.Value, factRows*4+dimRows*2)
 	part := func(key int64) int {
 		return int(data.Row{data.Int(key)}.Hash64(0) % uint64(parts))
 	}
-	factPart := make([]int, benchFactRows)
-	dimPart := make([]int, benchDimRows)
+	factPart := make([]int, factRows)
+	dimPart := make([]int, dimRows)
 	offs := make([]int, parts)
 	for i := range factPart {
-		factPart[i] = part(int64(i % benchDimRows))
+		factPart[i] = part(int64(i % dimRows))
 		offs[factPart[i]] += 4
 	}
 	for i := range dimPart {
@@ -66,16 +70,16 @@ func benchEnv(b *testing.B, parts int) *Executor {
 	}
 	fact := data.NewTable("fact", "fact-v1", salesSchema(), parts)
 	rr := 0
-	for i := 0; i < benchFactRows; i++ {
+	for i := 0; i < factRows; i++ {
 		r := carve(factPart[i], 4)
-		r[0] = data.Int(int64(i % benchDimRows))
+		r[0] = data.Int(int64(i % dimRows))
 		r[1] = data.Int(int64(i % 37))
 		r[2] = data.Int(int64(1 + i%5))
 		r[3] = data.Float(float64(i%1000) + 0.25)
 		fact.AppendHash(r, []int{0}, &rr)
 	}
 	dim := data.NewTable("dim", "dim-v1", itemSchema(), parts)
-	for i := 0; i < benchDimRows; i++ {
+	for i := 0; i < dimRows; i++ {
 		r := carve(dimPart[i], 2)
 		r[0] = data.Int(int64(i))
 		r[1] = brands[i%26]
@@ -90,9 +94,21 @@ func benchEnv(b *testing.B, parts int) *Executor {
 var benchParts = []int{4, 16, 64}
 
 func runKernelBench(b *testing.B, build func(parts int) *plan.Node) {
-	for _, parts := range benchParts {
+	runKernelBenchAt(b, benchFactRows, benchDimRows, benchParts, build)
+}
+
+// runSmallKernelBench runs build over 64-row fact and dimension tables
+// split 4 and 16 ways: the shape of a recurring job's per-instance inputs.
+func runSmallKernelBench(b *testing.B, build func(parts int) *plan.Node) {
+	b.Run(fmt.Sprintf("rows=%d", benchSmallRows), func(b *testing.B) {
+		runKernelBenchAt(b, benchSmallRows, benchSmallRows, []int{4, 16}, build)
+	})
+}
+
+func runKernelBenchAt(b *testing.B, factRows, dimRows int, partCounts []int, build func(parts int) *plan.Node) {
+	for _, parts := range partCounts {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			e := benchEnv(b, parts)
+			e := benchEnv(b, factRows, dimRows, parts)
 			root := build(parts)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -106,15 +122,17 @@ func runKernelBench(b *testing.B, build func(parts int) *plan.Node) {
 }
 
 func BenchmarkExecJoin(b *testing.B) {
-	runKernelBench(b, func(parts int) *plan.Node {
+	build := func(int) *plan.Node {
 		return plan.Scan("fact", "fact-v1", salesSchema()).
 			HashJoin(plan.Scan("dim", "dim-v1", itemSchema()), []int{0}, []int{0}).
 			Output("o")
-	})
+	}
+	runKernelBench(b, build)
+	runSmallKernelBench(b, build)
 }
 
 func BenchmarkExecHashAgg(b *testing.B) {
-	runKernelBench(b, func(parts int) *plan.Node {
+	build := func(int) *plan.Node {
 		return plan.Scan("fact", "fact-v1", salesSchema()).
 			HashAgg([]int{0}, []plan.AggSpec{
 				{Fn: plan.AggSum, Col: 3},
@@ -122,7 +140,9 @@ func BenchmarkExecHashAgg(b *testing.B) {
 				{Fn: plan.AggMax, Col: 3},
 			}).
 			Output("o")
-	})
+	}
+	runKernelBench(b, build)
+	runSmallKernelBench(b, build)
 }
 
 func BenchmarkExecExchange(b *testing.B) {
@@ -160,7 +180,7 @@ func BenchmarkExecFilter(b *testing.B) {
 // BenchmarkExecProjectEmit isolates the per-row emit path (one fresh row
 // per input row) — the allocs/op number is the headline for the row arena.
 func BenchmarkExecProjectEmit(b *testing.B) {
-	runKernelBench(b, func(parts int) *plan.Node {
+	build := func(int) *plan.Node {
 		return plan.Scan("fact", "fact-v1", salesSchema()).
 			Project([]string{"item", "rev", "qty"}, []expr.Expr{
 				expr.C(0, "item"),
@@ -168,7 +188,9 @@ func BenchmarkExecProjectEmit(b *testing.B) {
 				expr.C(2, "qty"),
 			}).
 			Output("o")
-	})
+	}
+	runKernelBench(b, build)
+	runSmallKernelBench(b, build)
 }
 
 // BenchmarkExecTPCDS is a TPC-DS-shaped end-to-end job: filtered fact scan,
@@ -196,7 +218,7 @@ func BenchmarkExecTPCDS(b *testing.B) {
 func BenchmarkStorageReuseHitJob(b *testing.B) {
 	for _, parts := range benchParts {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			e := benchEnv(b, parts)
+			e := benchEnv(b, benchFactRows, benchDimRows, parts)
 			base := plan.Scan("fact", "fact-v1", salesSchema()).
 				HashJoin(plan.Scan("dim", "dim-v1", itemSchema()), []int{0}, []int{0}).
 				ShuffleHash([]int{0}, parts).
@@ -247,7 +269,7 @@ func BenchmarkExecObsOverhead(b *testing.B) {
 		hook ObsHook
 	}{{"hook=off", nil}, {"hook=on", nopObsHook{}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := benchEnv(b, 16)
+			e := benchEnv(b, benchFactRows, benchDimRows, 16)
 			e.Obs = mode.hook
 			root := build()
 			b.ReportAllocs()

@@ -245,8 +245,35 @@ func encodeParallel(ctx context.Context, parts [][]data.Row) (blocks [][]byte, e
 }
 
 // decodeParallel decodes every block back into rows, fanning out across
-// partitions.
+// partitions. The whole view decodes into one Value block and one
+// row-header block, partition after partition. A decoded view may be
+// cached and live for many instances; decoded per partition, its blocks
+// would have the sizes of the per-partition emit blocks that jobs
+// allocate and drop by the thousand, and scattered among those each would
+// keep a mostly empty heap span in use after every collection.
 func decodeParallel(ctx context.Context, blocks [][]byte) ([][]data.Row, error) {
+	type slot struct {
+		blk    colenc.Block
+		values []data.Value
+		rows   []data.Row
+	}
+	slots := make([]slot, len(blocks))
+	var nvalues, nrows int
+	for i, b := range blocks {
+		blk, err := colenc.Open(b)
+		if err != nil {
+			return nil, err
+		}
+		slots[i].blk = blk
+		nvalues += blk.Rows * blk.Cols
+		nrows += blk.Rows
+	}
+	values, headers := make([]data.Value, nvalues), make([]data.Row, nrows)
+	for i := range slots {
+		v, r := slots[i].blk.Rows*slots[i].blk.Cols, slots[i].blk.Rows
+		slots[i].values, values = values[:v:v], values[v:]
+		slots[i].rows, headers = headers[:r:r], headers[r:]
+	}
 	parts := make([][]data.Row, len(blocks))
 	errs := make([]error, len(blocks))
 	partitionRange(len(blocks), func(i int) {
@@ -256,7 +283,8 @@ func decodeParallel(ctx context.Context, blocks [][]byte) ([][]data.Row, error) 
 		if ctx.Err() != nil {
 			return
 		}
-		parts[i], errs[i] = colenc.Decode(blocks[i])
+		s := slots[i]
+		parts[i], errs[i] = s.rows, s.blk.Into(s.values, s.rows)
 	})
 	for _, err := range errs {
 		if err != nil {

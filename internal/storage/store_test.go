@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cloudviews/internal/data"
+	"cloudviews/internal/data/colenc"
 )
 
 // mkParts builds one single-partition payload of rows int/string rows.
@@ -385,6 +388,54 @@ func TestMultiPartitionRoundTrip(t *testing.T) {
 					t.Fatalf("partition %d row %d col %d: %#v != %#v", p, i, c, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestDecodeViewIntoOneBlock pins the decoded layout of a view: small
+// and large partitions alike come back in one Value block, partition
+// after partition, read back exactly what was encoded, and each row is
+// exactly its width.
+func TestDecodeViewIntoOneBlock(t *testing.T) {
+	mk := func(rows ...int) [][]data.Row {
+		parts := make([][]data.Row, len(rows))
+		for p, n := range rows {
+			parts[p] = make([]data.Row, n)
+			for i := range parts[p] {
+				parts[p][i] = data.Row{data.Int(int64(p*1000 + i)), data.String_(fmt.Sprint("s", i%3))}
+			}
+		}
+		return parts
+	}
+	adjacent := func(a, b *data.Value) bool {
+		return uintptr(unsafe.Pointer(b)) == uintptr(unsafe.Pointer(a))+unsafe.Sizeof(*a)
+	}
+	for _, sizes := range [][]int{{5, 0, 3}, {2000, 0, 1000}} {
+		parts := mk(sizes...)
+		blocks := make([][]byte, len(parts))
+		for i, p := range parts {
+			b, err := colenc.Encode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks[i] = b
+		}
+		got, err := decodeParallel(context.Background(), blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, parts) {
+			t.Fatalf("%v: decoded %v, want %v", sizes, got, parts)
+		}
+		for _, p := range got {
+			for _, r := range p {
+				if cap(r) != len(r) {
+					t.Fatalf("%v: row %v: cap %d", sizes, r, cap(r))
+				}
+			}
+		}
+		if last := got[0][sizes[0]-1]; !adjacent(&last[len(last)-1], &got[2][0][0]) {
+			t.Errorf("partitions of %v rows did not decode into one block", sizes)
 		}
 	}
 }

@@ -14,9 +14,12 @@ go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/ \
 	./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
 	./internal/workload/
 # Fuzz smokes over the seeded corpora: the columnar codec round trip (all
-# kinds, NULLs, corrupt-payload rejection) and compiled-vs-interpreted
-# expression evaluation (bit-identical on wrong-kind, NULL and NaN rows).
+# kinds, NULLs, corrupt-payload rejection), the row arena (exact-width,
+# non-overlapping rows across hinted and grown blocks) and
+# compiled-vs-interpreted expression evaluation (bit-identical on
+# wrong-kind, NULL and NaN rows).
 go test -run='^$' -fuzz='^FuzzColencRoundTrip$' -fuzztime=10s ./internal/data/colenc/
+go test -run='^$' -fuzz='^FuzzRowArena$' -fuzztime=10s ./internal/data/
 go test -run='^$' -fuzz='^FuzzCompiledEval$' -fuzztime=10s ./internal/expr/
 # Chaos soak under the race detector: concurrent jobs through a seeded
 # fault schedule with per-job output validation, plus a lifecycle wave
