@@ -6,8 +6,13 @@ check:
 test:
 	go build ./... && go test ./...
 
+# The race detector on every concurrent package; scripts/check.sh runs
+# this target, so the list lives here only.
 race:
-	go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/
+	go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/ \
+		./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
+		./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
+		./internal/workload/
 
 # Long chaos soak: hundreds of concurrent jobs per round under a seeded
 # fault schedule, race detector on. CHAOS_ROUNDS scales the length.

@@ -10,6 +10,13 @@
 //	cloudviews -templates 200 -topk 10 -minfreq 3 -ratio 0.2
 //	cloudviews -vc bu0_vc1 -strategy pack -budget 1000000
 //	cloudviews -drilldown 20
+//
+// `cloudviews figures [name ...]` instead regenerates the paper's figures
+// at their committed configs and seeds: the named ones, or all of them in
+// paper order when no name is given.
+//
+//	cloudviews figures          # every figure
+//	cloudviews figures 4 13     # Figure 4, then Figure 13
 package main
 
 import (
@@ -30,6 +37,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cloudviews: ")
+
+	if len(os.Args) > 1 && os.Args[1] == "figures" {
+		if err := figures(os.Stdout, os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	seed := flag.Int64("seed", 1, "workload seed")
 	templates := flag.Int("templates", 150, "recurring templates in the cluster")
@@ -145,6 +159,34 @@ func main() {
 			fmt.Printf("%2d. %s\n", i+1, j)
 		}
 	}
+}
+
+// figures prints the named figures, or every figure in paper order when
+// names is empty. Every name is checked before any figure runs.
+func figures(w io.Writer, names []string) error {
+	var figs []bench.Figure
+	for _, name := range names {
+		f, ok := bench.Lookup(name)
+		if !ok {
+			valid := make([]string, len(bench.Figures))
+			for i, f := range bench.Figures {
+				valid[i] = f.Name
+			}
+			return fmt.Errorf("unknown figure %q; valid figures: %s", name, strings.Join(valid, " "))
+		}
+		figs = append(figs, f)
+	}
+	if len(names) == 0 {
+		figs = bench.Figures
+	}
+	for _, f := range figs {
+		r, err := f.Run()
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.Name, err)
+		}
+		f.Write(w, r)
+	}
+	return nil
 }
 
 // writeSelected prints the selected views as a table, with each signature

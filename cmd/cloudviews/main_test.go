@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -25,5 +26,39 @@ func TestWriteSelectedShortSignature(t *testing.T) {
 	}
 	if !strings.Contains(got, long[:16]) || strings.Contains(got, long[:17]) {
 		t.Errorf("40-character signature not cut to 16 characters in\n%s", got)
+	}
+}
+
+// TestFiguresUnknownName pins that an unknown figure name fails and lists
+// every valid one.
+func TestFiguresUnknownName(t *testing.T) {
+	var out strings.Builder
+	err := figures(&out, []string{"nosuch"})
+	if err == nil {
+		t.Fatal("figures nosuch succeeded")
+	}
+	for _, name := range []string{"1", "5", "11-12", "13", "overheads", "ablations"} {
+		if !strings.Contains(err.Error(), " "+name) {
+			t.Errorf("error %q does not name figure %s", err, name)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("figures nosuch printed %q", out.String())
+	}
+}
+
+// TestFiguresPrintsGolden pins `cloudviews figures 4` to the golden the
+// bench package's Figure 4 test checks.
+func TestFiguresPrintsGolden(t *testing.T) {
+	want, err := os.ReadFile("../../internal/bench/testdata/figure_4.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := figures(&out, []string{"4"}); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("figures 4 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }

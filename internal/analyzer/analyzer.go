@@ -62,13 +62,6 @@ type Config struct {
 	Strategy Strategy
 	// StorageBudget bounds total view bytes for PackStorageBudget.
 	StorageBudget int64
-	// UseEstimates replaces measured runtime statistics with the naive
-	// compile-time estimate for utility (the feedback-loop ablation). The
-	// estimate function must be supplied via EstimateCost.
-	UseEstimates bool
-	// EstimateCost maps an observation to an estimated cost when
-	// UseEstimates is set.
-	EstimateCost func(o workload.Observation) float64
 }
 
 // Candidate is one overlapping computation with its mined statistics.
@@ -166,9 +159,9 @@ func analysisWindow(cfg Config) (from, to int64) {
 
 // Analyze runs the full pipeline — enumerate → aggregate → filter →
 // select → annotate → order. A config whose window covers every recorded
-// instance, with no admin scope and measured costs, reads exactly what the
-// repository already folded as observations landed, so Analyze finalizes
-// those running statistics without a pass over the log (analyzeFolded).
+// instance, with no admin scope, reads exactly what the repository already
+// folded as observations landed, so Analyze finalizes those running
+// statistics without a pass over the log (analyzeFolded).
 // Every other config folds exactly the window's observations, visited
 // through the repository's run index on one zero-copy snapshot, into
 // per-signature running statistics (analyzeSnapshot), so peak memory
@@ -193,11 +186,6 @@ func (cfg *Config) scoped() bool {
 	return len(cfg.Clusters) > 0 || len(cfg.BusinessUnits) > 0 || len(cfg.VCs) > 0
 }
 
-// estimates reports whether EstimateCost replaces measured costs.
-func (cfg *Config) estimates() bool {
-	return cfg.UseEstimates && cfg.EstimateCost != nil
-}
-
 // Serial is the reference walk — the original analyzer, kept verbatim as
 // the golden oracle Analyze is diffed against. It materializes the
 // windowed copy, the scoped copy, and the per-signature observation
@@ -215,7 +203,7 @@ func (a *Analyzer) Serial(cfg Config) *Analysis {
 	an.TotalJobs = len(jobs)
 
 	periods := a.Repo.InputPeriods()
-	an.Candidates = aggregate(obs, periods, cfg)
+	an.Candidates = aggregate(obs, periods)
 	selected := selectViews(an.Candidates, cfg, false)
 	an.Selected = selected
 	an.Annotations = annotate(selected)
@@ -259,7 +247,7 @@ func filterScope(obs []workload.Observation, cfg Config) []workload.Observation 
 
 // aggregate groups observations by normalized signature and computes the
 // per-candidate statistics.
-func aggregate(obs []workload.Observation, periods map[string]int64, cfg Config) []Candidate {
+func aggregate(obs []workload.Observation, periods map[string]int64) []Candidate {
 	groups := map[string][]workload.Observation{}
 	for _, o := range obs {
 		groups[o.NormSig] = append(groups[o.NormSig], o)
@@ -286,16 +274,12 @@ func aggregate(obs []workload.Observation, periods map[string]int64, cfg Config)
 				tagSet[in] = true
 			}
 			tagSet[o.Job.TemplateID] = true
-			oc := o.CumulativeCost
-			if cfg.UseEstimates && cfg.EstimateCost != nil {
-				oc = cfg.EstimateCost(o)
-			}
-			cost += oc
+			cost += o.CumulativeCost
 			lat += o.Latency
 			rows += float64(o.Rows)
 			bytes += float64(o.Bytes)
 			if o.JobCPU > 0 {
-				ratio += oc / o.JobCPU
+				ratio += o.CumulativeCost / o.JobCPU
 			}
 		}
 		n := float64(len(g))

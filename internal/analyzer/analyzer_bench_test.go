@@ -113,7 +113,7 @@ func BenchmarkAnalyzerAggregateSerial(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				obs := filterScope(repo.Window(from, to), benchCfg)
-				if cands := aggregate(obs, periods, benchCfg); len(cands) == 0 {
+				if cands := aggregate(obs, periods); len(cands) == 0 {
 					b.Fatal("no candidates mined")
 				}
 			}

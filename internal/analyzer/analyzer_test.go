@@ -338,27 +338,6 @@ func TestElectDesignPopularityAndMultiDesign(t *testing.T) {
 	}
 }
 
-func TestUseEstimatesAblationChangesUtility(t *testing.T) {
-	f := buildFixture(t)
-	a := New(f.repo)
-	measured := a.Analyze(Config{MinFrequency: 2})
-	// A deliberately broken estimator that inverts costs.
-	estimated := a.Analyze(Config{
-		MinFrequency: 2,
-		UseEstimates: true,
-		EstimateCost: func(o workload.Observation) float64 {
-			return 1e6 / (o.CumulativeCost + 1)
-		},
-	})
-	if len(measured.Candidates) == 0 || len(estimated.Candidates) == 0 {
-		t.Fatal("no candidates")
-	}
-	if measured.Candidates[0].NormSig == estimated.Candidates[0].NormSig &&
-		measured.Candidates[0].Utility == estimated.Candidates[0].Utility {
-		t.Error("estimate ablation had no effect on ranking")
-	}
-}
-
 func TestOverlapStats(t *testing.T) {
 	f := buildFixture(t)
 	st := New(f.repo).OverlapStats(Config{})

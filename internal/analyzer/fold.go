@@ -17,14 +17,14 @@ import (
 // has both.
 
 // analyzeFolded is Analyze for a config that reads exactly what the
-// repository folded at write: every recorded instance, no admin scope,
-// measured costs. Under one read lock it finalizes the running statistics,
+// repository folded at write: every recorded instance and no admin scope.
+// Under one read lock it finalizes the running statistics,
 // selects, and orders the builders, with no pass over the observations.
 // ok is false, and nothing is computed, for any other config.
 func (a *Analyzer) analyzeFolded(cfg Config) (an *Analysis, ok bool) {
 	from, to := analysisWindow(cfg)
 	a.Repo.ReadFold(func(f *workload.Fold) {
-		if cfg.scoped() || cfg.estimates() ||
+		if cfg.scoped() ||
 			(f.Observations > 0 && (from > f.MinInstance || to < f.MaxInstance)) {
 			return
 		}
@@ -36,20 +36,14 @@ func (a *Analyzer) analyzeFolded(cfg Config) (an *Analysis, ok bool) {
 
 // analyzeSnapshot is Analyze for every other config: one single-threaded
 // pass over exactly the window's runs of one repository generation folds
-// each in-scope observation, with its measured or estimated cost, into a
-// local Fold — the same fold body the repository runs at write, in the
+// each in-scope observation into a local Fold — the same fold body the repository runs at write, in the
 // same record order.
 func (a *Analyzer) analyzeSnapshot(cfg Config) *Analysis {
 	from, to := analysisWindow(cfg)
 	obs, runs := a.Repo.WindowRuns(from, to)
 	f := workload.Fold{Periods: a.Repo.InputPeriods()}
-	estimates := cfg.estimates()
 	for i, o := range inWindow(obs, runs, &cfg) {
-		cost := o.CumulativeCost
-		if estimates {
-			cost = cfg.EstimateCost(*o)
-		}
-		f.Sigs.Add(obs, i, cost, f.Jobs.Add(o))
+		f.Sigs.Add(obs, i, f.Jobs.Add(o))
 		f.Observations++
 	}
 	return mine(from, to, &f, cfg)

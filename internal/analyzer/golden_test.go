@@ -107,10 +107,8 @@ type goldenCase struct {
 
 // goldenConfigs exercises every Strategy and every admin knob, including
 // the combinations that steer selectViews between the bounded heap and the
-// full sort, scoped runs, windowed runs, and the estimates ablation, over
-// a repository whose instances run 0..lastInstance.
+// full sort, scoped runs and windowed runs, over a repository whose instances run 0..lastInstance.
 func goldenConfigs(cluster string, lastInstance int64) []goldenCase {
-	estimate := func(o workload.Observation) float64 { return float64(o.Rows) * 0.5 }
 	return []goldenCase{
 		{Config{}, true},
 		{Config{Strategy: TopKUtility, TopK: 5}, true},
@@ -124,13 +122,11 @@ func goldenConfigs(cluster string, lastInstance int64) []goldenCase {
 		{Config{Strategy: PackStorageBudgetOptimal, StorageBudget: 1 << 21}, true},
 		{Config{MinFrequency: 3, MinCostRatio: 0.05, MinRuntime: 10, TopK: 10, Strategy: TopKUtilityPerByte}, true},
 		{Config{WindowFrom: 0, WindowTo: lastInstance, TopK: 7}, true},
-		{Config{UseEstimates: true}, true}, // no EstimateCost: measured costs
 		{Config{WindowFrom: 1, WindowTo: 3}, false},
 		{Config{WindowFrom: 1, WindowTo: 0}, false},
 		{Config{WindowFrom: 0, WindowTo: lastInstance - 1}, false},
 		{Config{VCs: []string{"bu1_vc0", "bu2_vc1"}, Strategy: TopKUtilityPerByte, TopK: 4}, false},
 		{Config{Clusters: []string{cluster}, BusinessUnits: []string{"bu0", "bu3"}}, false},
-		{Config{UseEstimates: true, EstimateCost: estimate}, false},
 	}
 }
 

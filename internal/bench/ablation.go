@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"strconv"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/plan"
+	"cloudviews/internal/report"
 	"cloudviews/internal/signature"
 	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
@@ -18,6 +21,59 @@ import (
 // the feedback loop, view physical design, job coordination, early
 // materialization, and the per-job view limit. Each returns the metric
 // pair "with the mechanism" vs "without".
+
+// Ablations is the DESIGN.md §5 ablation table: every ablation below, run
+// on the production workload at seed 2024.
+type Ablations struct {
+	Feedback     *FeedbackAblationResult
+	Design       *DesignAblationResult
+	Coordination *CoordinationAblationResult
+	EarlyMat     *EarlyMatAblationResult
+	ViewLimit    *ViewLimitAblationResult
+}
+
+// RunAblations runs every ablation.
+func RunAblations() (*Ablations, error) {
+	const seed = 2024
+	var a Ablations
+	var err error
+	if a.Feedback, err = RunFeedbackAblation(seed); err != nil {
+		return nil, err
+	}
+	if a.Design, err = RunPhysicalDesignAblation(seed); err != nil {
+		return nil, err
+	}
+	if a.Coordination, err = RunCoordinationAblation(seed); err != nil {
+		return nil, err
+	}
+	if a.EarlyMat, err = RunEarlyMatAblation(seed); err != nil {
+		return nil, err
+	}
+	if a.ViewLimit, err = RunViewLimitAblation(seed); err != nil {
+		return nil, err
+	}
+	return &a, nil
+}
+
+// Write renders one row per ablation, the metric with the mechanism
+// against without it, to four significant digits.
+func (a *Ablations) Write(w io.Writer) {
+	t := &report.Table{Header: []string{"ablation", "with mechanism", "without"}}
+	row := func(name string, with, without float64) {
+		t.Add(name, strconv.FormatFloat(with, 'g', 4, 64), strconv.FormatFloat(without, 'g', 4, 64))
+	}
+	row("feedback loop vs naive estimates (total CPU improvement %)",
+		a.Feedback.MeasuredStatsPct, a.Feedback.EstimatesPct)
+	row("physical design (consumer latency, elected vs single-partition view)",
+		a.Design.ElectedLatency, a.Design.NaiveLatency)
+	row("job coordination (total CPU improvement %, coordinated vs concurrent)",
+		a.Coordination.CoordinatedPct, a.Coordination.UncoordinatedPct)
+	row("early materialization (recovery CPU after builder crash)",
+		a.EarlyMat.EarlyCPU, a.EarlyMat.LateCPU)
+	row("per-job view limit (total CPU improvement %, limit 1 vs 4)",
+		a.ViewLimit.ImprovementPct[1], a.ViewLimit.ImprovementPct[4])
+	t.Write(w)
+}
 
 // FeedbackAblationResult compares view selection driven by measured
 // runtime statistics (the feedback loop, §5.1) against selection driven by
@@ -70,12 +126,19 @@ func runSelectionVariant(seed int64, useEstimates bool) (float64, error) {
 		MaxPerJob:    1,
 		TopK:         cfg.TopViews,
 	}
+	repo := hist.Repo
 	if useEstimates {
-		acfg.UseEstimates = true
-		acfg.EstimateCost = naiveEstimate
+		// The analyzer reads whatever costs the repository holds, so the
+		// estimate variant mines a copy of the history whose measured
+		// costs are replaced by the naive estimate.
+		repo = workload.NewRepository()
+		for _, o := range hist.Repo.Snapshot() {
+			o.CumulativeCost = naiveEstimate(o)
+			repo.Append(o)
+		}
 		acfg.MinCostRatio = 0 // estimate-based ratios are incomparable
 	}
-	an := analyzer.New(hist.Repo).Analyze(acfg)
+	an := analyzer.New(repo).Analyze(acfg)
 	if len(an.Selected) == 0 {
 		return 0, errors.New("bench: ablation selected no views")
 	}

@@ -1,12 +1,30 @@
 package bench
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
-func TestFeedbackAblation(t *testing.T) {
-	r, err := RunFeedbackAblation(2024)
+// ablations runs every ablation once per test binary: each ablation test
+// checks its claim on the shared result, and TestAblationsGolden pins the
+// rendered table.
+var ablations = sync.OnceValues(RunAblations)
+
+func runAblations(t *testing.T) *Ablations {
+	t.Helper()
+	a, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+func TestAblationsGolden(t *testing.T) {
+	checkFigure(t, "ablations", runAblations(t))
+}
+
+func TestFeedbackAblation(t *testing.T) {
+	r := runAblations(t).Feedback
 	// Selection by measured statistics must realize more savings than
 	// selection by the naive estimate (the §5.1 argument).
 	if r.MeasuredStatsPct <= r.EstimatesPct {
@@ -20,10 +38,7 @@ func TestFeedbackAblation(t *testing.T) {
 }
 
 func TestPhysicalDesignAblation(t *testing.T) {
-	r, err := RunPhysicalDesignAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAblations(t).Design
 	// A single-partition view collapses downstream parallelism; the
 	// elected design must yield lower consumer latency (§5.3).
 	if r.ElectedLatency >= r.NaiveLatency {
@@ -34,10 +49,7 @@ func TestPhysicalDesignAblation(t *testing.T) {
 }
 
 func TestCoordinationAblation(t *testing.T) {
-	r, err := RunCoordinationAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAblations(t).Coordination
 	// Coordinated submission realizes strictly more reuse than fully
 	// concurrent uncoordinated arrival (§6.5).
 	if r.CoordinatedPct <= r.UncoordinatedPct {
@@ -48,10 +60,7 @@ func TestCoordinationAblation(t *testing.T) {
 }
 
 func TestEarlyMatAblation(t *testing.T) {
-	r, err := RunEarlyMatAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAblations(t).EarlyMat
 	// After a builder crash, early materialization lets the next job
 	// read the checkpointed view; late publication forces a recompute.
 	if r.EarlyCPU >= r.LateCPU {
@@ -61,10 +70,7 @@ func TestEarlyMatAblation(t *testing.T) {
 }
 
 func TestViewLimitAblation(t *testing.T) {
-	r, err := RunViewLimitAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAblations(t).ViewLimit
 	for _, limit := range []int{1, 2, 4} {
 		if _, ok := r.ImprovementPct[limit]; !ok {
 			t.Fatalf("missing limit %d", limit)

@@ -2,9 +2,42 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// checkFigure renders r through the named figure's registry entry — the
+// text `cloudviews figures <name>` prints — and diffs it against
+// testdata/figure_<name>.txt (-update rewrites it).
+func checkFigure(t *testing.T, name string, r Result) {
+	t.Helper()
+	f, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no figure %q in the registry", name)
+	}
+	var buf bytes.Buffer
+	f.Write(&buf, r)
+	checkGolden(t, "figure_"+name+".txt", strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n"))
+}
+
+// TestEveryFigureHasAGolden pins the registry to testdata: every figure
+// but the wall-clock overheads has a golden its shape test checks.
+func TestEveryFigureHasAGolden(t *testing.T) {
+	for _, f := range Figures {
+		_, err := os.Stat(filepath.Join("testdata", "figure_"+f.Name+".txt"))
+		if f.Name == "overheads" {
+			if err == nil {
+				t.Error("overheads is wall-clock and must not have a golden")
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("figure %s: %v", f.Name, err)
+		}
+	}
+}
 
 func TestFigure1Shapes(t *testing.T) {
 	rows, err := Figure1()
@@ -38,11 +71,7 @@ func TestFigure1Shapes(t *testing.T) {
 			t.Errorf("%s: %%users overlapping = %.1f, want >= 65", name, got)
 		}
 	}
-	var buf bytes.Buffer
-	WriteFigure1(&buf, rows)
-	if !strings.Contains(buf.String(), "cluster3") {
-		t.Error("rendering lost clusters")
-	}
+	checkFigure(t, "1", rows)
 }
 
 func TestFigure2Shapes(t *testing.T) {
@@ -68,11 +97,7 @@ func TestFigure2Shapes(t *testing.T) {
 	if r.AvgFrequency[0] <= r.AvgFrequency[len(r.AvgFrequency)-1] {
 		t.Error("frequency series not skewed")
 	}
-	var buf bytes.Buffer
-	WriteFigure2(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 2a") {
-		t.Error("rendering incomplete")
-	}
+	checkFigure(t, "2", r)
 }
 
 func TestFigure3And4And5Shapes(t *testing.T) {
@@ -89,10 +114,7 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 		t.Fatal("missing entity series")
 	}
 
-	f4, err := Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f4 := f3.Figure4()
 	if len(f4.Breakdown) < 5 {
 		t.Fatalf("operator breakdown too thin: %d", len(f4.Breakdown))
 	}
@@ -104,10 +126,7 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 		t.Errorf("operator percentages sum to %.1f", total)
 	}
 
-	f5, err := Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f5 := &Figure5Result{Stats: st}
 	// Heavy skew: mean frequency well above median (paper: 4.2 vs 2).
 	if f5.Stats.AvgFrequency <= medianOf(f5.Stats.Frequencies) {
 		t.Errorf("frequency not skewed: avg %.2f vs median %.2f",
@@ -124,13 +143,9 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 	if float64(low)/float64(len(f5.Stats.CostRatios)) < 0.5 {
 		t.Error("cost ratio distribution not bottom-heavy")
 	}
-	var buf bytes.Buffer
-	WriteFigure3(&buf, f3)
-	WriteFigure4(&buf, f4)
-	WriteFigure5(&buf, f5)
-	if buf.Len() == 0 {
-		t.Error("rendering empty")
-	}
+	checkFigure(t, "3", f3)
+	checkFigure(t, "4", f4)
+	checkFigure(t, "5", f5)
 }
 
 func medianOf(xs []float64) float64 {
@@ -193,11 +208,7 @@ func TestProductionShapes(t *testing.T) {
 	if nb > 0 && nbImp/nb <= 0 {
 		t.Error("consumers should improve on average")
 	}
-	var buf bytes.Buffer
-	WriteProd(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 11") {
-		t.Error("rendering incomplete")
-	}
+	checkFigure(t, "11-12", r)
 }
 
 func TestTPCDSShapes(t *testing.T) {
@@ -223,11 +234,7 @@ func TestTPCDSShapes(t *testing.T) {
 	if r.PeakImprovementPct <= 0 {
 		t.Error("no query improved at all")
 	}
-	var buf bytes.Buffer
-	WriteTPCDS(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 13") {
-		t.Error("rendering incomplete")
-	}
+	checkFigure(t, "13", r)
 }
 
 func TestOverheadShapes(t *testing.T) {
@@ -262,7 +269,7 @@ func TestOverheadShapes(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	WriteOverheads(&buf, r)
+	r.Write(&buf)
 	if !strings.Contains(buf.String(), "optimizer") {
 		t.Error("rendering incomplete")
 	}

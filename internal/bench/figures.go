@@ -1,7 +1,7 @@
 // Package bench contains the experiment harnesses that regenerate every
 // table and figure of the paper's evaluation (§2 workload analysis and §7
-// performance evaluation). Each harness returns a structured result; the
-// cmd/ binaries and the root bench_test.go render them.
+// performance evaluation). Each harness returns a structured result that
+// writes itself as text; Figures lists them all (registry.go).
 package bench
 
 import (
@@ -39,6 +39,9 @@ func ClusterProfiles() []workgen.Profile {
 	}
 }
 
+// Figure1Result is Figure 1: one bar triple per cluster.
+type Figure1Result []ClusterOverlap
+
 // ClusterOverlap is one cluster's Figure 1 bar triple.
 type ClusterOverlap struct {
 	Cluster string
@@ -61,8 +64,8 @@ func RunWorkload(w *workgen.Workload, instance int64) (*workload.Repository, err
 }
 
 // Figure1 measures the per-cluster overlap triple over the five profiles.
-func Figure1() ([]ClusterOverlap, error) {
-	var out []ClusterOverlap
+func Figure1() (Figure1Result, error) {
+	var out Figure1Result
 	for _, p := range ClusterProfiles() {
 		w := workgen.Generate(p)
 		repo, err := RunWorkload(w, 0)
@@ -77,8 +80,8 @@ func Figure1() ([]ClusterOverlap, error) {
 	return out, nil
 }
 
-// WriteFigure1 renders the Figure 1 table.
-func WriteFigure1(w io.Writer, rows []ClusterOverlap) {
+// Write renders the Figure 1 table.
+func (rows Figure1Result) Write(w io.Writer) {
 	t := &report.Table{Header: []string{"cluster", "%overlapping jobs", "%users w/ overlap", "%overlapping subgraphs"}}
 	for _, r := range rows {
 		t.Add(r.Cluster, r.Stats.PctJobsOverlapping, r.Stats.PctUsersOverlapping, r.Stats.PctSubgraphsOverlapping)
@@ -132,8 +135,8 @@ func largestCluster() workgen.Profile {
 	return p
 }
 
-// WriteFigure2 renders the Figure 2 summary (series percentiles).
-func WriteFigure2(w io.Writer, r *Figure2Result) {
+// Write renders the Figure 2 summary (series percentiles).
+func (r *Figure2Result) Write(w io.Writer) {
 	fmt.Fprintf(w, "VCs analyzed: %d\n", len(r.PctJobsOverlapping))
 	over50 := report.FractionAtLeast(r.PctJobsOverlapping, 50) * 100
 	zero := 0
@@ -183,8 +186,8 @@ func Figure3() (*Figure3Result, error) {
 	return &Figure3Result{Stats: st}, nil
 }
 
-// WriteFigure3 renders the four CDF summaries of Figure 3.
-func WriteFigure3(w io.Writer, r *Figure3Result) {
+// Write renders the four CDF summaries of Figure 3.
+func (r *Figure3Result) Write(w io.Writer) {
 	series := []struct {
 		name string
 		xs   []float64
@@ -215,12 +218,18 @@ type OpShare struct {
 	Pct float64
 }
 
-// Figure4 computes the operator breakdown and per-operator frequency CDFs.
+// Figure4 computes the operator breakdown and per-operator frequency CDFs
+// over Figure 3's business unit.
 func Figure4() (*Figure4Result, error) {
 	f3, err := Figure3()
 	if err != nil {
 		return nil, err
 	}
+	return f3.Figure4(), nil
+}
+
+// Figure4 derives Figure 4 from the business unit's statistics.
+func (f3 *Figure3Result) Figure4() *Figure4Result {
 	st := f3.Stats
 	res := &Figure4Result{Stats: st}
 	for op, pct := range st.OperatorPct {
@@ -232,11 +241,11 @@ func Figure4() (*Figure4Result, error) {
 		}
 		return res.Breakdown[i].Op < res.Breakdown[j].Op
 	})
-	return res, nil
+	return res
 }
 
-// WriteFigure4 renders Figure 4(a) plus the 4(b)–(d) frequency summaries.
-func WriteFigure4(w io.Writer, r *Figure4Result) {
+// Write renders Figure 4(a) plus the 4(b)–(d) frequency summaries.
+func (r *Figure4Result) Write(w io.Writer) {
 	t := &report.Table{Header: []string{"operator", "% of overlapping subgraphs"}}
 	for _, b := range r.Breakdown {
 		t.Add(b.Op.String(), b.Pct)
@@ -268,10 +277,10 @@ func Figure5() (*Figure5Result, error) {
 	return &Figure5Result{Stats: f3.Stats}, nil
 }
 
-// WriteFigure5 renders the Figure 5 summaries, echoing the paper's
-// headline statistics (average frequency, share of sub-second overlaps,
-// share of tiny views, cost-ratio skew).
-func WriteFigure5(w io.Writer, r *Figure5Result) {
+// Write renders the Figure 5 summaries, echoing the paper's headline
+// statistics (average frequency, share of sub-second overlaps, share of
+// tiny views, cost-ratio skew).
+func (r *Figure5Result) Write(w io.Writer) {
 	st := r.Stats
 	fmt.Fprintf(w, "overlapping computations: %d\n", len(st.Frequencies))
 	fmt.Fprintf(w, "frequency: avg=%.2f median=%.0f p75=%.0f p95=%.0f p99=%.0f\n",

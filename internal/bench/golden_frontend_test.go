@@ -34,7 +34,7 @@ import (
 	"cloudviews/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the frontend golden files")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func TestGoldenFrontendProduction(t *testing.T) {
 	cfg := DefaultProdConfig()

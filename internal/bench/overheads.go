@@ -202,8 +202,8 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	return plain, create, use, nil
 }
 
-// WriteOverheads renders the §7.3 table.
-func WriteOverheads(w io.Writer, r *OverheadResult) {
+// Write renders the §7.3 table.
+func (r *OverheadResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "analyzer: %d jobs, %d subgraphs in %v (%.0f jobs/s)\n",
 		r.AnalyzerJobs, r.AnalyzerSubgraphs, r.AnalyzerWall,
 		float64(r.AnalyzerJobs)/r.AnalyzerWall.Seconds())

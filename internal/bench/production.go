@@ -250,9 +250,9 @@ func planContainsNorm(comp *signature.Computer, j workgen.Job, normSig string) b
 	return false
 }
 
-// WriteProd renders the Figures 11 and 12 tables plus the paper-style
+// Write renders the Figures 11 and 12 tables plus the paper-style
 // aggregates.
-func WriteProd(w io.Writer, r *ProdResult) {
+func (r *ProdResult) Write(w io.Writer) {
 	t := &report.Table{Header: []string{"job", "view", "builder",
 		"base latency", "cv latency", "latency Δ%", "base CPU", "cv CPU", "CPU Δ%"}}
 	for i, j := range r.Jobs {

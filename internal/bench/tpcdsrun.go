@@ -102,22 +102,18 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 	}
 
 	// Pass 3: CloudViews run with coordinated submission order: the
-	// analyzer's builder jobs run first and serially (each materializes a
-	// view the rest depend on), then everything else reuses as one
-	// concurrent batch — the §6.5 hint-driven schedule.
+	// analyzer's builder jobs first (each materializes a view the rest
+	// depend on), then everything else — the §6.5 hint-driven schedule.
+	// The pass runs serially, so which query pays for each view's
+	// materialization is fixed by the order, not by a build race.
 	cv := core.NewService(cat, core.Config{Enabled: true, MaxViewsPerJob: 1})
 	cv.Meta.LoadAnalysis(an.Annotations)
-	order := coordinateOrder(queries, an.JobOrder)
-	builders := 0
-	hinted := map[string]bool{}
-	for _, id := range an.JobOrder {
-		hinted[id] = true
-	}
-	for builders < len(order) && hinted[order[builders].Name] {
-		builders++
-	}
 	results := map[int]TPCDSQueryResult{}
-	record := func(q tpcds.Query, r *core.JobResult) {
+	for _, q := range coordinateOrder(queries, an.JobOrder) {
+		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
+		if err != nil {
+			return nil, fmt.Errorf("bench: cloudviews %s: %w", q.Name, err)
+		}
 		results[q.ID] = TPCDSQueryResult{
 			ID:         q.ID,
 			Baseline:   baseline[q.ID],
@@ -125,25 +121,6 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 			UsedViews:  len(r.Decision.ViewsUsed),
 			BuiltViews: len(r.Decision.ViewsBuilt),
 		}
-	}
-	for _, q := range order[:builders] {
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
-		if err != nil {
-			return nil, fmt.Errorf("bench: cloudviews %s: %w", q.Name, err)
-		}
-		record(q, r)
-	}
-	rest := order[builders:]
-	restSpecs := make([]core.JobSpec, len(rest))
-	for i, q := range rest {
-		restSpecs[i] = core.JobSpec{Meta: meta(q), Root: q.Root}
-	}
-	restBatch, err := cv.RunBatch(context.Background(), restSpecs, core.BatchOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: cloudviews batch: %w", err)
-	}
-	for i, q := range rest {
-		record(q, restBatch[i])
 	}
 
 	res := &TPCDSResult{ViewsSelected: len(an.Selected)}
@@ -194,8 +171,8 @@ func coordinateOrder(queries []tpcds.Query, builderIDs []string) []tpcds.Query {
 	return out
 }
 
-// WriteTPCDS renders the Figure 13 series and aggregates.
-func WriteTPCDS(w io.Writer, r *TPCDSResult) {
+// Write renders the Figure 13 series and aggregates.
+func (r *TPCDSResult) Write(w io.Writer) {
 	t := &report.Table{Header: []string{"query", "baseline", "cloudviews", "Δ%", "used", "built"}}
 	for _, q := range r.Queries {
 		t.Add(fmt.Sprintf("q%d", q.ID), q.Baseline, q.CloudViews, q.ImprovementPct(), q.UsedViews, q.BuiltViews)

@@ -21,33 +21,39 @@ type internShard struct {
 
 var internShards [internShardCount]internShard
 
-// internShardFor picks a shard by FNV-1a over the bytes. Signature strings
-// are hex, so indexing by the first byte alone would use 16 of the shards.
-func internShardFor(b []byte) *internShard {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return &internShards[h%internShardCount]
-}
-
 // InternBytes returns the canonical string for b, allocating only the
-// first time a given value is seen. The read path does not allocate: the
-// map lookup with string(b) is recognized by the compiler.
-func InternBytes(b []byte) string {
-	sh := internShardFor(b)
+// first time a given value is seen.
+func InternBytes(b []byte) string { return intern(b) }
+
+// Intern returns the canonical instance of s, so equal signature strings
+// arriving from outside the hash path (view scans, metadata annotations)
+// share storage with computed ones.
+func Intern(s string) string { return intern(s) }
+
+// intern is both entry points' body. The shard is picked by FNV-1a over
+// the bytes: signature strings are hex, so indexing by the first byte
+// alone would use 16 of the shards. The read path does not allocate: the
+// map lookup with string(v) is recognized by the compiler. A new string
+// value is stored as string(v) — a copy of a byte slice, or the string
+// itself.
+func intern[T string | []byte](v T) string {
+	h := uint32(2166136261)
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint32(v[i])) * 16777619
+	}
+	sh := &internShards[h%internShardCount]
 	sh.mu.RLock()
-	s, ok := sh.m[string(b)]
+	s, ok := sh.m[string(v)]
 	sh.mu.RUnlock()
 	if ok {
 		return s
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if s, ok := sh.m[string(b)]; ok {
+	if s, ok := sh.m[string(v)]; ok {
 		return s
 	}
-	s = string(b)
+	s = string(v)
 	if sh.m == nil {
 		sh.m = make(map[string]string, 64)
 	}
@@ -68,33 +74,4 @@ func Hash64(s string) uint64 {
 		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
-}
-
-// Intern returns the canonical instance of s, so equal signature strings
-// arriving from outside the hash path (view scans, metadata annotations)
-// share storage with computed ones.
-func Intern(s string) string {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	sh := &internShards[h%internShardCount]
-	sh.mu.RLock()
-	c, ok := sh.m[s]
-	sh.mu.RUnlock()
-	if ok {
-		return c
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c, ok := sh.m[s]; ok {
-		return c
-	}
-	if sh.m == nil {
-		sh.m = make(map[string]string, 64)
-	}
-	if len(sh.m) < internShardCap {
-		sh.m[s] = s
-	}
-	return s
 }

@@ -10,9 +10,9 @@ import (
 // fold.go is the per-signature fold of paper §5.1's feedback loop: the
 // running statistics the analyzer renders as view candidates. The
 // repository folds every observation as it lands (see Repository.add);
-// the analyzer's windowed, scoped and estimate runs fold the window's
-// observations with the same body, so the two paths cannot drift
-// statement by statement.
+// the analyzer's windowed and scoped runs fold the window's observations
+// with the same body, so the two paths cannot drift statement by
+// statement.
 
 // SigFolds folds observations into per-signature running statistics,
 // keyed by normalized signature. Add folds occurrences in the order it is
@@ -21,7 +21,7 @@ import (
 // record-order fold of the same occurrences.
 //
 // Most signatures never recur, so a signature's first occurrence is only
-// parked (its index, cost and job) and its SigFold is allocated when a
+// parked (its index and job) and its SigFold is allocated when a
 // second one arrives. The zero value is empty and ready to use.
 type SigFolds struct {
 	// Overlaps holds the SigFold of every signature seen at least twice.
@@ -32,19 +32,17 @@ type SigFolds struct {
 
 // parkedOcc is a signature's only occurrence so far.
 type parkedOcc struct {
-	i    int
-	cost float64
-	job  int32
+	i   int
+	job int32
 }
 
-// Add folds occurrence i of obs, whose cost the caller has resolved
-// (measured or estimated) and whose job carries index job. obs must hold
+// Add folds occurrence i of obs, whose job carries index job. obs must hold
 // every occurrence already handed to fs at the same indices: a parked
 // occurrence is read back from it when its signature recurs.
-func (fs *SigFolds) Add(obs []Observation, i int, cost float64, job int32) {
+func (fs *SigFolds) Add(obs []Observation, i int, job int32) {
 	o := &obs[i]
 	if s := fs.Overlaps[o.NormSig]; s != nil {
-		s.add(o, cost, job)
+		s.add(o, job)
 		return
 	}
 	p, ok := fs.parked[o.NormSig]
@@ -52,14 +50,14 @@ func (fs *SigFolds) Add(obs []Observation, i int, cost float64, job int32) {
 		if fs.parked == nil {
 			fs.parked = map[string]parkedOcc{}
 		}
-		fs.parked[o.NormSig] = parkedOcc{i: i, cost: cost, job: job}
+		fs.parked[o.NormSig] = parkedOcc{i: i, job: job}
 		return
 	}
 	delete(fs.parked, o.NormSig)
 	first := &obs[p.i]
 	s := newSigFold(first)
-	s.add(first, p.cost, p.job)
-	s.add(o, cost, job)
+	s.add(first, p.job)
+	s.add(o, job)
 	if fs.Overlaps == nil {
 		fs.Overlaps = map[string]*SigFold{}
 	}
@@ -132,7 +130,7 @@ func newSigFold(first *Observation) *SigFold {
 }
 
 // add is the per-occurrence fold body.
-func (f *SigFold) add(o *Observation, cost float64, job int32) {
+func (f *SigFold) add(o *Observation, job int32) {
 	f.Freq++
 	f.addJob(job)
 	if len(f.Users) == 0 || o.Job.User != f.lastUser {
@@ -146,12 +144,12 @@ func (f *SigFold) add(o *Observation, cost float64, job int32) {
 		f.Templates = insertSorted(f.Templates, o.Job.TemplateID)
 		f.lastTemplate = o.Job.TemplateID
 	}
-	f.Cost += cost
+	f.Cost += o.CumulativeCost
 	f.Latency += o.Latency
 	f.Rows += float64(o.Rows)
 	f.Bytes += float64(o.Bytes)
 	if o.JobCPU > 0 {
-		f.Ratio += cost / o.JobCPU
+		f.Ratio += o.CumulativeCost / o.JobCPU
 	}
 	f.Designs.Add(o.Props)
 }

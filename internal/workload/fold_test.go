@@ -64,10 +64,11 @@ func TestSigFoldJobs(t *testing.T) {
 	obs := make([]Observation, len(jobs))
 	for i := range obs {
 		obs[i].NormSig = "s"
+		obs[i].CumulativeCost = 1
 	}
 	var fs SigFolds
 	for i, j := range jobs {
-		fs.Add(obs, i, 1, j)
+		fs.Add(obs, i, j)
 		if i == 0 && len(fs.Overlaps) != 0 {
 			t.Fatalf("a signature seen once has a fold: %+v", fs.Overlaps)
 		}

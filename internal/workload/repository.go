@@ -170,7 +170,7 @@ func (r *Repository) add(o Observation) {
 	} else {
 		r.runs = append(r.runs, Run{Instance: p.Job.Instance, Lo: i, Hi: i + 1})
 	}
-	f.Sigs.Add(r.obs, i, p.CumulativeCost, f.Jobs.Add(p))
+	f.Sigs.Add(r.obs, i, f.Jobs.Add(p))
 	for _, in := range p.Inputs {
 		if p.Job.Period > f.Periods[in] {
 			f.Periods[in] = p.Job.Period

@@ -9,10 +9,7 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/ \
-	./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
-	./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
-	./internal/workload/
+make race
 # Fuzz smokes over the seeded corpora: the columnar codec round trip (all
 # kinds, NULLs, corrupt-payload rejection), the row arena (exact-width,
 # non-overlapping rows across hinted and grown blocks) and
@@ -43,6 +40,7 @@ awk -v budget="${OBS_ALLOC_BUDGET:-5}" '
 	}
 ' "$OBS_TMP"
 rm -f "$OBS_TMP"
-# Smoke-run every benchmark once; -short skips the heavyweight runs
-# (full TPC-DS) so this finishes quickly.
+# Smoke-run every benchmark once; -short drops the largest input sizes
+# (the 500k-observation analyzer and 200k-observation append runs) so this
+# finishes quickly.
 go test -run='^$' -bench=. -benchtime=1x -short ./...
