@@ -12,7 +12,7 @@ race:
 	go test -race ./internal/core/ ./internal/exec/ ./internal/cluster/ \
 		./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
 		./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
-		./internal/workload/
+		./internal/workload/ ./internal/plan/
 
 # Long chaos soak: hundreds of concurrent jobs per round under a seeded
 # fault schedule, race detector on. CHAOS_ROUNDS scales the length.

@@ -244,7 +244,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Error("no deadline/shed failures over the whole soak — deadline path untested")
 	}
 
-	// Goroutine hygiene: every submission goroutine, DAG worker, and
+	// Goroutine hygiene: every submission goroutine, kernel worker, and
 	// context watcher must have wound down. Poll briefly — runtime
 	// bookkeeping (GC workers, finished goroutines not yet reaped) settles
 	// asynchronously.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"cloudviews/internal/analyzer"
+	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
 )
 
@@ -166,5 +168,37 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	an := s.RunAnalyzer(analyzer.Config{MinFrequency: 2, TopK: 1})
 	if len(an.Selected) == 0 {
 		t.Error("analyzer found nothing in concurrently recorded history")
+	}
+}
+
+// TestConcurrentRunsShareOnePlan runs one plan object from two goroutines
+// at once on a service with reuse off, so neither job clones it: both
+// executors read the same nodes. Plan nodes must be safe for concurrent
+// readers (run under -race; `make race` does).
+func TestConcurrentRunsShareOnePlan(t *testing.T) {
+	cat := catalog.New()
+	deliver(t, cat, 0)
+	s := NewService(cat, Config{Enabled: false})
+	spec := specA("x", 0)
+	results := make([]*JobResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job := spec
+			job.Meta.JobID = fmt.Sprintf("x%d", i)
+			results[i], errs[i] = s.Run(context.Background(), job)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if err := outputsEqual(results[0].Result, results[1].Result); err != nil {
+		t.Fatalf("two runs of one plan diverge: %v", err)
 	}
 }

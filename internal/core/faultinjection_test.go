@@ -47,9 +47,7 @@ func TestRandomFailureInjection(t *testing.T) {
 		seedHistory(t, s)
 		deliver(t, s.Catalog, 1)
 
-		// Crash the builder at a uniformly random operator position.
-		// Under the parallel scheduler *which* operator is the Nth to
-		// complete varies run to run — irrelevant here, since the
+		// Crash the builder at a uniformly random operator position: the
 		// invariants must hold no matter where the crash lands.
 		hook := &crashAtStep{failAt: int64(rng.Intn(10))}
 		s.Exec.Faults = hook

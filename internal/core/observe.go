@@ -8,8 +8,7 @@
 // one-object-implements-all-seams shape as fault.Injector. Metrics are
 // bumped synchronously at each hook; traces are assembled per job by the
 // submitting goroutine from simulated quantities only, so a fixed-seed
-// run exports byte-identical trace JSON whether the executor ran the
-// plan serially or on the parallel DAG scheduler.
+// run exports byte-identical trace JSON every time.
 package core
 
 import (
@@ -17,7 +16,6 @@ import (
 	"errors"
 	"sort"
 	"strconv"
-	"sync"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/breaker"
@@ -171,25 +169,20 @@ func (o *Observer) breakerChange(_ string, from, to breaker.State, _ int64) {
 // vertexCollector is the per-execution-attempt executor hook: it feeds
 // vertex metrics immediately and, when the job is traced, buffers the
 // events for the submitting goroutine to attach under the attempt's
-// execute span after the executor joins. Events buffered by a failed
-// attempt are discarded — the executor stops at the first error, and
-// which sibling vertices had already completed under the DAG scheduler
-// is scheduling-dependent, so only successful attempts carry vertex
-// children (that is what keeps traces byte-deterministic across
-// execution paths).
+// execute span once the walk returns. The executor calls it on the
+// submitting goroutine, in the walk's post-order. Events buffered by a
+// failed attempt are discarded — the executor stops at the first error —
+// so only successful attempts carry vertex children.
 type vertexCollector struct {
 	o      *Observer
 	buffer bool
-	mu     sync.Mutex
 	events []exec.VertexEvent
 }
 
 func (c *vertexCollector) VertexDone(_ string, ev exec.VertexEvent) {
 	c.o.vertexMetrics(ev)
 	if c.buffer {
-		c.mu.Lock()
 		c.events = append(c.events, ev)
-		c.mu.Unlock()
 	}
 }
 

@@ -14,16 +14,14 @@ import (
 )
 
 // traceRun drives one fixed-seed faulty workload through a fresh service
-// on the requested execution path and returns every job's exported trace
-// bytes. Everything that feeds a trace is simulated (logical ticks,
-// seeded faults, simulated CPU), so two runs differing only in
-// Executor.Serial must export identical bytes.
-func traceRun(t *testing.T, serial bool) map[string][]byte {
+// and returns every job's exported trace bytes. Everything that feeds a
+// trace is simulated (logical ticks, seeded faults, simulated CPU), so two
+// runs must export identical bytes.
+func traceRun(t *testing.T) map[string][]byte {
 	t.Helper()
 	cat := catalog.New()
 	deliver(t, cat, 0)
 	s := NewService(cat, Config{Enabled: true})
-	s.Exec.Serial = serial
 	s.Sched = newSchedulerWithVC("vc1", 100)
 	s.SetObserver(s.Observer()) // rewire hooks now that Sched is attached
 	s.InstallFaults(fault.NewInjector(fault.Config{
@@ -59,23 +57,22 @@ func traceRun(t *testing.T, serial bool) map[string][]byte {
 	return out
 }
 
-// TestTraceDeterminismSerialVsDAG pins the tentpole invariant: for a
-// fixed seed, the exported trace of every job is byte-identical whether
-// the plan ran on the serial reference walk or the parallel DAG
-// scheduler.
+// TestTraceDeterminismSerialVsDAG pins the trace invariant: for a fixed
+// fault seed, two fresh services export byte-identical traces for every
+// job.
 func TestTraceDeterminismSerialVsDAG(t *testing.T) {
-	serial := traceRun(t, true)
-	dag := traceRun(t, false)
-	if len(serial) != len(dag) {
-		t.Fatalf("job count differs: serial=%d dag=%d", len(serial), len(dag))
+	first := traceRun(t)
+	second := traceRun(t)
+	if len(first) != len(second) {
+		t.Fatalf("job count differs: %d vs %d", len(first), len(second))
 	}
-	for id, sj := range serial {
-		if !bytes.Equal(sj, dag[id]) {
-			t.Errorf("trace for %s differs across execution paths\nserial: %s\ndag:    %s", id, sj, dag[id])
+	for id, fj := range first {
+		if !bytes.Equal(fj, second[id]) {
+			t.Errorf("trace for %s differs across runs\nfirst:  %s\nsecond: %s", id, fj, second[id])
 		}
 	}
 	// The reusing job's trace must carry the full span taxonomy.
-	b1 := serial["b1"]
+	b1 := first["b1"]
 	for _, want := range []string{
 		`"outcome":"ok"`, `"name":"admission"`, `"name":"optimize"`,
 		`"name":"match"`, `"name":"inject"`, `"name":"execute"`,
@@ -85,8 +82,8 @@ func TestTraceDeterminismSerialVsDAG(t *testing.T) {
 			t.Errorf("trace for b1 missing %s:\n%s", want, b1)
 		}
 	}
-	if !bytes.Contains(serial["a1"], []byte(`"name":"publish"`)) {
-		t.Errorf("builder job a1 has no publish span:\n%s", serial["a1"])
+	if !bytes.Contains(first["a1"], []byte(`"name":"publish"`)) {
+		t.Errorf("builder job a1 has no publish span:\n%s", first["a1"])
 	}
 }
 

@@ -361,8 +361,8 @@ type BatchOptions struct {
 // wins a build lock (and therefore pays materialization cost) depends on
 // scheduling, exactly as with concurrent submitters in production.
 //
-// Each job runs against a private clone of its plan, so specs may share
-// subtrees (or whole plans) with each other and with the caller.
+// Specs may share subtrees (or whole plans) with each other and with the
+// caller: no job writes to the nodes of a plan it runs.
 // Cancelling ctx stops every job still in flight. Per-job failures are
 // aggregated with errors.Join — results keeps its per-index entries, and
 // each joined error is wrapped with the batch index and job ID.
@@ -372,32 +372,24 @@ func (s *Service) RunBatch(ctx context.Context, specs []JobSpec, opts BatchOptio
 	}
 	concurrency := batchConcurrency(opts.Concurrency)
 	now := s.Clock.Now()
-	// Clone every plan up front, serially: plan nodes memoize derived
-	// state (schemas) in place, which would race if two in-flight jobs
-	// shared nodes.
-	jobs := make([]JobSpec, len(specs))
-	for i, spec := range specs {
-		spec.Root = plan.Clone(spec.Root)
-		jobs[i] = spec
-	}
-	results := make([]*JobResult, len(jobs))
-	errs := make([]error, len(jobs))
+	results := make([]*JobResult, len(specs))
+	errs := make([]error, len(specs))
 	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for i := range specs {
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = s.submitAt(ctx, jobs[i], now)
+			results[i], errs[i] = s.submitAt(ctx, specs[i], now)
 		}(i)
 	}
 	wg.Wait()
 	var joined []error
 	for i, err := range errs {
 		if err != nil {
-			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, jobs[i].Meta.JobID, err))
+			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, specs[i].Meta.JobID, err))
 		}
 	}
 	return results, errors.Join(joined...)
@@ -679,12 +671,9 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 	for _, b := range dec.ViewsBuilt {
 		intents[b.PreciseSig] = b
 	}
-	// Independent Materialize operators can seal concurrently under the
-	// parallel DAG scheduler, so the hook's bookkeeping takes its own
-	// lock. The maps are read lock-free after ex.RunCtx returns (all workers
-	// have joined by then). sealed maps precise signature → view path so
-	// lifecycle retraction can reach the file.
-	var hookMu sync.Mutex
+	// The executor calls the hook on this goroutine, in the walk's
+	// post-order. sealed maps precise signature → view path so lifecycle
+	// retraction can reach the file.
 	sealed := map[string]string{}
 	var pending []metadata.ViewInfo
 
@@ -721,18 +710,14 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 		}
 		if s.Config.LatePublish {
 			// Ablation mode: hold publication until the job completes.
-			hookMu.Lock()
 			pending = append(pending, info)
-			hookMu.Unlock()
 			return
 		}
 		// Early materialization (§6.4): consumers may use the view while
 		// this job is still running.
 		s.Meta.ReportMaterialized(info)
 		s.changes.recordBuild()
-		hookMu.Lock()
 		sealed[v.PreciseSig] = v.Path
-		hookMu.Unlock()
 	}
 
 	res, err := ex.RunCtx(ctx, root, spec.Meta.JobID, now, deadline)
@@ -765,8 +750,8 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 			}
 		}
 		// A failed attempt gets an outcome-only execute span: its buffered
-		// vertex events are discarded because which siblings had already
-		// completed is scheduling-dependent under the DAG executor.
+		// vertex events are discarded, so a trace never shows part of a
+		// failed walk.
 		tb.span("execute", float64(now), float64(now),
 			obs.A("attempt", itoa(attempt)), obs.A("error", errClass(err)))
 		return nil, err
@@ -792,10 +777,8 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 		dec.ViewsBuilt = kept
 	}
 	if tb != nil && col != nil {
-		// All executor workers have joined; col.events is read lock-free.
 		// Every quantity below is simulated (ticks, rows, simulated CPU),
-		// so the span tree is identical across serial and DAG execution —
-		// export order-normalization handles the arrival order.
+		// so the span tree is identical in every run of the same job.
 		exSpan := tb.span("execute", float64(now), float64(now)+res.Latency,
 			obs.A("attempt", itoa(attempt)))
 		matEnd := map[string]float64{}

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -202,10 +204,10 @@ func TestRangeDesignedView(t *testing.T) {
 // a pathologically skewed input: one hot join/group key concentrates ~90%
 // of 6400 rows in a single partition of 64, so one worker drags while the
 // rest finish instantly — the scheduling pattern most likely to expose an
-// order-dependent merge. Twenty parallel executions of a
+// order-dependent merge. Twenty executions of a
 // filter→join→shuffle→agg→materialize→sort pipeline must each be
-// byte-identical to the serial reference walk (Executor.Serial): ordered outputs,
-// exact TotalCPU/Latency floats, per-node Stats, and MaterializedPaths.
+// byte-identical to the first: ordered outputs, exact TotalCPU/Latency
+// floats, per-node Stats, and MaterializedPaths.
 func TestSkewStressParallelMatchesSerial(t *testing.T) {
 	const parts = 64
 	sch := data.Schema{
@@ -264,25 +266,23 @@ func TestSkewStressParallelMatchesSerial(t *testing.T) {
 	// Fresh store per run so every execution materializes (and therefore
 	// reports) the same path, rather than deduplicating against the
 	// previous run's view.
-	serRoot := build()
-	serial := serialRun(t, &Executor{Catalog: cat, Store: storage.NewStore()}, serRoot, "skew")
-	if len(serial.MaterializedPaths) != 1 || serial.MaterializedPaths[0] != path {
-		t.Fatalf("serial MaterializedPaths = %v", serial.MaterializedPaths)
-	}
-	for run := 0; run < 20; run++ {
+	run := func() (*plan.Node, *Result) {
 		root := build()
-		par, err := (&Executor{Catalog: cat, Store: storage.NewStore()}).RunCtx(context.Background(), root, "skew", 0, 0)
+		res, err := (&Executor{Catalog: cat, Store: storage.NewStore()}).RunCtx(context.Background(), root, "skew", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffResults(t, fmt.Sprintf("skew run %d", run), root, serRoot, par, serial)
-		if len(par.MaterializedPaths) != len(serial.MaterializedPaths) {
-			t.Fatalf("run %d: MaterializedPaths %v vs %v", run, par.MaterializedPaths, serial.MaterializedPaths)
-		}
-		for i := range par.MaterializedPaths {
-			if par.MaterializedPaths[i] != serial.MaterializedPaths[i] {
-				t.Fatalf("run %d: MaterializedPaths %v vs %v", run, par.MaterializedPaths, serial.MaterializedPaths)
-			}
+		return root, res
+	}
+	firstRoot, first := run()
+	if len(first.MaterializedPaths) != 1 || first.MaterializedPaths[0] != path {
+		t.Fatalf("first run MaterializedPaths = %v", first.MaterializedPaths)
+	}
+	for i := 1; i < 20; i++ {
+		root, res := run()
+		diffResults(t, fmt.Sprintf("skew run %d", i), root, firstRoot, res, first)
+		if len(res.MaterializedPaths) != 1 || res.MaterializedPaths[0] != path {
+			t.Fatalf("run %d: MaterializedPaths %v, want [%s]", i, res.MaterializedPaths, path)
 		}
 	}
 }
@@ -317,5 +317,250 @@ func TestSkewedPartitionsStraggle(t *testing.T) {
 	}
 	if lb, ls := run("balanced"), run("skewed"); ls <= lb {
 		t.Errorf("skewed latency %.1f should exceed balanced %.1f", ls, lb)
+	}
+}
+
+// TestParallelSchedulerSharedSpool covers the DAG (not tree) case: a
+// spooled subtree with two parents must execute once per walk, and two
+// fresh builds of the plan must account identically.
+func TestParallelSchedulerSharedSpool(t *testing.T) {
+	e := env(t)
+	build := func() *plan.Node {
+		shared := plan.Scan("sales", "sales-v1", salesSchema()).
+			Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1)))).
+			Spool()
+		return shared.HashAgg([]int{0}, []plan.AggSpec{{Fn: plan.AggCount, Col: 1}}).
+			HashJoin(shared, []int{0}, []int{0}).
+			Sort([]int{0}, nil).
+			Output("o")
+	}
+	rootA, rootB := build(), build()
+	first, err := e.RunCtx(context.Background(), rootA, "first", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := e.RunCtx(context.Background(), rootB, "second", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, "shared-spool", rootB, rootA, second, first)
+
+	for _, res := range []*Result{first, second} {
+		filterCount := 0
+		for n := range res.NodeStats {
+			if n.Kind == plan.OpFilter {
+				filterCount++
+			}
+		}
+		if filterCount != 1 {
+			t.Errorf("shared filter executed %d times, want 1", filterCount)
+		}
+	}
+}
+
+// diffResults compares two executions of structurally identical plans
+// bit-for-bit: ordered outputs, per-node Stats, and the TotalCPU/Latency
+// floats (the reuse validator compares them exactly). gotRoot and
+// wantRoot are the respective roots; plan.Clone preserves node order, so
+// plan.Nodes aligns the two NodeStats maps index-by-index.
+func diffResults(t *testing.T, label string, gotRoot, wantRoot *plan.Node, got, want *Result) {
+	t.Helper()
+	for name, wantRows := range want.Outputs {
+		gotRows := got.Outputs[name]
+		if len(gotRows) != len(wantRows) {
+			t.Fatalf("%s: output %q rows %d vs %d", label, name, len(gotRows), len(wantRows))
+		}
+		for i := range wantRows {
+			if data.CompareRows(gotRows[i], wantRows[i], allCols(wantRows[i]), nil) != 0 {
+				t.Fatalf("%s: output %q row %d: %v vs %v", label, name, i, gotRows[i], wantRows[i])
+			}
+		}
+	}
+	if len(got.Outputs) != len(want.Outputs) {
+		t.Fatalf("%s: output count %d vs %d", label, len(got.Outputs), len(want.Outputs))
+	}
+	if got.TotalCPU != want.TotalCPU {
+		t.Errorf("%s: TotalCPU %v vs %v", label, got.TotalCPU, want.TotalCPU)
+	}
+	if got.Latency != want.Latency {
+		t.Errorf("%s: Latency %v vs %v", label, got.Latency, want.Latency)
+	}
+	gotNodes, wantNodes := plan.Nodes(gotRoot), plan.Nodes(wantRoot)
+	if len(gotNodes) != len(wantNodes) {
+		t.Fatalf("%s: node count %d vs %d", label, len(gotNodes), len(wantNodes))
+	}
+	for i := range gotNodes {
+		gs, ws := got.NodeStats[gotNodes[i]], want.NodeStats[wantNodes[i]]
+		if gs == nil || ws == nil {
+			t.Fatalf("%s: node %d (%v) missing stats (got=%v want=%v)", label, i, gotNodes[i].Kind, gs, ws)
+		}
+		if *gs != *ws {
+			t.Errorf("%s: node %d (%v) stats %+v vs %+v", label, i, gotNodes[i].Kind, *gs, *ws)
+		}
+	}
+}
+
+// obsFunc adapts a function to ObsHook.
+type obsFunc func(VertexEvent)
+
+func (f obsFunc) VertexDone(_ string, ev VertexEvent) { f(ev) }
+
+// TestHooksArriveInPostOrder pins the contract that lets callers keep
+// their hook state unguarded: OnViewMaterialized and ObsHook.VertexDone
+// are called from the RunCtx goroutine, one at a time, in the walk's
+// post-order (plan.Nodes order). The plan has two Materialize operators in
+// independent join inputs; the hooks append to plain slices, so the race
+// detector catches any overlap.
+func TestHooksArriveInPostOrder(t *testing.T) {
+	e := env(t)
+	mat := func(n *plan.Node) *plan.Node {
+		sig := signature.Of(n)
+		return n.Materialize(storage.PathFor(sig.Precise, "hooks"), sig.Precise, sig.Normalized,
+			plan.PhysicalProps{Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0}, Count: 2}})
+	}
+	left := mat(plan.Scan("sales", "sales-v1", salesSchema()).
+		Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1)))))
+	right := mat(plan.Scan("items", "items-v1", itemSchema()))
+	root := left.HashJoin(right, []int{0}, []int{0}).Sort([]int{0}, nil).Output("o")
+
+	var views, sites []string
+	e.OnViewMaterialized = func(v *storage.View) { views = append(views, v.Path) }
+	e.Obs = obsFunc(func(ev VertexEvent) { sites = append(sites, ev.Site) })
+	if _, err := e.RunCtx(context.Background(), root, "hooks", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	var wantViews, wantSites []string
+	for i, n := range plan.Nodes(root) {
+		wantSites = append(wantSites, fmt.Sprintf("%d/%s", i, n.Kind))
+		if n.Kind == plan.OpMaterialize {
+			wantViews = append(wantViews, n.MatPath)
+		}
+	}
+	if fmt.Sprint(sites) != fmt.Sprint(wantSites) {
+		t.Errorf("VertexDone order %v, want %v", sites, wantSites)
+	}
+	if len(wantViews) != 2 || fmt.Sprint(views) != fmt.Sprint(wantViews) {
+		t.Errorf("OnViewMaterialized order %v, want %v", views, wantViews)
+	}
+}
+
+// TestViewScanConcurrentConsumers enforces the aliasing contract that
+// applyViewScan's shallow copy relies on: many consumers reading one
+// materialized view concurrently never mutate the stored rows, and each
+// gets exactly the rows a lone execution of its plan does.
+func TestViewScanConcurrentConsumers(t *testing.T) {
+	e := env(t)
+	base := plan.Scan("sales", "sales-v1", salesSchema()).
+		Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(0))))
+	sig := signature.Of(base)
+	path := storage.PathFor(sig.Precise, "builder")
+	mat := base.Materialize(path, sig.Precise, sig.Normalized, plan.PhysicalProps{
+		Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0}, Count: 4},
+	}).Output("x")
+	if _, err := e.RunCtx(context.Background(), mat, "builder", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	v, decoded, err := e.Store.ConsumeCtx(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deep snapshot of the decoded view, values included — the hot cache
+	// serves this exact decode to every consumer below, so any in-place
+	// mutation by an operator would diverge from it. Also snapshot the
+	// at-rest payload bytes.
+	snapshot := make([][]data.Row, len(decoded))
+	for i, part := range decoded {
+		snapshot[i] = make([]data.Row, len(part))
+		for j, row := range part {
+			snapshot[i][j] = append(data.Row{}, row...)
+		}
+	}
+	encSnapshot := make([][]byte, len(v.Encoded))
+	for i, b := range v.Encoded {
+		encSnapshot[i] = append([]byte(nil), b...)
+	}
+
+	// Consumers that reorder, drop, extend, and aggregate the view's rows —
+	// every operator class that could plausibly mutate input in place.
+	consumer := func(i int) *plan.Node {
+		vs := plan.ViewScan(path, base.Schema(), sig.Precise, sig.Normalized)
+		switch i % 4 {
+		case 0:
+			return vs.Sort([]int{3}, []bool{true}).Top(5).Output("o")
+		case 1:
+			return vs.Filter(expr.B(expr.OpGe, expr.C(0, "item"), expr.Lit(data.Int(7)))).Output("o")
+		case 2:
+			return vs.ShuffleHash([]int{1}, 3).
+				HashAgg([]int{1}, []plan.AggSpec{{Fn: plan.AggSum, Col: 3}}).
+				Sort([]int{0}, nil).Output("o")
+		default:
+			return vs.HashJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
+				Sort([]int{0}, nil).Output("o")
+		}
+	}
+	const consumers = 16
+	want := make([]*Result, consumers)
+	for i := range want {
+		res, err := e.RunCtx(context.Background(), consumer(i), fmt.Sprintf("ref%d", i), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	got := make([]*Result, consumers)
+	errs := make([]error, consumers)
+	var wg sync.WaitGroup
+	for i := 0; i < consumers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = e.RunCtx(context.Background(), consumer(i), fmt.Sprintf("c%d", i), 0, 0)
+		}(i)
+	}
+	wg.Wait()
+
+	for i := 0; i < consumers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("consumer %d: %v", i, errs[i])
+		}
+		a, b := got[i].Outputs["o"], want[i].Outputs["o"]
+		if len(a) != len(b) {
+			t.Fatalf("consumer %d: %d rows, want %d", i, len(a), len(b))
+		}
+		for j := range a {
+			if data.CompareRows(a[j], b[j], allCols(a[j]), nil) != 0 {
+				t.Fatalf("consumer %d row %d: %v vs %v", i, j, a[j], b[j])
+			}
+		}
+	}
+
+	// The stored view must be byte-identical to the pre-consumer snapshot:
+	// both the at-rest encoded payload and the shared decode it serves.
+	v2, decoded2, err := e.Store.ConsumeCtx(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v2.Encoded) != len(encSnapshot) {
+		t.Fatalf("view partition count changed: %d vs %d", len(v2.Encoded), len(encSnapshot))
+	}
+	for i, b := range v2.Encoded {
+		if !bytes.Equal(b, encSnapshot[i]) {
+			t.Fatalf("encoded partition %d changed", i)
+		}
+	}
+	if len(decoded2) != len(snapshot) {
+		t.Fatalf("decoded partition count changed: %d vs %d", len(decoded2), len(snapshot))
+	}
+	for i, part := range decoded2 {
+		if len(part) != len(snapshot[i]) {
+			t.Fatalf("view partition %d length changed: %d vs %d", i, len(part), len(snapshot[i]))
+		}
+		for j, row := range part {
+			if data.CompareRows(row, snapshot[i][j], allCols(row), nil) != 0 {
+				t.Fatalf("stored view mutated at partition %d row %d: %v vs %v", i, j, row, snapshot[i][j])
+			}
+		}
 	}
 }

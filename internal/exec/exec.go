@@ -7,12 +7,14 @@
 // model — the substitution for SCOPE's production cluster documented in
 // DESIGN.md. Per-operator statistics feed the CloudViews feedback loop.
 //
-// The data plane is partition-parallel: the heavy kernels (hash join,
-// hash aggregate, exchange, sort, materialize layout enforcement) fan
-// their per-partition work out through the shared bounded worker pool,
-// with deterministic merge rules so output bytes never depend on
-// scheduling (DESIGN.md §9). Simulated cost is computed from row/byte
-// counts, so real parallelism never changes the simulated figures.
+// A job's vertices run one at a time, in the depth-first post-order of
+// the plan (DESIGN.md §7). The data plane inside a vertex is
+// partition-parallel: the heavy kernels (hash join, hash aggregate,
+// exchange, sort, materialize layout enforcement) fan their per-partition
+// work out through the shared bounded worker pool, with deterministic
+// merge rules so output bytes never depend on scheduling (DESIGN.md §9).
+// Simulated cost is computed from row/byte counts, so real parallelism
+// never changes the simulated figures.
 package exec
 
 import (
@@ -22,7 +24,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
@@ -35,9 +36,9 @@ import (
 // VertexDone is consulted after each operator attempt finishes its kernel;
 // a non-nil error crashes that attempt (the vertex-retry loop decides
 // whether to re-run it). VertexDelay returns extra simulated latency for a
-// straggling vertex. Both are keyed by a scheduler-independent site string
-// ("<plan ordinal>/<op kind>") plus the attempt number, so a deterministic
-// hook makes identical decisions on the serial and parallel paths.
+// straggling vertex. Both are keyed by a site string ("<plan ordinal>/<op
+// kind>") plus the attempt number, so a deterministic hook makes identical
+// decisions in every run of the same plan.
 type FaultHook interface {
 	VertexDone(job, site string, kind plan.OpKind, attempt int) error
 	VertexDelay(job, site string, kind plan.OpKind) float64
@@ -46,17 +47,17 @@ type FaultHook interface {
 // ObsHook is the executor's observability seam (see internal/obs and the
 // core observer that implements it). VertexDone is invoked once per
 // *successful* vertex completion, after the node's stats are final, with
-// an event built entirely from deterministic simulated quantities — so a
-// collector that order-normalizes sees identical event sets on the serial
-// and DAG paths. A nil hook costs one branch per vertex.
+// an event built entirely from deterministic simulated quantities. Calls
+// arrive on the job's goroutine, one at a time, in the walk's post-order.
+// A nil hook costs one branch per vertex.
 type ObsHook interface {
 	VertexDone(job string, ev VertexEvent)
 }
 
 // VertexEvent describes one completed vertex for the observability layer.
 type VertexEvent struct {
-	// Site is the scheduler-independent vertex key "<ordinal>/<kind>";
-	// Kind the operator kind alone.
+	// Site is the vertex key "<ordinal>/<kind>"; Kind the operator kind
+	// alone.
 	Site string
 	Kind string
 	// Start and End are the vertex's simulated interval in absolute
@@ -74,9 +75,9 @@ type VertexEvent struct {
 	FaultDelay float64
 	// ViewPath is set for ViewScan and Materialize vertices. Cache is the
 	// ViewScan's deterministic cache verdict ("hit"/"miss"), precomputed
-	// at job start in plan order so it does not depend on which concurrent
-	// consumer decodes first (exact runtime hit/miss counts live in the
-	// storage layer's own hook).
+	// at job start in plan order so it does not depend on whether a
+	// concurrent job decoded the view first (exact runtime hit/miss counts
+	// live in the storage layer's own hook).
 	ViewPath string
 	Cache    string
 }
@@ -134,6 +135,8 @@ func Transient(err error) bool {
 }
 
 // Executor runs plans against a catalog of base tables and a view store.
+// RunCtx walks its plan on the calling goroutine and calls the hooks below
+// from it, one call at a time, in the walk's post-order.
 type Executor struct {
 	Catalog *catalog.Catalog
 	Store   *storage.Store
@@ -144,22 +147,16 @@ type Executor struct {
 	// the job manager reports the view while the job is still running.
 	OnViewMaterialized func(v *storage.View)
 
-	// Faults, if set, is consulted around every operator attempt on both
-	// execution paths. Production runs leave it nil.
+	// Faults, if set, is consulted around every operator attempt.
+	// Production runs leave it nil.
 	Faults FaultHook
 
-	// Obs, if set, receives one VertexEvent per successful vertex on both
-	// execution paths (see ObsHook). Nil when observability is off.
+	// Obs, if set, receives one VertexEvent per successful vertex (see
+	// ObsHook). Nil when observability is off.
 	Obs ObsHook
 
 	// Retry bounds the vertex-retry loop; the zero value means defaults.
 	Retry RetryPolicy
-
-	// Serial forces the depth-first reference walk instead of the DAG
-	// scheduler. It exists for differential tests (the serial walk is the
-	// executable spec the parallel scheduler is diffed against); fault
-	// hooks and retries run identically on both paths.
-	Serial bool
 }
 
 // Result is the outcome of one job execution.
@@ -222,29 +219,16 @@ type execState struct {
 	// vertex whose simulated completion time (now + latency) passes it
 	// fails the job with context.DeadlineExceeded in its error chain.
 	deadline int64
-	// sites maps each node to its scheduler-independent fault-site key,
-	// "<ordinal in plan.Nodes order>/<op kind>".
+	// sites maps each node to its fault-site key, "<ordinal in plan.Nodes
+	// order>/<op kind>".
 	sites map[*plan.Node]string
 	// cacheVerdict is the deterministic per-ViewScan cache attribution for
 	// observability (nil unless an ObsHook is installed): computed at job
-	// start in plan order, so it never depends on which concurrent
-	// consumer's decode raced into the hot cache first.
+	// start in plan order, so it never depends on whether a concurrent
+	// job's decode raced into the hot cache first.
 	cacheVerdict map[*plan.Node]string
-	// budget is the job's remaining retry allowance, decremented atomically
-	// by concurrent vertices.
-	budget atomic.Int64
-	// mu guards the Result fields that operators mutate directly (output
-	// sinks, materialized paths, retry counters): independent nodes may
-	// run concurrently under the DAG scheduler.
-	mu sync.Mutex
-}
-
-// noteRetry records one granted retry and its simulated backoff.
-func (st *execState) noteRetry(wait float64) {
-	st.mu.Lock()
-	st.res.Retries++
-	st.res.RetryWait += wait
-	st.mu.Unlock()
+	// budget is the job's remaining retry allowance.
+	budget int
 }
 
 // checkpoint is the authoritative cancellation check at vertex boundaries:
@@ -266,15 +250,13 @@ func (st *execState) checkpoint() error {
 // (relative to the job's submission instant st.now) lands past the job's
 // absolute deadline. Node latency is monotone up the tree (max over
 // children + own share), so "some vertex trips this" is equivalent to
-// "the root would trip this": the job's outcome is deterministic even
-// though which vertex catches it first varies under the DAG scheduler.
+// "the root would trip this".
 func (st *execState) pastDeadline(latency float64) bool {
 	return st.deadline > 0 && float64(st.now)+latency > float64(st.deadline)
 }
 
-// deadlineErr builds the deadline failure. The message deliberately names
-// only the job — never the catching vertex, which is scheduler-dependent —
-// so serial and DAG executions fail byte-identically.
+// deadlineErr builds the deadline failure. The message names only the
+// job, never the vertex that caught the overrun.
 func (st *execState) deadlineErr() error {
 	return fmt.Errorf("exec: job %s: simulated completion time passes the deadline (t=%d): %w",
 		st.job, st.deadline, context.DeadlineExceeded)
@@ -284,14 +266,14 @@ func (st *execState) deadlineErr() error {
 // tags provenance of any views materialized; now is the simulated time
 // used for view creation stamps.
 //
-// Independent subtrees execute concurrently on the shared worker pool
-// (see schedule.go) unless Serial selects the depth-first reference walk.
-// Every operator attempt flows through the vertex-retry loop (runVertex):
+// The plan is walked depth-first on the calling goroutine: each vertex
+// runs after all of its children, a shared (spooled) subtree runs once,
+// and only the kernels inside a vertex fan out to the worker pool. Every
+// operator attempt flows through the vertex-retry loop (runVertex):
 // transient failures — injected or infrastructural — re-run the vertex
-// with capped exponential backoff under a per-job budget. The kernels are
-// identical on both paths and fault sites are keyed by plan position, not
-// completion order, so serial and scheduled executions produce
-// byte-identical results even under a deterministic fault schedule.
+// with capped exponential backoff under a per-job budget. Fault sites are
+// keyed by plan position, so two runs of one plan produce byte-identical
+// results even under a deterministic fault schedule.
 //
 // ctx cancellation stops execution cooperatively — checked
 // authoritatively at every vertex boundary and polled at chunk boundaries
@@ -312,6 +294,7 @@ func (e *Executor) RunCtx(ctx context.Context, root *plan.Node, jobID string, no
 		ctx:      ctx,
 		deadline: deadline,
 		sites:    map[*plan.Node]string{},
+		budget:   e.Retry.withDefaults().JobBudget,
 	}
 	nodes := plan.Nodes(root)
 	for i, n := range nodes {
@@ -340,12 +323,7 @@ func (e *Executor) RunCtx(ctx context.Context, root *plan.Node, jobID string, no
 			seen[n.ViewPath] = true
 		}
 	}
-	st.budget.Store(int64(e.Retry.withDefaults().JobBudget))
-	if e.Serial {
-		if _, err := e.run(root, st); err != nil {
-			return nil, err
-		}
-	} else if err := e.runDAG(root, st); err != nil {
+	if _, err := e.run(root, st); err != nil {
 		return nil, err
 	}
 	// Final checkpoint: a cancel that landed inside the root vertex's
@@ -357,16 +335,17 @@ func (e *Executor) RunCtx(ctx context.Context, root *plan.Node, jobID string, no
 	// Sum exclusive costs in deterministic plan order: float addition is
 	// order-sensitive in the last bits, and reuse validation compares
 	// TotalCPU across executions exactly.
-	for _, n := range plan.Nodes(root) {
+	for _, n := range nodes {
 		st.res.TotalCPU += st.res.NodeStats[n].ExclusiveCost
 	}
 	st.res.Latency = st.res.NodeStats[root].Latency
-	// Materialization completion order varies under the parallel
-	// scheduler; report paths in a canonical order.
+	// Report paths in a canonical order rather than the walk's.
 	sort.Strings(st.res.MaterializedPaths)
 	return st.res, nil
 }
 
+// run executes n after its children, depth-first. Outputs are memoized
+// per node, so a subtree with several parents runs once.
 func (e *Executor) run(n *plan.Node, st *execState) (partitions, error) {
 	if out, ok := st.memo[n]; ok {
 		return out, nil
@@ -420,7 +399,7 @@ type vertexMeta struct {
 
 // emitVertex reports one successful vertex to the observability hook. All
 // fields derive from simulated quantities (stats, plan position, fault
-// decisions), so the event set is identical across execution paths.
+// decisions), so the events are identical in every run of the same plan.
 func (e *Executor) emitVertex(n *plan.Node, ns *Stats, childLatency float64, vm vertexMeta, st *execState) {
 	ev := VertexEvent{
 		Site:       st.sites[n],
@@ -444,13 +423,12 @@ func (e *Executor) emitVertex(n *plan.Node, ns *Stats, childLatency float64, vm 
 	e.Obs.VertexDone(st.job, ev)
 }
 
-// runVertex is the vertex-retry loop shared by the serial walk and the DAG
-// scheduler: it runs one operator attempt (kernel plus fault hook) and
-// re-runs it on transient failure, up to the policy's per-vertex attempt
-// cap and the job's shared retry budget. Retried kernels are idempotent by
-// construction — Output rewrites the same rows, Materialize deduplicates
-// through the store's first-writer-wins WriteCtx — so a retry re-runs only
-// this vertex, never its subtree. The returned vertexMeta carries the
+// runVertex is the vertex-retry loop: it runs one operator attempt
+// (kernel plus fault hook) and re-runs it on transient failure, up to the
+// policy's per-vertex attempt cap and the job's retry budget. Retried
+// kernels are idempotent by construction — Output rewrites the same rows,
+// Materialize deduplicates through the store's first-writer-wins WriteCtx
+// — so a retry re-runs only this vertex, never its subtree. The returned vertexMeta carries the
 // extra simulated latency for the node's stats (backoff waits plus
 // injected straggler delay) and its breakdown for observability; it is
 // deterministic because fault decisions are.
@@ -489,13 +467,15 @@ func (e *Executor) runVertex(n *plan.Node, in []partitions, inStats []*Stats, st
 		if cerr := st.checkpoint(); cerr != nil {
 			return nil, 0, 0, vm, cerr
 		}
-		if st.budget.Add(-1) < 0 {
+		st.budget--
+		if st.budget < 0 {
 			return nil, 0, 0, vm, fmt.Errorf("exec: vertex %s: job retry budget exhausted: %w", site, err)
 		}
 		wait := policy.Backoff(attempt)
 		vm.extra += wait
 		vm.retryWait += wait
-		st.noteRetry(wait)
+		st.res.Retries++
+		st.res.RetryWait += wait
 	}
 }
 
@@ -580,10 +560,7 @@ func (e *Executor) apply(n *plan.Node, in []partitions, inStats []*Stats, st *ex
 	case plan.OpSpool:
 		return in[0], inStats[0].Bytes, OperatorCost(n.Kind, 0, 0, 0), nil
 	case plan.OpOutput:
-		rows := in[0].flatten()
-		st.mu.Lock()
-		st.res.Outputs[n.OutputName] = rows
-		st.mu.Unlock()
+		st.res.Outputs[n.OutputName] = in[0].flatten()
 		return in[0], inStats[0].Bytes, OperatorCost(n.Kind, inStats[0].Rows, 0, 0), nil
 	case plan.OpMaterialize:
 		return e.applyMaterialize(n, in[0], inStats[0], st)
@@ -935,9 +912,7 @@ func (e *Executor) applyMaterialize(n *plan.Node, in partitions, inStats *Stats,
 	if e.OnViewMaterialized != nil {
 		e.OnViewMaterialized(v)
 	}
-	st.mu.Lock()
 	st.res.MaterializedPaths = append(st.res.MaterializedPaths, n.MatPath)
-	st.mu.Unlock()
 	return in, inStats.Bytes, cost, nil
 }
 

@@ -45,19 +45,16 @@ func TestRunCtxPreCancelled(t *testing.T) {
 }
 
 // TestRunCtxCancelMidRun: cancelling after the first vertex completes
-// stops the job cooperatively on both execution paths; the error carries
-// context.Canceled and never a partial result.
+// stops the job cooperatively; the error carries context.Canceled and
+// never a partial result.
 func TestRunCtxCancelMidRun(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		e := env(t)
-		e.Serial = serial
-		ctx, cancel := context.WithCancel(context.Background())
-		e.Faults = &cancelHook{cancel: cancel, after: 1}
-		res, err := e.RunCtx(ctx, retryPlan(), "mid", 0, 0)
-		if res != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v: want context.Canceled with nil result, got res=%v err=%v", serial, res, err)
-		}
-		cancel()
+	e := env(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Faults = &cancelHook{cancel: cancel, after: 1}
+	res, err := e.RunCtx(ctx, retryPlan(), "mid", 0, 0)
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled with nil result, got res=%v err=%v", res, err)
 	}
 }
 
@@ -106,9 +103,8 @@ func TestRunCtxCancelDoesNotBurnRetries(t *testing.T) {
 }
 
 // TestRunCtxDeadline: a deadline tighter than the plan's simulated latency
-// fails with context.DeadlineExceeded; a looser one does not. The failure
-// is identical on the serial walk and the DAG scheduler — the deadline is
-// judged on simulated time, which does not depend on the schedule.
+// fails with context.DeadlineExceeded; a looser one does not. The deadline
+// is judged on simulated time, never on wall-clock time.
 func TestRunCtxDeadline(t *testing.T) {
 	clean, err := env(t).RunCtx(context.Background(), retryPlan(), "clean", 0, 0)
 	if err != nil {
@@ -118,27 +114,19 @@ func TestRunCtxDeadline(t *testing.T) {
 		t.Fatalf("plan latency %v too small to test a deadline", clean.Latency)
 	}
 
-	var msgs [2]string
-	for i, serial := range []bool{false, true} {
-		e := env(t)
-		e.Serial = serial
-		// Deadline of 1 logical unit: the first real vertex blows it.
-		res, derr := e.RunCtx(context.Background(), retryPlan(), "tight", 0, 1)
-		if res != nil || !errors.Is(derr, context.DeadlineExceeded) {
-			t.Fatalf("serial=%v: want DeadlineExceeded, got res=%v err=%v", serial, res, derr)
-		}
-		msgs[i] = derr.Error()
-
-		// Deadline past the full latency: unaffected.
-		ok, oerr := e.RunCtx(context.Background(), retryPlan(), "loose", 0, int64(clean.Latency)+10)
-		if oerr != nil {
-			t.Fatalf("serial=%v: loose deadline failed the job: %v", serial, oerr)
-		}
-		if len(ok.Outputs["o"]) == 0 {
-			t.Fatalf("serial=%v: loose-deadline run produced no output", serial)
-		}
+	e := env(t)
+	// Deadline of 1 logical unit: the first real vertex blows it.
+	res, derr := e.RunCtx(context.Background(), retryPlan(), "tight", 0, 1)
+	if res != nil || !errors.Is(derr, context.DeadlineExceeded) {
+		t.Fatalf("want DeadlineExceeded, got res=%v err=%v", res, derr)
 	}
-	if msgs[0] != msgs[1] {
-		t.Fatalf("deadline error diverges across schedulers:\n dag:    %s\n serial: %s", msgs[0], msgs[1])
+
+	// Deadline past the full latency: unaffected.
+	ok, oerr := e.RunCtx(context.Background(), retryPlan(), "loose", 0, int64(clean.Latency)+10)
+	if oerr != nil {
+		t.Fatalf("loose deadline failed the job: %v", oerr)
+	}
+	if len(ok.Outputs["o"]) == 0 {
+		t.Fatal("loose-deadline run produced no output")
 	}
 }

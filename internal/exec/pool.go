@@ -7,8 +7,9 @@ import (
 )
 
 // pool is the package-level worker pool shared by every executor in the
-// process. Both the DAG stage scheduler (schedule.go) and per-partition
-// operator fan-out (forEachPartition) draw from the same token budget,
+// process. Per-partition kernel fan-out (parallelRange, forEachPartition)
+// is the only thing that draws from it — a job's vertices run on the
+// job's own goroutine — and every job draws from the same token budget,
 // sized to the machine, so concurrent jobs cannot multiply goroutines: a
 // 256-partition table never spawns 256 goroutines per operator, and a
 // batch of in-flight jobs shares one budget instead of stacking pools.

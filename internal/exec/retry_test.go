@@ -20,7 +20,7 @@ func (e transientErr) Transient() bool { return true }
 
 // flakyHook transiently fails the first `failures` attempts of every
 // vertex of one operator kind, then lets it pass. Attempt-keyed, so it is
-// deterministic under any scheduler.
+// deterministic.
 type flakyHook struct {
 	kind     plan.OpKind
 	failures int
@@ -128,38 +128,36 @@ func TestBackoffShape(t *testing.T) {
 	}
 }
 
-// TestFaultScheduleDeterministicAcrossSchedulers: with a seeded injector,
-// the serial reference walk and the DAG scheduler absorb the same fault
-// schedule and produce byte-identical results, stats, and retry counts —
-// the property that lets the chaos soak byte-diff against clean baselines.
+// TestFaultScheduleDeterministicAcrossSchedulers: two executors, each
+// with its own injector of the same seed, absorb the same fault schedule
+// and produce byte-identical results, stats, and retry counts — the
+// property that lets the chaos soak byte-diff against clean baselines.
 func TestFaultScheduleDeterministicAcrossSchedulers(t *testing.T) {
 	cfg := fault.Config{Seed: 1234, VertexCrash: 0.25, VertexSlow: 0.2, SlowDelay: 7}
-	run := func(serial bool) *Result {
+	run := func() *Result {
 		e := env(t)
-		e.Serial = serial
 		e.Faults = fault.NewInjector(cfg)
-		root := retryPlan()
-		res, err := e.RunCtx(context.Background(), root, "chaos", 0, 0)
+		res, err := e.RunCtx(context.Background(), retryPlan(), "chaos", 0, 0)
 		if err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+			t.Fatal(err)
 		}
 		return res
 	}
-	ser, par := run(true), run(false)
-	if ser.Retries != par.Retries {
-		t.Errorf("retries diverge: serial %d vs parallel %d", ser.Retries, par.Retries)
+	a, b := run(), run()
+	if a.Retries != b.Retries {
+		t.Errorf("retries diverge: %d vs %d", a.Retries, b.Retries)
 	}
-	if ser.RetryWait != par.RetryWait || ser.Latency != par.Latency || ser.TotalCPU != par.TotalCPU {
-		t.Errorf("accounting diverges: serial {%v %v %v} vs parallel {%v %v %v}",
-			ser.RetryWait, ser.Latency, ser.TotalCPU, par.RetryWait, par.Latency, par.TotalCPU)
+	if a.RetryWait != b.RetryWait || a.Latency != b.Latency || a.TotalCPU != b.TotalCPU {
+		t.Errorf("accounting diverges: {%v %v %v} vs {%v %v %v}",
+			a.RetryWait, a.Latency, a.TotalCPU, b.RetryWait, b.Latency, b.TotalCPU)
 	}
-	sRows, pRows := ser.Outputs["o"], par.Outputs["o"]
-	if len(sRows) != len(pRows) {
-		t.Fatalf("row counts diverge: %d vs %d", len(sRows), len(pRows))
+	aRows, bRows := a.Outputs["o"], b.Outputs["o"]
+	if len(aRows) != len(bRows) {
+		t.Fatalf("row counts diverge: %d vs %d", len(aRows), len(bRows))
 	}
-	for i := range sRows {
-		if data.CompareRows(sRows[i], pRows[i], allCols(sRows[i]), nil) != 0 {
-			t.Fatalf("row %d diverges: %v vs %v", i, sRows[i], pRows[i])
+	for i := range aRows {
+		if data.CompareRows(aRows[i], bRows[i], allCols(aRows[i]), nil) != 0 {
+			t.Fatalf("row %d diverges: %v vs %v", i, aRows[i], bRows[i])
 		}
 	}
 }

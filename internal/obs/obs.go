@@ -8,10 +8,8 @@
 // carry logical start/end ticks and string attributes (signatures, cache
 // hit/miss verdicts, breaker state, fault injections). Export is
 // order-normalized — children are sorted by (start, name, attributes)
-// before marshaling — so the JSON bytes for a fixed seed are identical
-// whether the job ran on the serial reference walk or the parallel DAG
-// scheduler, where completion order differs. Traces live in a bounded
-// TraceStore ring keyed by job ID.
+// before marshaling — so the JSON bytes for a fixed seed are identical in
+// every run. Traces live in a bounded TraceStore ring keyed by job ID.
 //
 // Metrics: a sharded registry of counters, gauges, and logical-tick
 // histograms. The per-shard instrument index is published copy-on-write

@@ -85,11 +85,11 @@ func attrKey(attrs []Attr) string {
 }
 
 // normalize sorts the span's attributes by key and its children by
-// (start, name, attributes), recursively. Child arrival order depends on
-// scheduling (vertex events complete in any order under the DAG
-// scheduler); the sort key is built only from deterministic simulated
-// quantities, so the normalized tree — and therefore the JSON export — is
-// identical across execution paths.
+// (start, name, attributes), recursively, so the export orders spans by
+// simulated time rather than by the order the pipeline added them. The
+// sort key is built only from deterministic simulated quantities, so the
+// normalized tree — and therefore the JSON export — is identical in every
+// run of the same job.
 func (s *Span) normalize() {
 	sort.SliceStable(s.Attrs, func(i, j int) bool { return s.Attrs[i].Key < s.Attrs[j].Key })
 	for _, c := range s.Children {
@@ -110,7 +110,7 @@ func (s *Span) normalize() {
 // JSON renders the trace as stable, order-normalized JSON bytes: the tree
 // is deep-copied, normalized, and marshaled by hand with shortest-round-
 // trip float formatting, so equal traces produce equal bytes — the
-// property the serial-vs-DAG determinism tests compare directly.
+// property the trace determinism tests compare directly.
 func (t *Trace) JSON() []byte {
 	root := t.Root
 	if root != nil {

@@ -5,20 +5,27 @@ import (
 	"cloudviews/internal/expr"
 )
 
+// built stamps a new node's derived schema. Builders derive it here, once,
+// so Schema never writes to a node and concurrent jobs may read one plan.
+func built(n *Node) *Node {
+	n.schema = n.deriveSchema()
+	return n
+}
+
 // Scan builds a base-table leaf. table is the logical name shared across
 // recurring instances; guid identifies the concrete data version.
 func Scan(table, guid string, schema data.Schema) *Node {
-	return &Node{Kind: OpExtract, Table: table, GUID: guid, TableSchema: schema}
+	return built(&Node{Kind: OpExtract, Table: table, GUID: guid, TableSchema: schema})
 }
 
 // Filter builds a selection over n.
 func (n *Node) Filter(pred expr.Expr) *Node {
-	return &Node{Kind: OpFilter, Children: []*Node{n}, Pred: pred}
+	return built(&Node{Kind: OpFilter, Children: []*Node{n}, Pred: pred})
 }
 
 // Project builds a projection; names and exprs are parallel.
 func (n *Node) Project(names []string, exprs []expr.Expr) *Node {
-	return &Node{Kind: OpProject, Children: []*Node{n}, Names: names, Exprs: exprs}
+	return built(&Node{Kind: OpProject, Children: []*Node{n}, Names: names, Exprs: exprs})
 }
 
 // ProjectCols projects a subset of input columns by index, preserving names.
@@ -36,35 +43,35 @@ func (n *Node) ProjectCols(cols ...int) *Node {
 // HashJoin builds an inner hash join of n (left) with right on the key
 // column indexes.
 func (n *Node) HashJoin(right *Node, leftKeys, rightKeys []int) *Node {
-	return &Node{Kind: OpHashJoin, Children: []*Node{n, right},
-		LeftKeys: leftKeys, RightKeys: rightKeys}
+	return built(&Node{Kind: OpHashJoin, Children: []*Node{n, right},
+		LeftKeys: leftKeys, RightKeys: rightKeys})
 }
 
 // MergeJoin builds an inner merge join (inputs assumed sorted on the keys).
 func (n *Node) MergeJoin(right *Node, leftKeys, rightKeys []int) *Node {
-	return &Node{Kind: OpMergeJoin, Children: []*Node{n, right},
-		LeftKeys: leftKeys, RightKeys: rightKeys}
+	return built(&Node{Kind: OpMergeJoin, Children: []*Node{n, right},
+		LeftKeys: leftKeys, RightKeys: rightKeys})
 }
 
 // HashAgg builds a hash group-by aggregation.
 func (n *Node) HashAgg(groupBy []int, aggs []AggSpec) *Node {
-	return &Node{Kind: OpHashGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs}
+	return built(&Node{Kind: OpHashGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs})
 }
 
 // StreamAgg builds a streaming group-by aggregation (input assumed sorted
 // on the group columns).
 func (n *Node) StreamAgg(groupBy []int, aggs []AggSpec) *Node {
-	return &Node{Kind: OpStreamGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs}
+	return built(&Node{Kind: OpStreamGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs})
 }
 
 // Sort builds a total sort on the key columns.
 func (n *Node) Sort(keys []int, desc []bool) *Node {
-	return &Node{Kind: OpSort, Children: []*Node{n}, SortKeys: keys, Desc: desc}
+	return built(&Node{Kind: OpSort, Children: []*Node{n}, SortKeys: keys, Desc: desc})
 }
 
 // Exchange builds a shuffle that enforces the given partitioning.
 func (n *Node) Exchange(part Partitioning) *Node {
-	return &Node{Kind: OpExchange, Children: []*Node{n}, Part: part}
+	return built(&Node{Kind: OpExchange, Children: []*Node{n}, Part: part})
 }
 
 // ShuffleHash is shorthand for a hash repartitioning exchange.
@@ -86,45 +93,45 @@ func (n *Node) RangePartition(cols []int, count int) *Node {
 
 // UnionAll concatenates n with the other inputs.
 func (n *Node) UnionAll(others ...*Node) *Node {
-	return &Node{Kind: OpUnionAll, Children: append([]*Node{n}, others...)}
+	return built(&Node{Kind: OpUnionAll, Children: append([]*Node{n}, others...)})
 }
 
 // Top keeps the first k rows (after any enclosing sort).
 func (n *Node) Top(k int64) *Node {
-	return &Node{Kind: OpTop, Children: []*Node{n}, N: k}
+	return built(&Node{Kind: OpTop, Children: []*Node{n}, N: k})
 }
 
 // Process applies a row-wise user-defined operator, appending one column.
 func (n *Node) Process(udoName, codeHash string) *Node {
-	return &Node{Kind: OpProcess, Children: []*Node{n}, UDOName: udoName, UDOCodeHash: codeHash}
+	return built(&Node{Kind: OpProcess, Children: []*Node{n}, UDOName: udoName, UDOCodeHash: codeHash})
 }
 
 // Reduce applies a group-wise user-defined operator on the group columns,
 // appending one column.
 func (n *Node) Reduce(udoName, codeHash string, groupBy []int) *Node {
-	return &Node{Kind: OpReduce, Children: []*Node{n}, UDOName: udoName,
-		UDOCodeHash: codeHash, GroupBy: groupBy}
+	return built(&Node{Kind: OpReduce, Children: []*Node{n}, UDOName: udoName,
+		UDOCodeHash: codeHash, GroupBy: groupBy})
 }
 
 // Spool marks a shared subtree that feeds multiple consumers.
 func (n *Node) Spool() *Node {
-	return &Node{Kind: OpSpool, Children: []*Node{n}}
+	return built(&Node{Kind: OpSpool, Children: []*Node{n}})
 }
 
 // Output terminates the plan with a named sink.
 func (n *Node) Output(name string) *Node {
-	return &Node{Kind: OpOutput, Children: []*Node{n}, OutputName: name}
+	return built(&Node{Kind: OpOutput, Children: []*Node{n}, OutputName: name})
 }
 
 // ViewScan builds a leaf that reads a materialized view.
 func ViewScan(path string, schema data.Schema, preciseSig, normSig string) *Node {
-	return &Node{Kind: OpViewScan, ViewPath: path, ViewSchema: schema,
-		ViewPreciseSig: preciseSig, ViewNormSig: normSig}
+	return built(&Node{Kind: OpViewScan, ViewPath: path, ViewSchema: schema,
+		ViewPreciseSig: preciseSig, ViewNormSig: normSig})
 }
 
 // Materialize wraps n so its output is also written to a view at path with
 // the given physical design.
 func (n *Node) Materialize(path, preciseSig, normSig string, props PhysicalProps) *Node {
-	return &Node{Kind: OpMaterialize, Children: []*Node{n}, MatPath: path,
-		MatPreciseSig: preciseSig, MatNormSig: normSig, MatProps: props}
+	return built(&Node{Kind: OpMaterialize, Children: []*Node{n}, MatPath: path,
+		MatPreciseSig: preciseSig, MatNormSig: normSig, MatProps: props})
 }

@@ -196,19 +196,21 @@ type Node struct {
 	MatNormSig    string
 	MatProps      PhysicalProps // physical design enforced for the view
 
-	schema data.Schema // memoized derived schema
+	schema data.Schema // derived schema, stamped by the builders (see built)
 }
 
 // Child returns the i-th input.
 func (n *Node) Child(i int) *Node { return n.Children[i] }
 
-// Schema derives (and memoizes) the output schema of the operator.
+// Schema returns the output schema of the operator: the one stamped when
+// a builder made the node, else a fresh derivation (a node written as a
+// struct literal, or a copy whose children may have changed). It never
+// writes to the node.
 func (n *Node) Schema() data.Schema {
 	if n.schema != nil {
 		return n.schema
 	}
-	n.schema = n.deriveSchema()
-	return n.schema
+	return n.deriveSchema()
 }
 
 func (n *Node) deriveSchema() data.Schema {

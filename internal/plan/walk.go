@@ -49,7 +49,6 @@ func Clone(n *Node) *Node {
 			return c
 		}
 		cp := *m
-		cp.schema = nil
 		cp.Children = make([]*Node, len(m.Children))
 		memo[m] = &cp
 		for i, ch := range m.Children {
@@ -61,13 +60,13 @@ func Clone(n *Node) *Node {
 }
 
 // CopyWithChildren returns a shallow copy of n with a freshly allocated
-// Children slice (holding the same child pointers) and a cleared schema
-// cache. It is the building block for copy-on-write rewrites: the caller
-// swaps individual children on the copy while the original node — and
-// every untouched subtree — stays shared and unmodified.
+// Children slice (holding the same child pointers). It is the building
+// block for copy-on-write rewrites: the caller swaps individual children
+// on the copy — for inputs of the same schema, which the copy keeps —
+// while the original node and every untouched subtree stay shared and
+// unmodified.
 func (n *Node) CopyWithChildren() *Node {
 	cp := *n
-	cp.schema = nil
 	cp.Children = append([]*Node(nil), n.Children...)
 	return &cp
 }
