@@ -2,8 +2,8 @@ package cloudviews
 
 // cloudviews_api_test.go pins the public API surface: the exact exported
 // method set of *Service, the absence of every deleted duplicate entry
-// point on the layers below it, and the re-exported observability symbols.
-// A re-added wrapper fails here.
+// point on the layers below it, the re-exported observability symbols, and
+// the service's settable knobs. A re-added wrapper or knob fails here.
 
 import (
 	"bytes"
@@ -103,6 +103,31 @@ func methodNames(v any) []string {
 	names := make([]string, typ.NumMethod())
 	for i := range names {
 		names[i] = typ.Method(i).Name
+	}
+	return names
+}
+
+// TestKnobSurface pins every setting a caller can turn: Config's exact
+// fields, and an Executor with nothing beyond its catalog, store and three
+// hooks. A knob exists only while a non-test caller sets it, so adding one
+// means changing this list on purpose.
+func TestKnobSurface(t *testing.T) {
+	want := []string{"Enabled", "MaxViewsPerJob", "VCEnabled", "ValidateResults", "LatePublish", "CacheBytes"}
+	if got := fieldNames(Config{}); !slices.Equal(got, want) {
+		t.Errorf("Config fields:\n got %v\nwant %v", got, want)
+	}
+	want = []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}
+	if got := fieldNames(exec.Executor{}); !slices.Equal(got, want) {
+		t.Errorf("exec.Executor fields:\n got %v\nwant %v", got, want)
+	}
+}
+
+// fieldNames lists the struct v's fields in declaration order.
+func fieldNames(v any) []string {
+	typ := reflect.TypeOf(v)
+	names := make([]string, typ.NumField())
+	for i := range names {
+		names[i] = typ.Field(i).Name
 	}
 	return names
 }

@@ -130,6 +130,9 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s.InFlight(); got != 0 {
+		t.Errorf("in-flight gauge %d after batch, want 0", got)
+	}
 
 	buildsBySig := map[string]int{}
 	refByOutput := map[string][]data.Row{}

@@ -1,7 +1,7 @@
 // lifecycle.go implements end-to-end job lifecycle control for the
 // service: typed job-failure classification (cancelled / deadline /
-// shed / dependency), admission control with bounded in-flight slots
-// and deadline-aware load shedding, and Drain for orderly shutdown.
+// shed / dependency), admission control with in-flight accounting and
+// deadline-aware load shedding, and Drain for orderly shutdown.
 //
 // Deadlines are expressed on the simulated logical clock, not wall
 // time: a job's completion time is its submission time plus simulated
@@ -34,8 +34,9 @@ const (
 	// either the queue-time estimate provably missed the deadline, or
 	// the service was draining.
 	ReasonShed
-	// ReasonDependency: a hard dependency (metadata service in strict
-	// mode) failed and could not be degraded around.
+	// ReasonDependency: a dependency's circuit breaker was open and the
+	// job could not be degraded around it (a view read short-circuited
+	// after the replan budget ran out, or with reuse off for the VC).
 	ReasonDependency
 )
 
@@ -72,65 +73,30 @@ func (e *JobError) Unwrap() error { return e.Err }
 // when the service has begun draining and no longer admits jobs.
 var ErrDraining = errors.New("core: service draining, not admitting jobs")
 
-// admission is the in-flight gate in front of submitAt: a bounded slot
-// pool (when MaxInFlight > 0) plus the draining latch Drain flips.
-// Initialization is lazy (first submission or Drain) so tests may set
-// Config.MaxInFlight any time before first use.
+// admission is the in-flight gate in front of submitAt: it counts the
+// executing submissions and holds the draining latch Drain flips. cond is
+// set by NewService and wakes Drain when the count reaches zero.
 type admission struct {
-	initOnce sync.Once
 	mu       sync.Mutex
 	cond     *sync.Cond
-	slots    chan struct{} // nil = unbounded
 	inFlight int
 	draining bool
 }
 
-func (a *admission) init(maxInFlight int) {
-	a.initOnce.Do(func() {
-		a.cond = sync.NewCond(&a.mu)
-		if maxInFlight > 0 {
-			a.slots = make(chan struct{}, maxInFlight)
-		}
-	})
-}
-
-// enter blocks until an in-flight slot is free (or ctx is done) and
-// registers the job. It fails with ErrDraining if the service is
-// draining — checked both before and after the slot wait, so a job
-// that was queued when Drain began is still turned away.
-func (a *admission) enter(ctx context.Context, maxInFlight int) error {
-	a.init(maxInFlight)
+// enter registers the job, or fails with ErrDraining if the service is
+// draining.
+func (a *admission) enter() error {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.draining {
-		a.mu.Unlock()
-		return ErrDraining
-	}
-	a.mu.Unlock()
-	if a.slots != nil {
-		select {
-		case a.slots <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	a.mu.Lock()
-	if a.draining {
-		a.mu.Unlock()
-		if a.slots != nil {
-			<-a.slots
-		}
 		return ErrDraining
 	}
 	a.inFlight++
-	a.mu.Unlock()
 	return nil
 }
 
-// exit releases the job's slot and wakes Drain when the service runs dry.
+// exit deregisters the job and wakes Drain when the service runs dry.
 func (a *admission) exit() {
-	if a.slots != nil {
-		<-a.slots
-	}
 	a.mu.Lock()
 	a.inFlight--
 	if a.inFlight == 0 {
@@ -141,7 +107,6 @@ func (a *admission) exit() {
 
 // InFlight reports how many submissions are currently executing.
 func (s *Service) InFlight() int {
-	s.admit.init(s.Config.MaxInFlight)
 	s.admit.mu.Lock()
 	defer s.admit.mu.Unlock()
 	return s.admit.inFlight
@@ -155,7 +120,6 @@ func (s *Service) InFlight() int {
 // remaining in-flight count is reported in the error.
 func (s *Service) Drain(ctx context.Context, journal io.Writer) error {
 	a := &s.admit
-	a.init(s.Config.MaxInFlight)
 	a.mu.Lock()
 	a.draining = true
 	// cond.Wait cannot watch ctx directly; mirror ctx expiry into a
@@ -184,23 +148,9 @@ func (s *Service) Drain(ctx context.Context, journal io.Writer) error {
 
 // Draining reports whether Drain has been called.
 func (s *Service) Draining() bool {
-	s.admit.init(s.Config.MaxInFlight)
 	s.admit.mu.Lock()
 	defer s.admit.mu.Unlock()
 	return s.admit.draining
-}
-
-// jobDeadline resolves a submission's absolute logical-clock deadline:
-// the explicit per-job deadline wins, else the service default (relative
-// to submission time), else none.
-func (s *Service) jobDeadline(spec JobSpec, now int64) int64 {
-	if spec.Deadline > 0 {
-		return spec.Deadline
-	}
-	if d := s.Config.DefaultDeadline; d > 0 {
-		return now + d
-	}
-	return 0
 }
 
 // lifecycleError maps an execution or admission failure onto the typed

@@ -14,7 +14,6 @@ import (
 // per-vertex and per-chunk polls have grown with it.
 func BenchmarkSubmitCancelled(b *testing.B) {
 	s := newService(b)
-	s.Config.MaxInFlight = 8
 	seedHistory(b, s)
 	deliver(b, s.Catalog, 1)
 	s.BeginInstance(1)

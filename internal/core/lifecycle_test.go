@@ -12,22 +12,25 @@ import (
 	"testing"
 	"time"
 
+	"cloudviews/internal/breaker"
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/fault"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/plan"
 )
 
-// newBreakerService builds a validating service with explicit breaker
-// parameters (threshold consecutive failures, cooldown logical seconds).
-func newBreakerService(t testing.TB, threshold int, cooldown int64) *Service {
+// newBreakerService builds a validating service whose metadata breaker
+// waits cooldown logical ticks (instead of breakerCooldown) before its
+// half-open probe. Re-installing the observer hooks the new breaker's
+// state changes into the service's counters.
+func newBreakerService(t testing.TB, cooldown int64) *Service {
 	t.Helper()
 	cat := catalog.New()
 	deliver(t, cat, 0)
-	return NewService(cat, Config{
-		Enabled: true, ValidateResults: true,
-		BreakerThreshold: threshold, BreakerCooldown: cooldown,
-	})
+	s := NewService(cat, Config{Enabled: true, ValidateResults: true})
+	s.metaBreaker = breaker.New("metadata", breakerThreshold, cooldown)
+	s.SetObserver(s.Observer())
+	return s
 }
 
 // TestShedUnmeetableDeadline: a job whose queue-time estimate provably
@@ -78,8 +81,7 @@ func TestShedUnmeetableDeadline(t *testing.T) {
 }
 
 // TestDeadlineExceededFailsJob: a deadline tighter than the job's
-// simulated latency fails execution with a ReasonDeadline JobError, and
-// Config.DefaultDeadline applies it to jobs without an explicit one.
+// simulated latency fails execution with a ReasonDeadline JobError.
 func TestDeadlineExceededFailsJob(t *testing.T) {
 	s := newService(t)
 	clean, err := s.Run(context.Background(), specA("clean", 0))
@@ -106,21 +108,6 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 	if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
 		t.Errorf("deadline-failed job left %d build locks", locks)
 	}
-
-	// DefaultDeadline covers jobs that didn't set one.
-	s.Config.DefaultDeadline = 1
-	if _, err := s.Run(context.Background(), specA("dl2", 0)); err == nil {
-		t.Fatal("DefaultDeadline=1 should fail the job")
-	} else if !errors.As(err, &je) || je.Reason != ReasonDeadline {
-		t.Fatalf("want ReasonDeadline under DefaultDeadline, got %v", err)
-	}
-	// An explicit per-job deadline overrides the default.
-	wide := specA("dl3", 0)
-	wide.Deadline = s.Clock.Now() + 1_000_000
-	if _, err := s.Run(context.Background(), wide); err != nil {
-		t.Fatalf("explicit deadline should override DefaultDeadline: %v", err)
-	}
-	s.Config.DefaultDeadline = 0
 }
 
 // sealThenCancelHook cancels the job's context the moment its Materialize
@@ -225,7 +212,7 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 	// the open phase is observable; the heal phase advances the clock
 	// explicitly to let the probe through.
 	const cooldown = 1 << 20
-	s := newBreakerService(t, 3, cooldown)
+	s := newBreakerService(t, cooldown)
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
@@ -234,7 +221,7 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 	}
 
 	s.Meta.Faults = blackout{}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		r, err := s.Run(context.Background(), specB(fmt.Sprintf("b%d", i), 1))
 		if err != nil {
 			t.Fatalf("blackout job %d must degrade, not fail: %v", i, err)
@@ -244,7 +231,7 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 		}
 	}
 	if got := s.Snapshot().Recovery.BreakerOpens; got != 1 {
-		t.Fatalf("BreakerOpens = %d after %d consecutive failures, want 1", got, 3)
+		t.Fatalf("BreakerOpens = %d after %d consecutive failures, want 1", got, breakerThreshold)
 	}
 
 	// Open breaker: the next job degrades without a metadata round trip.
@@ -283,7 +270,7 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 // TestDeadRemoteMetadataTripsBreaker: a Client pointed at a metadata
 // service that is gone reports each lookup as an error, and feeding those
 // errors to the metadata breaker the way planWithReuse does opens it after
-// defaultBreakerThreshold failures. When the client swallowed transport
+// breakerThreshold failures. When the client swallowed transport
 // errors the same sequence read as "no views" and never tripped.
 func TestDeadRemoteMetadataTripsBreaker(t *testing.T) {
 	srv := httptest.NewServer(metadata.Handler(metadata.NewService()))
@@ -292,7 +279,7 @@ func TestDeadRemoteMetadataTripsBreaker(t *testing.T) {
 
 	s := NewService(catalog.New(), Config{Enabled: true})
 	now := s.Clock.Now()
-	for i := 0; i < defaultBreakerThreshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if !s.metaBreaker.Allow(now) {
 			t.Fatalf("breaker open after only %d failures", i)
 		}
@@ -303,7 +290,7 @@ func TestDeadRemoteMetadataTripsBreaker(t *testing.T) {
 		s.metaBreaker.Observe(now, err == nil)
 	}
 	if s.metaBreaker.Allow(now) {
-		t.Fatalf("breaker still closed after %d failed remote lookups", defaultBreakerThreshold)
+		t.Fatalf("breaker still closed after %d failed remote lookups", breakerThreshold)
 	}
 	if got := s.Snapshot().Recovery.BreakerOpens; got != 1 {
 		t.Errorf("BreakerOpens = %d, want 1", got)
@@ -314,9 +301,11 @@ func TestDeadRemoteMetadataTripsBreaker(t *testing.T) {
 // store breaker (threshold below the vertex-retry cap) opens mid-job; the
 // short-circuit is not a view failure, so the job replans to its baseline
 // without quarantining the perfectly good view, and succeeds. When reads
-// heal, the half-open probe restores reuse.
+// heal and the cooldown has passed, the half-open probe restores reuse.
 func TestStoreBreakerDegradesToBaseline(t *testing.T) {
-	s := newBreakerService(t, 2, 1)
+	cat := catalog.New()
+	deliver(t, cat, 0)
+	s := NewService(cat, Config{Enabled: true, ValidateResults: true})
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
@@ -356,13 +345,44 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 		t.Errorf("view count %d after outage, want %d (view should survive)", got, viewsBefore)
 	}
 
-	// Reads healed: the probe closes the breaker and the view is reused.
+	// Reads healed: past the cooldown the probe closes the breaker and the
+	// view is reused.
+	s.Clock.AdvanceTo(s.Clock.Now() + breakerCooldown + 1)
 	rc, err := s.Run(context.Background(), specB("b2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rc.Decision.ViewsUsed) != 1 {
 		t.Errorf("reuse did not resume after reads healed: %+v", rc.Decision)
+	}
+}
+
+// TestDeadViewStoreDegradesFirstJob: on a service built with nothing but
+// Enabled, a view store whose every read fails must not fail the first job
+// that consumes a view. The store breaker has to open inside that job's
+// ViewScan retry loop, so the job replans and completes on its baseline
+// plan, and the healthy view is not quarantined.
+func TestDeadViewStoreDegradesFirstJob(t *testing.T) {
+	cat := catalog.New()
+	deliver(t, cat, 0)
+	s := NewService(cat, Config{Enabled: true, ValidateResults: true})
+	seedHistory(t, s)
+	deliver(t, s.Catalog, 1)
+	s.BeginInstance(1)
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	s.Store.Faults = fault.NewInjector(fault.Config{Seed: 42, StorageRead: 1.0})
+	r, err := s.Run(context.Background(), specB("b1", 1))
+	if err != nil {
+		t.Fatalf("first consumer of a dead view store must degrade, not fail: %v", err)
+	}
+	if r.Decision.BreakerOpen != "viewstore" || len(r.Decision.ViewsUsed) != 0 {
+		t.Errorf("decision = %+v, want the baseline plan with BreakerOpen=viewstore", r.Decision)
+	}
+	if got := s.Snapshot().Recovery.QuarantinedViews; got != 0 {
+		t.Errorf("QuarantinedViews = %d, want 0", got)
 	}
 }
 
@@ -497,51 +517,5 @@ func TestSubmitBatchAggregatesFailures(t *testing.T) {
 	}
 	if got := s.Snapshot().Recovery.Shed; got != 2 {
 		t.Errorf("Shed = %d, want 2", got)
-	}
-}
-
-// TestMaxInFlightBlocksAndReleases exercises the admission slot pool
-// directly: with one slot, a second enter blocks until exit, and a
-// cancelled waiter is turned away with its context's error.
-func TestMaxInFlightBlocksAndReleases(t *testing.T) {
-	s := newService(t)
-	s.Config.MaxInFlight = 1
-	if err := s.admit.enter(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	second := make(chan error, 1)
-	go func() { second <- s.admit.enter(context.Background(), 1) }()
-	select {
-	case err := <-second:
-		t.Fatalf("second enter should block on the full slot pool, returned %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	s.admit.exit()
-	if err := <-second; err != nil {
-		t.Fatalf("released slot should admit the waiter: %v", err)
-	}
-
-	// A waiter whose context dies while queued gets the context error.
-	ctx, cancel := context.WithCancel(context.Background())
-	waiting := make(chan error, 1)
-	go func() { waiting <- s.admit.enter(ctx, 1) }()
-	cancel()
-	if err := <-waiting; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter: want context.Canceled, got %v", err)
-	}
-	s.admit.exit()
-
-	// Functional smoke: a bounded service still completes a wide batch.
-	s2 := newService(t)
-	s2.Config.MaxInFlight = 2
-	var batch []JobSpec
-	for i := 0; i < 6; i++ {
-		batch = append(batch, specA(fmt.Sprintf("mif%d", i), 0))
-	}
-	if _, err := s2.RunBatch(context.Background(), batch, BatchOptions{Concurrency: 6}); err != nil {
-		t.Fatalf("bounded batch failed: %v", err)
-	}
-	if got := s2.InFlight(); got != 0 {
-		t.Errorf("in-flight gauge %d after batch, want 0", got)
 	}
 }

@@ -297,11 +297,8 @@ func (s *Service) SetObserver(o *Observer) {
 	if s.Sched != nil {
 		s.Sched.Obs = schedHook
 	}
-	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
-		if b != nil {
-			b.OnStateChange = brkHook
-		}
-	}
+	s.metaBreaker.OnStateChange = brkHook
+	s.storeBreaker.OnStateChange = brkHook
 }
 
 // Observer returns the installed observability layer (nil when removed).
@@ -386,9 +383,6 @@ func (s *Service) Snapshot() ServiceStats {
 		Scheduler: SchedulerStats{InFlight: s.InFlight(), Draining: s.Draining()},
 	}
 	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
-		if b == nil {
-			continue
-		}
 		opens, short := b.Opens(), b.ShortCircuits()
 		rs.BreakerOpens += opens
 		rs.BreakerShortCircuits += short

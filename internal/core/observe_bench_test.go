@@ -34,7 +34,7 @@ func benchSubmitService(b *testing.B, obs string) (*Service, JobSpec) {
 // observability levels. scripts/check.sh guards the allocs/op delta of
 // obs=off vs obs=metrics (the always-on hooks) within OBS_ALLOC_BUDGET;
 // obs=trace shows the opt-out cost of full span capture
-// (TraceCapacity: -1 turns it off).
+// (SetObserver(NewObserver(-1)) turns it off).
 func BenchmarkSubmit(b *testing.B) {
 	for _, mode := range []string{"off", "metrics", "trace"} {
 		b.Run("obs="+mode, func(b *testing.B) {

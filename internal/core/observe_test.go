@@ -187,12 +187,13 @@ func TestRecoveryStatsSnapshotConsistent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTracingDisabled: TraceCapacity < 0 turns tracing off while metrics
-// keep flowing; SetObserver(nil) strips everything.
+// TestTracingDisabled: an observer with a negative trace capacity keeps
+// metrics flowing with tracing off; SetObserver(nil) strips everything.
 func TestTracingDisabled(t *testing.T) {
 	cat := catalog.New()
 	deliver(t, cat, 0)
-	s := NewService(cat, Config{Enabled: true, TraceCapacity: -1})
+	s := NewService(cat, Config{Enabled: true})
+	s.SetObserver(NewObserver(-1))
 	if _, err := s.Run(context.Background(), specA("a0", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,8 @@ func TestTracingDisabled(t *testing.T) {
 func TestTraceCapacityEviction(t *testing.T) {
 	cat := catalog.New()
 	deliver(t, cat, 0)
-	s := NewService(cat, Config{Enabled: true, TraceCapacity: 1})
+	s := NewService(cat, Config{Enabled: true})
+	s.SetObserver(NewObserver(1))
 	for _, id := range []string{"a0", "a1"} {
 		if _, err := s.Run(context.Background(), specA(id, 0)); err != nil {
 			t.Fatal(err)

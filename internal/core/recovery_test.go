@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"strings"
 	"testing"
 
 	"cloudviews/internal/fault"
@@ -148,8 +147,7 @@ func TestMissingViewDegrades(t *testing.T) {
 }
 
 // TestMetadataBlackoutSkipsReuse: when the metadata lookup fails, the job
-// runs its original plan — counted, flagged in the decision, never fatal —
-// unless MetadataStrict demands otherwise.
+// runs its original plan — counted, flagged in the decision, never fatal.
 func TestMetadataBlackoutSkipsReuse(t *testing.T) {
 	s := newService(t)
 	seedHistory(t, s)
@@ -174,12 +172,6 @@ func TestMetadataBlackoutSkipsReuse(t *testing.T) {
 		t.Errorf("ReuseSkipped = %d, want 1", got)
 	}
 
-	// Strict mode turns the same blackout into a job error.
-	s.Config.MetadataStrict = true
-	if _, err := s.Run(context.Background(), specB("b2", 1)); err == nil || !strings.Contains(err.Error(), "metadata") {
-		t.Fatalf("strict mode should abort on blackout, got %v", err)
-	}
-	s.Config.MetadataStrict = false
 	s.Meta.Faults = nil
 
 	// Service recovered: reuse works again.

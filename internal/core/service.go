@@ -34,7 +34,10 @@ import (
 	"cloudviews/internal/workload"
 )
 
-// Config carries the service-wide CloudViews switches.
+// Config carries the service-wide CloudViews switches. Each is set by a
+// caller outside the tests, or is the paper's per-VC deployment setting;
+// the breaker, retry and trace-ring settings are fixed (breakerThreshold,
+// breakerCooldown, the executor's retry constants, NewObserver).
 type Config struct {
 	// Enabled turns computation reuse on. Off, every job runs untouched.
 	Enabled bool
@@ -54,44 +57,21 @@ type Config struct {
 	// Exists for the early-materialization ablation; production keeps
 	// early publication on.
 	LatePublish bool
-	// MetadataStrict makes metadata-service lookup failures abort the job
-	// instead of degrading to no-reuse. Off (the default) a job whose
-	// TryRelevantViews round trip fails simply runs its original plan — reuse
-	// is an optimization, never a dependency.
-	MetadataStrict bool
 	// CacheBytes sizes the storage hot-view cache (decoded partitions
 	// served zero-copy to repeat consumers). Zero keeps the store's
 	// default budget; negative disables the cache.
 	CacheBytes int64
-	// MaxInFlight bounds how many submissions may execute concurrently;
-	// excess submissions queue for a slot (respecting their context).
-	// Zero means unbounded.
-	MaxInFlight int
-	// DefaultDeadline, when positive, gives every job without an explicit
-	// JobSpec.Deadline an absolute deadline of submission time plus this
-	// many logical-clock units. Zero means jobs have no default deadline.
-	DefaultDeadline int64
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// dependency circuit breaker (metadata lookups, view-store reads).
-	// Zero selects the default (5); negative disables the breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long (logical-clock units) an open breaker
-	// waits before letting a half-open probe through. Zero selects the
-	// default (60).
-	BreakerCooldown int64
-	// TraceCapacity sizes the observability layer's per-job trace ring
-	// (how many finished job traces Service.Trace can still serve). Zero
-	// keeps the default capacity with tracing on; negative disables
-	// tracing entirely — metrics stay live (same zero-default /
-	// negative-off convention as CacheBytes).
-	TraceCapacity int
 }
 
-// Defaults for the dependency circuit breakers (Config.BreakerThreshold,
-// Config.BreakerCooldown).
+// The dependency circuit breakers' fixed settings. A breaker opens after
+// breakerThreshold consecutive failures, which is below the executor's
+// per-vertex attempt cap (4), so a dead view store opens its breaker
+// inside the first consuming job's retry loop and that job degrades to
+// its baseline plan instead of failing. An open breaker short-circuits
+// for breakerCooldown logical ticks before a half-open probe.
 const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 60
+	breakerThreshold = 3
+	breakerCooldown  = 60
 )
 
 // JobSpec is one job submission.
@@ -108,8 +88,7 @@ type JobSpec struct {
 	// Deadline is the job's absolute logical-clock deadline. A job whose
 	// simulated completion time would pass it fails with a ReasonDeadline
 	// JobError; one that provably cannot start in time is shed before
-	// execution. Zero means no explicit deadline (Config.DefaultDeadline
-	// may still apply).
+	// execution. Zero means no deadline.
 	Deadline int64
 }
 
@@ -149,9 +128,9 @@ type Service struct {
 	// after SetObserver(nil).
 	obsv *Observer
 
-	// Dependency circuit breakers (nil when Config.BreakerThreshold < 0):
-	// metaBreaker guards metadata lookups, storeBreaker guards view-store
-	// reads. Both run on the simulated clock.
+	// Dependency circuit breakers: metaBreaker guards metadata lookups,
+	// storeBreaker guards view-store reads. Both run on the simulated
+	// clock.
 	metaBreaker  *breaker.Breaker
 	storeBreaker *breaker.Breaker
 }
@@ -274,34 +253,26 @@ func NewService(cat *catalog.Catalog, cfg Config) *Service {
 		},
 		Config: cfg,
 	}
-	if cfg.BreakerThreshold >= 0 {
-		thr := cfg.BreakerThreshold
-		if thr == 0 {
-			thr = defaultBreakerThreshold
+	s.admit.cond = sync.NewCond(&s.admit.mu)
+	s.metaBreaker = breaker.New("metadata", breakerThreshold, breakerCooldown)
+	s.storeBreaker = breaker.New("viewstore", breakerThreshold, breakerCooldown)
+	// View-store reads flow through the store's admission gate: an open
+	// breaker short-circuits the read with OpenError (which the replan
+	// loop degrades around), and every real read outcome feeds the
+	// breaker.
+	st.Gate = func(string) error {
+		if !s.storeBreaker.Allow(s.Clock.Now()) {
+			return &breaker.OpenError{Dep: "viewstore"}
 		}
-		cd := cfg.BreakerCooldown
-		if cd == 0 {
-			cd = defaultBreakerCooldown
-		}
-		s.metaBreaker = breaker.New("metadata", thr, cd)
-		s.storeBreaker = breaker.New("viewstore", thr, cd)
-		// View-store reads flow through the store's admission gate: an
-		// open breaker short-circuits the read with OpenError (which the
-		// replan loop degrades around), and every real read outcome feeds
-		// the breaker.
-		st.Gate = func(string) error {
-			if !s.storeBreaker.Allow(s.Clock.Now()) {
-				return &breaker.OpenError{Dep: "viewstore"}
-			}
-			return nil
-		}
-		st.OnConsume = func(_ string, err error) {
-			s.storeBreaker.Observe(s.Clock.Now(), err == nil)
-		}
+		return nil
 	}
-	// Observability is on by default: metrics always, tracing unless
-	// Config.TraceCapacity < 0. SetObserver(nil) strips every hook.
-	s.SetObserver(NewObserver(cfg.TraceCapacity))
+	st.OnConsume = func(_ string, err error) {
+		s.storeBreaker.Observe(s.Clock.Now(), err == nil)
+	}
+	// Observability is on by default: metrics and tracing at the default
+	// trace capacity. SetObserver replaces it (NewObserver(-1) keeps
+	// metrics without tracing); SetObserver(nil) strips every hook.
+	s.SetObserver(NewObserver(0))
 	return s
 }
 
@@ -431,14 +402,13 @@ func (s *Service) submitAt(ctx context.Context, spec JobSpec, now int64) (*JobRe
 	return jr, err
 }
 
-// submitJob runs the lifecycle gauntlet in order: admission (in-flight
-// slot, draining latch), deadline resolution, deadline-aware shedding
-// against the cluster ledger, then the breaker-gated planning and
-// recovering execution pipeline. Every lifecycle failure comes back as a
+// submitJob runs the lifecycle gauntlet in order: admission (the
+// draining latch), deadline-aware shedding against the cluster ledger,
+// then the breaker-gated planning and recovering execution pipeline. Every lifecycle failure comes back as a
 // typed *JobError. tb may be nil (tracing off).
 func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *traceBuilder) (*JobResult, error) {
 	jobID := spec.Meta.JobID
-	if err := s.admit.enter(ctx, s.Config.MaxInFlight); err != nil {
+	if err := s.admit.enter(); err != nil {
 		return nil, s.lifecycleError(jobID, err)
 	}
 	defer s.admit.exit()
@@ -447,7 +417,7 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 	}
 	adm := tb.span("admission", float64(now), float64(now))
 
-	deadline := s.jobDeadline(spec, now)
+	deadline := spec.Deadline
 	if deadline > 0 && s.Sched != nil {
 		// Load shedding: if the ledger says the job cannot even start
 		// (minimum duration) before its deadline, reject it up front
@@ -467,9 +437,7 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 	jr := &JobResult{Spec: spec, Plan: spec.Root, Decision: &optimizer.Decision{}}
 
 	if s.vcEnabled(spec.Meta.VC) {
-		if err := s.planWithReuse(jr, spec, now, tb, 0); err != nil {
-			return nil, err
-		}
+		s.planWithReuse(jr, spec, now, tb, 0)
 	}
 
 	res, err := s.executeRecovering(ctx, jr, spec, now, deadline, tb)
@@ -516,16 +484,16 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 
 // planWithReuse performs the metadata lookup and reuse optimization for
 // one submission attempt, implementing the first rung of the degradation
-// ladder: when the metadata service is unreachable (and MetadataStrict is
-// off), the job simply keeps its original plan — reuse skipped, counted,
-// never fatal. Both dependency breakers gate the attempt: an open
+// ladder: when the metadata service is unreachable, the job simply keeps
+// its original plan — reuse skipped, counted, never fatal (reuse is an
+// optimization, never a dependency). Both dependency breakers gate the attempt: an open
 // view-store breaker makes selecting views pointless (reads would only
 // short-circuit), and an open metadata breaker skips the lookup without
 // touching the unhealthy service at all.
 // pass is the planning-pass number: 0 for the initial optimization, ≥ 1
 // for quarantine- or breaker-forced replans (stamped on the optimize
 // span, and the lookup child is named "re-match" instead of "match").
-func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *traceBuilder, pass int) error {
+func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *traceBuilder, pass int) {
 	tick := float64(now)
 	opt := tb.span("optimize", tick, tick)
 	matchName := "match"
@@ -535,30 +503,26 @@ func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *trac
 	}
 	// degrade keeps the job on its original plan: reuse skipped, counted
 	// (once, here; Snapshot publishes it to the registry too), never fatal.
-	degrade := func(why string, dec *optimizer.Decision) error {
+	degrade := func(why string, dec *optimizer.Decision) {
 		s.recovery.bump(func() { s.recovery.reuseSkip.Add(1) })
 		opt.Set("decision", "skip-reuse")
 		opt.Set("reason", why)
 		jr.Plan, jr.Decision, jr.AnnotationsUsed = spec.Root, dec, nil
-		return nil
 	}
-	if b := s.storeBreaker; b != nil && !b.Ready(now) {
-		return degrade("breaker-open:"+b.Name(), &optimizer.Decision{BreakerOpen: b.Name()})
+	if b := s.storeBreaker; !b.Ready(now) {
+		degrade("breaker-open:"+b.Name(), &optimizer.Decision{BreakerOpen: b.Name()})
+		return
 	}
-	if b := s.metaBreaker; b != nil && !b.Allow(now) {
-		return degrade("breaker-open:"+b.Name(), &optimizer.Decision{MetaUnavailable: true, BreakerOpen: b.Name()})
+	if b := s.metaBreaker; !b.Allow(now) {
+		degrade("breaker-open:"+b.Name(), &optimizer.Decision{MetaUnavailable: true, BreakerOpen: b.Name()})
+		return
 	}
 	anns, err := s.Meta.TryRelevantViews(spec.Meta.VC, defaultTags(spec))
-	if s.metaBreaker != nil {
-		s.metaBreaker.Observe(now, err == nil)
-	}
+	s.metaBreaker.Observe(now, err == nil)
 	if err != nil {
 		opt.Child(matchName, tick, tick, obs.A("error", "lookup-failed"))
-		if s.Config.MetadataStrict {
-			return &JobError{JobID: spec.Meta.JobID, Reason: ReasonDependency,
-				Err: fmt.Errorf("core: metadata lookup for job %s: %w", spec.Meta.JobID, err)}
-		}
-		return degrade("metadata-unavailable", &optimizer.Decision{MetaUnavailable: true})
+		degrade("metadata-unavailable", &optimizer.Decision{MetaUnavailable: true})
+		return
 	}
 	opt.Child(matchName, tick, tick, obs.A("annotations", itoa(len(anns))))
 	jr.AnnotationsUsed = annotationsSnapshot(anns)
@@ -578,7 +542,6 @@ func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *trac
 				obs.A("kind", "build"), obs.A("sig", b.PreciseSig), obs.A("path", b.Path))
 		}
 	}
-	return nil
 }
 
 // maxReplans bounds the quarantine-and-replan loop. Each round removes one
@@ -611,9 +574,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 				return nil, err
 			}
 			s.recovery.bump(func() { s.recovery.replans.Add(1) })
-			if perr := s.planWithReuse(jr, spec, now, tb, replan+1); perr != nil {
-				return nil, perr
-			}
+			s.planWithReuse(jr, spec, now, tb, replan+1)
 			continue
 		}
 		sig, path, ok := viewFailure(err, jr.Decision)
@@ -633,9 +594,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 			s.recovery.quarantined.Add(1)
 			s.recovery.replans.Add(1)
 		})
-		if err := s.planWithReuse(jr, spec, now, tb, replan+1); err != nil {
-			return nil, err
-		}
+		s.planWithReuse(jr, spec, now, tb, replan+1)
 	}
 }
 

@@ -82,47 +82,28 @@ type VertexEvent struct {
 	Cache    string
 }
 
-// RetryPolicy bounds the per-vertex retry loop. Zero values select the
-// defaults; retries apply only to transient errors (see Transient).
-type RetryPolicy struct {
-	// MaxAttempts is the per-vertex attempt cap (default 4: one run plus
-	// up to three retries).
-	MaxAttempts int
-	// JobBudget caps total retries across all vertices of one job
-	// (default 16), so a systematically failing stage cannot retry forever
-	// even with many partitioned siblings.
-	JobBudget int
-	// BaseBackoff and MaxBackoff shape the capped exponential backoff, in
-	// simulated seconds (defaults 1 and 30). Backoff is simulated time —
-	// it feeds the latency clock, never a wall-clock sleep.
-	BaseBackoff float64
-	MaxBackoff  float64
-}
+// The vertex-retry loop's bounds. Retries apply only to transient errors
+// (see Transient).
+const (
+	// maxAttempts is the per-vertex attempt cap: one run plus up to three
+	// retries.
+	maxAttempts = 4
+	// jobRetryBudget caps total retries across all vertices of one job,
+	// so a systematically failing stage cannot retry forever even with
+	// many partitioned siblings.
+	jobRetryBudget = 16
+	// baseBackoff and maxBackoff shape the capped exponential backoff, in
+	// simulated seconds. Backoff is simulated time — it feeds the latency
+	// clock, never a wall-clock sleep.
+	baseBackoff = 1
+	maxBackoff  = 30
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.JobBudget <= 0 {
-		p.JobBudget = 16
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 1
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 30
-	}
-	return p
-}
-
-// Backoff returns the simulated wait before re-running a vertex whose
-// attempt (0-based) just failed: BaseBackoff doubling per attempt, capped.
-func (p RetryPolicy) Backoff(attempt int) float64 {
-	d := p.BaseBackoff * math.Pow(2, float64(attempt))
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+// backoff returns the simulated wait before re-running a vertex whose
+// attempt (0-based) just failed: baseBackoff doubling per attempt, capped
+// at maxBackoff.
+func backoff(attempt int) float64 {
+	return math.Min(baseBackoff*math.Pow(2, float64(attempt)), maxBackoff)
 }
 
 // Transient reports whether err is marked retryable — anywhere in its
@@ -154,9 +135,6 @@ type Executor struct {
 	// Obs, if set, receives one VertexEvent per successful vertex (see
 	// ObsHook). Nil when observability is off.
 	Obs ObsHook
-
-	// Retry bounds the vertex-retry loop; the zero value means defaults.
-	Retry RetryPolicy
 }
 
 // Result is the outcome of one job execution.
@@ -294,7 +272,7 @@ func (e *Executor) RunCtx(ctx context.Context, root *plan.Node, jobID string, no
 		ctx:      ctx,
 		deadline: deadline,
 		sites:    map[*plan.Node]string{},
-		budget:   e.Retry.withDefaults().JobBudget,
+		budget:   jobRetryBudget,
 	}
 	nodes := plan.Nodes(root)
 	for i, n := range nodes {
@@ -425,7 +403,7 @@ func (e *Executor) emitVertex(n *plan.Node, ns *Stats, childLatency float64, vm 
 
 // runVertex is the vertex-retry loop: it runs one operator attempt
 // (kernel plus fault hook) and re-runs it on transient failure, up to the
-// policy's per-vertex attempt cap and the job's retry budget. Retried
+// per-vertex attempt cap and the job's retry budget. Retried
 // kernels are idempotent by construction — Output rewrites the same rows,
 // Materialize deduplicates through the store's first-writer-wins WriteCtx
 // — so a retry re-runs only this vertex, never its subtree. The returned vertexMeta carries the
@@ -433,7 +411,6 @@ func (e *Executor) emitVertex(n *plan.Node, ns *Stats, childLatency float64, vm 
 // injected straggler delay) and its breakdown for observability; it is
 // deterministic because fault decisions are.
 func (e *Executor) runVertex(n *plan.Node, in []partitions, inStats []*Stats, st *execState) (partitions, int64, float64, vertexMeta, error) {
-	policy := e.Retry.withDefaults()
 	site := st.sites[n]
 	vm := vertexMeta{}
 	// Vertex-boundary cancellation checkpoint — also the guard that keeps
@@ -459,7 +436,7 @@ func (e *Executor) runVertex(n *plan.Node, in []partitions, inStats []*Stats, st
 		if !Transient(err) {
 			return nil, 0, 0, vm, err
 		}
-		if attempt+1 >= policy.MaxAttempts {
+		if attempt+1 >= maxAttempts {
 			return nil, 0, 0, vm, fmt.Errorf("exec: vertex %s: attempts exhausted: %w", site, err)
 		}
 		// Re-check the lifecycle before burning a retry: a cancelled job
@@ -471,7 +448,7 @@ func (e *Executor) runVertex(n *plan.Node, in []partitions, inStats []*Stats, st
 		if st.budget < 0 {
 			return nil, 0, 0, vm, fmt.Errorf("exec: vertex %s: job retry budget exhausted: %w", site, err)
 		}
-		wait := policy.Backoff(attempt)
+		wait := backoff(attempt)
 		vm.extra += wait
 		vm.retryWait += wait
 		st.res.Retries++

@@ -106,12 +106,18 @@ func TestRetryAttemptsExhausted(t *testing.T) {
 
 // TestRetryJobBudget: the per-job budget caps total retries across
 // vertices even when each individual vertex would still have attempts left.
+// Six filters that each fail three times want 18 retries, each within the
+// per-vertex cap of 4 attempts, but the job's budget is 16.
 func TestRetryJobBudget(t *testing.T) {
 	e := env(t)
-	e.Retry = RetryPolicy{MaxAttempts: 4, JobBudget: 1}
-	e.Faults = &flakyHook{kind: plan.OpFilter, failures: 2}
-	defer func() { e.Faults = nil; e.Retry = RetryPolicy{} }()
-	_, err := e.RunCtx(context.Background(), retryPlan(), "budgeted", 0, 0)
+	e.Faults = &flakyHook{kind: plan.OpFilter, failures: maxAttempts - 1}
+	defer func() { e.Faults = nil }()
+	p := plan.Scan("sales", "sales-v1", salesSchema())
+	filters := jobRetryBudget/(maxAttempts-1) + 1
+	for i := 0; i < filters; i++ {
+		p = p.Filter(expr.B(expr.OpGe, expr.C(2, "qty"), expr.Lit(data.Int(int64(-i)))))
+	}
+	_, err := e.RunCtx(context.Background(), p.Output("o"), "budgeted", 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "budget exhausted") {
 		t.Fatalf("want budget-exhausted error, got %v", err)
 	}
@@ -120,10 +126,9 @@ func TestRetryJobBudget(t *testing.T) {
 // TestBackoffShape pins the capped exponential: base doubling per attempt,
 // clamped at the cap.
 func TestBackoffShape(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 1, MaxBackoff: 30}.withDefaults()
 	for i, want := range []float64{1, 2, 4, 8, 16, 30, 30} {
-		if got := p.Backoff(i); got != want {
-			t.Errorf("Backoff(%d) = %v, want %v", i, got, want)
+		if got := backoff(i); got != want {
+			t.Errorf("backoff(%d) = %v, want %v", i, got, want)
 		}
 	}
 }

@@ -32,7 +32,7 @@ type Decision struct {
 	EstimatedCost float64
 	// MetaUnavailable records that the metadata lookup failed and the job
 	// gracefully degraded to no-reuse (the frontend skipped optimization
-	// rather than aborting — see core.Config.MetadataStrict).
+	// rather than aborting: reuse is an optimization, never a dependency).
 	MetaUnavailable bool
 	// QuarantinedViews lists paths of views that failed integrity or
 	// existence checks mid-execution and were quarantined, forcing the job

@@ -2,10 +2,11 @@ package signature
 
 import "sync"
 
-// Signature strings are 32-byte hex values recomputed for every job, and
-// recurring workloads produce the same handful of strings millions of
-// times. A process-wide intern table collapses them to one allocation
-// each; sharding keeps concurrent submissions from serializing on one
+// Normalized signature strings are 32-byte hex values recomputed for every
+// job, and recurring workloads produce the same handful of them millions
+// of times. A process-wide intern table collapses them to one allocation
+// each (precise signatures change with every instance's input GUIDs, so
+// they are not interned); sharding keeps concurrent submissions from serializing on one
 // lock, and a per-shard cap bounds the table on adversarial workloads
 // (past the cap strings are returned un-interned, which is only a lost
 // optimization).

@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -31,5 +32,66 @@ func TestInternBytesHitAllocatesNothing(t *testing.T) {
 	InternBytes(b)
 	if n := testing.AllocsPerRun(100, func() { InternBytes(b) }); n != 0 {
 		t.Errorf("InternBytes hit allocated %v times, want 0", n)
+	}
+}
+
+// internEntries counts the strings the intern table holds.
+func internEntries() int {
+	n := 0
+	for i := range internShards {
+		sh := &internShards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// interned reports whether s is in the intern table.
+func interned(s string) bool {
+	for i := range internShards {
+		sh := &internShards[i]
+		sh.mu.RLock()
+		_, ok := sh.m[s]
+		sh.mu.RUnlock()
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// TestInternHoldsOnlyRecurringSignatures: over 300 recurring instances,
+// each with fresh input GUIDs, the table grows by the template's
+// normalized signatures once and then stays put; every instance gets the
+// first instance's normalized strings back, and no precise string is
+// retained.
+func TestInternHoldsOnlyRecurringSignatures(t *testing.T) {
+	const instances = 300
+	before := internEntries()
+	var first []SubgraphSig
+	for i := 0; i < instances; i++ {
+		sigs := NewComputer().AllSubgraphs(template(fmt.Sprintf("intern-guid-%d", i), int64(i)))
+		if i == 0 {
+			first = sigs
+			continue
+		}
+		for j, s := range sigs {
+			want := first[j].Sig.Normalized
+			if s.Sig.Normalized != want || unsafe.StringData(s.Sig.Normalized) != unsafe.StringData(want) {
+				t.Fatalf("instance %d subgraph %d: normalized %q is not the canonical string", i, j, s.Sig.Normalized)
+			}
+		}
+		if i == instances-1 {
+			for j, s := range sigs {
+				if interned(s.Sig.Precise) {
+					t.Errorf("subgraph %d: precise signature %q retained by the intern table", j, s.Sig.Precise)
+				}
+			}
+		}
+	}
+	if grew := internEntries() - before; grew > len(first) {
+		t.Errorf("intern table grew by %d entries over %d instances, want at most %d (one per normalized subgraph signature)",
+			grew, instances, len(first))
 	}
 }

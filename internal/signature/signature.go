@@ -37,9 +37,10 @@ func Of(n *plan.Node) Signature {
 // Computer memoizes per-node signatures so enumerating every subgraph of a
 // plan costs O(nodes), not O(nodes²). Both hashes of a node are computed
 // together in one bottom-up pass, local encodings go through a reused
-// scratch buffer instead of per-node allocations, and the resulting hex
+// scratch buffer instead of per-node allocations, and normalized hex
 // strings are interned process-wide so recurring instances share one
-// allocation. A Computer is not safe for concurrent use; create one per
+// allocation. Precise strings are not: they hash the input GUIDs, so each
+// instance's are new and would only fill the table with dead entries. A Computer is not safe for concurrent use; create one per
 // goroutine.
 type Computer struct {
 	memo map[*plan.Node]Signature
@@ -68,7 +69,7 @@ func (c *Computer) Of(n *plan.Node) Signature {
 		// A view scan *is* the computation it replaced; reuse its hash so
 		// ancestor signatures are unchanged by the rewrite.
 		s = Signature{
-			Precise:    Intern(n.ViewPreciseSig),
+			Precise:    n.ViewPreciseSig,
 			Normalized: Intern(n.ViewNormSig),
 		}
 	default:
@@ -90,7 +91,8 @@ func (c *Computer) Of(n *plan.Node) Signature {
 // memoized child hashes for one mode. The message layout (local encoding,
 // then a zero byte plus child hash per child) and the truncated-hex output
 // are a stable format: signatures persist in workload repositories and
-// metadata snapshots across versions.
+// metadata snapshots across versions. Only normalized hashes recur across
+// instances, so only they are interned.
 func (c *Computer) hashLocal(n *plan.Node, mode expr.Mode) string {
 	buf := n.AppendLocal(c.buf[:0], mode)
 	for _, ch := range n.Children {
@@ -106,6 +108,9 @@ func (c *Computer) hashLocal(n *plan.Node, mode expr.Mode) string {
 	sum := sha256.Sum256(buf)
 	var hexSum [2 * sha256.Size]byte
 	hex.Encode(hexSum[:], sum[:])
+	if mode == expr.Precise {
+		return string(hexSum[:32])
+	}
 	return InternBytes(hexSum[:32])
 }
 

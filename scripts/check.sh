@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, build, tests, the race detector on
-# every concurrent package, fuzz smokes, the chaos soak, the observability
-# allocation guard, and a 1-iteration smoke of every benchmark.
+# every concurrent package (which includes the chaos soak at its default
+# length), fuzz smokes, the observability allocation guard, and a
+# 1-iteration smoke of every benchmark.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -18,11 +19,6 @@ make race
 go test -run='^$' -fuzz='^FuzzColencRoundTrip$' -fuzztime=10s ./internal/data/colenc/
 go test -run='^$' -fuzz='^FuzzRowArena$' -fuzztime=10s ./internal/data/
 go test -run='^$' -fuzz='^FuzzCompiledEval$' -fuzztime=10s ./internal/expr/
-# Chaos soak under the race detector: concurrent jobs through a seeded
-# fault schedule with per-job output validation, plus a lifecycle wave
-# (cancellations, tight deadlines) whose goroutine-leak gate covers the
-# lifecycle machinery. `make chaos` runs the long version.
-CHAOS_ROUNDS="${CHAOS_ROUNDS:-2}" go test -race -run='TestChaosSoak' -count=1 ./internal/core/
 # Observability allocation guard on the warmed submit path: obs=metrics
 # (the always-on counters) may allocate at most OBS_ALLOC_BUDGET more per
 # job than obs=off (every hook seam nil). Allocation counts are
