@@ -175,8 +175,8 @@ var NewObserver = core.NewObserver
 
 // Span is one node of a job trace (a logical-clock interval with
 // attributes and children); Trace is a job's span tree, exported as
-// stable order-normalized JSON by Trace.JSON; Metrics is the counter /
-// gauge / histogram snapshot inside ServiceStats. Traces are retrieved
+// stable order-normalized JSON by Trace.JSON; Metrics is the counter and
+// histogram snapshot inside ServiceStats. Traces are retrieved
 // with Service.Trace(jobID) and are byte-deterministic for a fixed seed
 // across serial and parallel execution.
 type (

@@ -108,26 +108,36 @@ func methodNames(v any) []string {
 }
 
 // TestKnobSurface pins every setting a caller can turn: Config's exact
-// fields, and an Executor with nothing beyond its catalog, store and three
-// hooks. A knob exists only while a non-test caller sets it, so adding one
-// means changing this list on purpose.
+// fields, a JobSpec that carries only the job and its deadline, a Service
+// whose exported fields are its components and Config, and an Executor
+// with nothing beyond its catalog, store and three hooks. A knob exists
+// only while a non-test caller sets it, so adding one means changing
+// this list on purpose.
 func TestKnobSurface(t *testing.T) {
-	want := []string{"Enabled", "MaxViewsPerJob", "VCEnabled", "ValidateResults", "LatePublish", "CacheBytes"}
-	if got := fieldNames(Config{}); !slices.Equal(got, want) {
-		t.Errorf("Config fields:\n got %v\nwant %v", got, want)
-	}
-	want = []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}
-	if got := fieldNames(exec.Executor{}); !slices.Equal(got, want) {
-		t.Errorf("exec.Executor fields:\n got %v\nwant %v", got, want)
+	for _, c := range []struct {
+		name string
+		v    any
+		want []string
+	}{
+		{"Config", Config{}, []string{"Enabled", "MaxViewsPerJob", "VCEnabled", "ValidateResults", "LatePublish", "CacheBytes"}},
+		{"JobSpec", JobSpec{}, []string{"Meta", "Root", "Tags", "Deadline"}},
+		{"Service", Service{}, []string{"Catalog", "Store", "Meta", "Repo", "Clock", "Exec", "Opt", "Config"}},
+		{"exec.Executor", exec.Executor{}, []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}},
+	} {
+		if got := fieldNames(c.v); !slices.Equal(got, c.want) {
+			t.Errorf("%s fields:\n got %v\nwant %v", c.name, got, c.want)
+		}
 	}
 }
 
-// fieldNames lists the struct v's fields in declaration order.
+// fieldNames lists the struct v's exported fields in declaration order.
 func fieldNames(v any) []string {
 	typ := reflect.TypeOf(v)
-	names := make([]string, typ.NumField())
-	for i := range names {
-		names[i] = typ.Field(i).Name
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			names = append(names, f.Name)
+		}
 	}
 	return names
 }

@@ -29,9 +29,8 @@ func chaosRounds() int {
 // TestChaosSoak drives batches of concurrent jobs through a service with a
 // randomized (but seeded, hence reproducible) fault schedule — vertex
 // crashes, slow stages, storage read/write failures, silent view
-// corruption, metadata blackouts, admission preemptions — and asserts the
-// crash invariants of TestRandomFailureInjection now under concurrency and
-// partial recovery:
+// corruption, metadata blackouts — and asserts the crash invariants of
+// TestRandomFailureInjection now under concurrency and partial recovery:
 //
 //  1. zero wrong results: every job validates byte-for-byte against a
 //     clean baseline execution (Config.ValidateResults),
@@ -61,21 +60,18 @@ func TestChaosSoak(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		s := newService(t) // ValidateResults on: every job byte-diffs vs clean baseline
-		s.Sched = newSchedulerWithVC("vc1", 64)
 		seedHistory(t, s)
 		totalJobs += 2
 
 		in := fault.NewInjector(fault.Config{
-			Seed:          int64(1000 + round),
-			VertexCrash:   0.03,
-			VertexSlow:    0.10,
-			SlowDelay:     5,
-			StorageRead:   0.03,
-			StorageWrite:  0.02,
-			CorruptWrite:  0.10,
-			MetaBlackout:  0.08,
-			AdmitDelay:    0.10,
-			AdmitDelayMax: 20,
+			Seed:         int64(1000 + round),
+			VertexCrash:  0.03,
+			VertexSlow:   0.10,
+			SlowDelay:    5,
+			StorageRead:  0.03,
+			StorageWrite: 0.02,
+			CorruptWrite: 0.10,
+			MetaBlackout: 0.08,
 		})
 		s.InstallFaults(in)
 
@@ -236,7 +232,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	// The lifecycle wave must actually have exercised the lifecycle paths:
 	// every round carries one pre-cancelled job and one unmeetable
-	// deadline (which sheds or trips mid-run depending on queue state).
+	// deadline (which trips mid-run).
 	if agg.Cancelled == 0 {
 		t.Error("no cancellations over the whole soak — cancel path untested")
 	}

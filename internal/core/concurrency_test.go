@@ -112,15 +112,14 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 }
 
 // TestSubmitBatchConcurrentSoak drives a cold batch — builders and
-// consumers racing for the build lock — through SubmitBatch with a VC
-// scheduler attached, and checks the §6.5 invariants: every job succeeds,
-// exactly one build happens per annotated signature, and every job of a
-// template produces the same rows. Run it under -race to check the whole
-// submission pipeline (repo, clock, scheduler, metadata, view store).
+// consumers racing for the build lock — through RunBatch and checks the
+// §6.5 invariants: every job succeeds, exactly one build happens per
+// annotated signature, and every job of a template produces the same
+// rows. Run it under -race to check the whole submission pipeline (repo,
+// clock, metadata, view store).
 func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	s := newService(t)
 	s.Config.ValidateResults = false
-	s.Sched = newSchedulerWithVC("vc1", 8)
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
@@ -131,7 +130,7 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.InFlight(); got != 0 {
-		t.Errorf("in-flight gauge %d after batch, want 0", got)
+		t.Errorf("in-flight count %d after batch, want 0", got)
 	}
 
 	buildsBySig := map[string]int{}

@@ -1,14 +1,15 @@
 // lifecycle.go implements end-to-end job lifecycle control for the
 // service: typed job-failure classification (cancelled / deadline /
-// shed / dependency), admission control with in-flight accounting and
-// deadline-aware load shedding, and Drain for orderly shutdown.
+// shed / dependency), admission control with in-flight accounting, and
+// Drain for orderly shutdown.
 //
 // Deadlines are expressed on the simulated logical clock, not wall
 // time: a job's completion time is its submission time plus simulated
 // latency, so whether a deadline is exceeded is a pure function of the
-// plan and the ledger — byte-deterministic across runs. Cancellation
-// uses real context.Context plumbing (the executor polls at vertex and
-// chunk boundaries), since cancellation is inherently asynchronous.
+// plan and its submission tick — byte-deterministic across runs.
+// Cancellation uses real context.Context plumbing (the executor polls at
+// vertex and chunk boundaries), since cancellation is inherently
+// asynchronous.
 package core
 
 import (
@@ -30,9 +31,8 @@ const (
 	// ReasonDeadline: the job's simulated completion time passed its
 	// logical-clock deadline.
 	ReasonDeadline
-	// ReasonShed: admission control rejected the job before execution —
-	// either the queue-time estimate provably missed the deadline, or
-	// the service was draining.
+	// ReasonShed: admission control rejected the job before execution
+	// because the service was draining.
 	ReasonShed
 	// ReasonDependency: a dependency's circuit breaker was open and the
 	// job could not be degraded around it (a view read short-circuited

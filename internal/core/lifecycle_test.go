@@ -33,53 +33,6 @@ func newBreakerService(t testing.TB, cooldown int64) *Service {
 	return s
 }
 
-// TestShedUnmeetableDeadline: a job whose queue-time estimate provably
-// misses its deadline is rejected before execution with a typed shed
-// error, and the Shed counter moves; a meetable deadline still runs.
-func TestShedUnmeetableDeadline(t *testing.T) {
-	s := newService(t)
-	s.Sched = newSchedulerWithVC("vc1", 4)
-	// Saturate the VC far past any reasonable deadline.
-	if _, err := s.Sched.Admit("vc1", 4, s.Clock.Now(), 100000); err != nil {
-		t.Fatal(err)
-	}
-	now := s.Clock.Now()
-
-	spec := specA("shed1", 0)
-	spec.Deadline = now + 10
-	res, err := s.Run(context.Background(), spec)
-	if res != nil || err == nil {
-		t.Fatalf("unmeetable deadline must shed, got res=%v err=%v", res, err)
-	}
-	var je *JobError
-	if !errors.As(err, &je) || je.Reason != ReasonShed {
-		t.Fatalf("want *JobError{ReasonShed}, got %v", err)
-	}
-	if je.JobID != "shed1" {
-		t.Errorf("JobError.JobID = %q, want shed1", je.JobID)
-	}
-	if got := s.Snapshot().Recovery.Shed; got != 1 {
-		t.Errorf("Shed = %d, want 1", got)
-	}
-	// Nothing executed: no locks, no views, no store writes.
-	if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
-		t.Errorf("shed job left %d build locks", locks)
-	}
-	if s.Store.Len() != 0 {
-		t.Errorf("shed job wrote %d views", s.Store.Len())
-	}
-
-	// A deadline past the backlog is admitted and completes.
-	ok := specA("shed2", 0)
-	ok.Deadline = now + 1000000
-	if _, err := s.Run(context.Background(), ok); err != nil {
-		t.Fatalf("meetable deadline should run: %v", err)
-	}
-	if got := s.Snapshot().Recovery.Shed; got != 1 {
-		t.Errorf("Shed moved to %d on a successful job", got)
-	}
-}
-
 // TestDeadlineExceededFailsJob: a deadline tighter than the job's
 // simulated latency fails execution with a ReasonDeadline JobError.
 func TestDeadlineExceededFailsJob(t *testing.T) {
@@ -139,7 +92,6 @@ func (h *sealThenCancelHook) VertexDelay(string, string, plan.OpKind) float64 { 
 // leaves the reuse machinery fully functional for the next submitter.
 func TestCancelMidJobRetractsEverything(t *testing.T) {
 	s := newService(t)
-	s.Sched = newSchedulerWithVC("vc1", 64)
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
@@ -168,12 +120,9 @@ func TestCancelMidJobRetractsEverything(t *testing.T) {
 		t.Errorf("Cancelled = %d, want 1", got)
 	}
 
-	// Nothing left behind: no locks, no reservations, no published views.
+	// Nothing left behind: no locks, no published views.
 	if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
 		t.Errorf("cancelled job left %d build locks", locks)
-	}
-	if live := s.Sched.LiveReservations("vc1", s.Clock.Now()); live != 0 {
-		t.Errorf("cancelled job left %d live reservations", live)
 	}
 	for _, v := range s.Meta.Views() {
 		if v.ProducerJobID == "cx1" {
@@ -404,16 +353,33 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	if !s.Draining() {
 		t.Error("service does not report draining")
 	}
-	_, err := s.Run(context.Background(), specA("d1", 0))
+	metaBefore, storeBefore := len(s.Meta.Views()), s.Store.Len()
+	res, err := s.Run(context.Background(), specA("d1", 0))
+	if res != nil || err == nil {
+		t.Fatalf("post-drain submit must be shed, got res=%v err=%v", res, err)
+	}
 	var je *JobError
 	if !errors.As(err, &je) || je.Reason != ReasonShed {
 		t.Fatalf("post-drain submit: want *JobError{ReasonShed}, got %v", err)
+	}
+	if je.JobID != "d1" {
+		t.Errorf("JobError.JobID = %q, want d1", je.JobID)
 	}
 	if !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain submit should wrap ErrDraining: %v", err)
 	}
 	if got := s.Snapshot().Recovery.Shed; got != 1 {
 		t.Errorf("Shed = %d, want 1", got)
+	}
+	// Nothing executed: no locks, no views, no store writes.
+	if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
+		t.Errorf("shed job left %d build locks", locks)
+	}
+	if got := len(s.Meta.Views()); got != metaBefore {
+		t.Errorf("shed job published: metadata views %d, want %d", got, metaBefore)
+	}
+	if got := s.Store.Len(); got != storeBefore {
+		t.Errorf("shed job wrote: store views %d, want %d", got, storeBefore)
 	}
 }
 
@@ -488,20 +454,18 @@ func TestBatchConcurrencyResolution(t *testing.T) {
 // jobs that succeeded, and the typed causes stay reachable via errors.As.
 func TestSubmitBatchAggregatesFailures(t *testing.T) {
 	s := newService(t)
-	s.Sched = newSchedulerWithVC("vc1", 4)
-	if _, err := s.Sched.Admit("vc1", 4, s.Clock.Now(), 100000); err != nil {
-		t.Fatal(err)
-	}
+	// Both failing jobs share the batch's submission tick and miss a
+	// deadline one tick past it.
 	now := s.Clock.Now()
 	ok := specA("okjob", 0)
 	bad1 := specA("badjob1", 0)
-	bad1.Deadline = now + 5
+	bad1.Deadline = now + 1
 	bad2 := specB("badjob2", 0)
-	bad2.Deadline = now + 7
+	bad2.Deadline = now + 1
 
 	results, err := s.RunBatch(context.Background(), []JobSpec{ok, bad1, bad2}, BatchOptions{Concurrency: 2})
 	if err == nil {
-		t.Fatal("batch with shed jobs returned no error")
+		t.Fatal("batch with deadline-missing jobs returned no error")
 	}
 	if results[0] == nil || results[1] != nil || results[2] != nil {
 		t.Fatalf("per-index results wrong: %v", results)
@@ -512,10 +476,10 @@ func TestSubmitBatchAggregatesFailures(t *testing.T) {
 		}
 	}
 	var je *JobError
-	if !errors.As(err, &je) || je.Reason != ReasonShed {
+	if !errors.As(err, &je) || je.Reason != ReasonDeadline {
 		t.Fatalf("typed cause lost in aggregation: %v", err)
 	}
-	if got := s.Snapshot().Recovery.Shed; got != 2 {
-		t.Errorf("Shed = %d, want 2", got)
+	if got := s.Snapshot().Recovery.DeadlineExceeded; got != 2 {
+		t.Errorf("DeadlineExceeded = %d, want 2", got)
 	}
 }

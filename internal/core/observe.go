@@ -3,10 +3,9 @@
 // versioned stats view Snapshot, and per-job trace export via Trace.
 //
 // One Observer implements every layer's observability hook (executor
-// vertices, view-store reads and writes, metadata lookups, cluster
-// admission, analyzer runs, breaker transitions) — the same
-// one-object-implements-all-seams shape as fault.Injector. Metrics are
-// bumped synchronously at each hook; traces are assembled per job by the
+// vertices, view-store reads and writes, metadata lookups, analyzer runs,
+// breaker transitions) — the same one-object-implements-all-seams shape
+// as fault.Injector. Metrics are bumped synchronously at each hook; traces are assembled per job by the
 // submitting goroutine from simulated quantities only, so a fixed-seed
 // run exports byte-identical trace JSON every time.
 package core
@@ -19,7 +18,6 @@ import (
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/breaker"
-	"cloudviews/internal/cluster"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/obs"
@@ -44,9 +42,6 @@ type Observer struct {
 	viewsWritten, encodedWritten             *obs.Counter
 	metaLookups, metaLookupErrors            *obs.Counter
 	metaAnnotations                          *obs.Counter
-	schedAdmitted                            *obs.Counter
-	schedQueueDepth                          *obs.Gauge
-	queueWait                                *obs.Histogram
 	breakerTrips, breakerCloses              *obs.Counter
 	analyzerRuns, analyzerCandidates         *obs.Counter
 	analyzerSelected                         *obs.Counter
@@ -57,7 +52,6 @@ var (
 	_ exec.ObsHook     = (*Observer)(nil)
 	_ storage.ObsHook  = (*Observer)(nil)
 	_ metadata.ObsHook = (*Observer)(nil)
-	_ cluster.ObsHook  = (*Observer)(nil)
 	_ analyzer.ObsHook = (*Observer)(nil)
 )
 
@@ -84,9 +78,6 @@ func NewObserver(traceCapacity int) *Observer {
 		metaLookups:        reg.Counter("meta.lookups"),
 		metaLookupErrors:   reg.Counter("meta.lookup_errors"),
 		metaAnnotations:    reg.Counter("meta.annotations_served"),
-		schedAdmitted:      reg.Counter("sched.admitted"),
-		schedQueueDepth:    reg.Gauge("sched.queue_depth"),
-		queueWait:          reg.Histogram("sched.queue_wait_ticks"),
 		breakerTrips:       reg.Counter("breaker.trips"),
 		breakerCloses:      reg.Counter("breaker.closes"),
 		analyzerRuns:       reg.Counter("analyzer.runs"),
@@ -139,14 +130,6 @@ func (o *Observer) LookupDone(_ string, annotations int, err error) {
 		return
 	}
 	o.metaAnnotations.Add(int64(annotations))
-}
-
-// Admitted implements cluster.ObsHook. Invoked under the scheduler's
-// lock, so it only touches atomics.
-func (o *Observer) Admitted(_ string, _ int, at, start int64, depth int) {
-	o.schedAdmitted.Inc()
-	o.schedQueueDepth.Set(int64(depth))
-	o.queueWait.Observe(start - at)
 }
 
 // AnalyzeDone implements analyzer.ObsHook.
@@ -271,32 +254,24 @@ func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // SetObserver replaces the service's observability layer, wiring o's
-// hooks into every layer: executor, view store, metadata service, the
-// scheduler (if one is attached), and the dependency breakers. Passing
-// nil removes every hook — the no-op baseline the overhead benchmarks
-// measure. Like InstallFaults, call it before submissions begin; hooks
-// are read without synchronization. A scheduler attached after the last
-// SetObserver call is not instrumented until SetObserver runs again
-// (NewService installs the default observer before a scheduler can
-// exist, so attach Sched, then call s.SetObserver(s.Observer())).
+// hooks into every layer: executor, view store, metadata service, and
+// the dependency breakers. Passing nil removes every hook — the no-op
+// baseline the overhead benchmarks measure. Like InstallFaults, call it
+// before submissions begin; hooks are read without synchronization.
 func (s *Service) SetObserver(o *Observer) {
 	s.obsv = o
 	var (
 		execHook  exec.ObsHook
 		storeHook storage.ObsHook
 		metaHook  metadata.ObsHook
-		schedHook cluster.ObsHook
 		brkHook   func(string, breaker.State, breaker.State, int64)
 	)
 	if o != nil {
-		execHook, storeHook, metaHook, schedHook, brkHook = o, o, o, o, o.breakerChange
+		execHook, storeHook, metaHook, brkHook = o, o, o, o.breakerChange
 	}
 	s.Exec.Obs = execHook
 	s.Store.Obs = storeHook
 	s.Meta.Obs = metaHook
-	if s.Sched != nil {
-		s.Sched.Obs = schedHook
-	}
 	s.metaBreaker.OnStateChange = brkHook
 	s.storeBreaker.OnStateChange = brkHook
 }
@@ -318,7 +293,7 @@ func (s *Service) Trace(jobID string) (*obs.Trace, bool) {
 
 // StatsSchemaVersion identifies the ServiceStats layout; consumers that
 // persist snapshots can detect layout changes across releases.
-const StatsSchemaVersion = 1
+const StatsSchemaVersion = 2
 
 // SchedulerStats is the admission-side slice of a snapshot.
 type SchedulerStats struct {

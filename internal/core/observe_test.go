@@ -22,8 +22,6 @@ func traceRun(t *testing.T) map[string][]byte {
 	cat := catalog.New()
 	deliver(t, cat, 0)
 	s := NewService(cat, Config{Enabled: true})
-	s.Sched = newSchedulerWithVC("vc1", 100)
-	s.SetObserver(s.Observer()) // rewire hooks now that Sched is attached
 	s.InstallFaults(fault.NewInjector(fault.Config{
 		Seed: 7, VertexCrash: 0.15, VertexSlow: 0.3, SlowDelay: 5,
 	}))
@@ -76,7 +74,7 @@ func TestTraceDeterminismSerialVsDAG(t *testing.T) {
 	for _, want := range []string{
 		`"outcome":"ok"`, `"name":"admission"`, `"name":"optimize"`,
 		`"name":"match"`, `"name":"inject"`, `"name":"execute"`,
-		`"name":"schedule"`, `"name":"storage.decode"`, `"cache":`,
+		`"name":"storage.decode"`, `"cache":`,
 	} {
 		if !bytes.Contains(b1, []byte(want)) {
 			t.Errorf("trace for b1 missing %s:\n%s", want, b1)

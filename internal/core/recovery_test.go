@@ -189,17 +189,16 @@ type blackout struct{}
 func (blackout) Lookup(string) error { return errors.New("metadata unreachable") }
 
 // TestInstallFaultsWiresEveryLayer: one injector reaches exec, storage,
-// metadata, and the scheduler, and uninstalls cleanly.
+// and metadata, and uninstalls cleanly.
 func TestInstallFaultsWiresEveryLayer(t *testing.T) {
 	s := newService(t)
-	s.Sched = newSchedulerWithVC("vc1", 100)
 	in := fault.NewInjector(fault.Config{Seed: 1})
 	s.InstallFaults(in)
-	if s.Exec.Faults == nil || s.Store.Faults == nil || s.Meta.Faults == nil || s.Sched.Faults == nil {
+	if s.Exec.Faults == nil || s.Store.Faults == nil || s.Meta.Faults == nil {
 		t.Fatal("injector not wired into every layer")
 	}
 	s.InstallFaults(nil)
-	if s.Exec.Faults != nil || s.Store.Faults != nil || s.Meta.Faults != nil || s.Sched.Faults != nil {
+	if s.Exec.Faults != nil || s.Store.Faults != nil || s.Meta.Faults != nil {
 		t.Fatal("injector not removed from every layer")
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/breaker"
 	"cloudviews/internal/catalog"
-	"cloudviews/internal/cluster"
 	"cloudviews/internal/data"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/fault"
@@ -82,13 +81,9 @@ type JobSpec struct {
 	// Tags are the metadata-service lookup keys; when empty they default
 	// to the plan's inputs plus the template ID.
 	Tags []string
-	// Tokens is the job's VC capacity demand (used when a scheduler is
-	// attached).
-	Tokens int
 	// Deadline is the job's absolute logical-clock deadline. A job whose
 	// simulated completion time would pass it fails with a ReasonDeadline
-	// JobError; one that provably cannot start in time is shed before
-	// execution. Zero means no deadline.
+	// JobError. Zero means no deadline.
 	Deadline int64
 }
 
@@ -103,8 +98,8 @@ type JobResult struct {
 	// AnnotationsUsed preserves the annotations the optimizer saw — the
 	// "job resource" of §6.2 that makes the job reproducible via Replay.
 	AnnotationsUsed []metadata.Annotation
-	// StartTime/FinishTime are simulated times (queueing included when a
-	// scheduler is attached).
+	// StartTime is the simulated submission tick; FinishTime adds the
+	// job's simulated latency.
 	StartTime, FinishTime int64
 }
 
@@ -114,8 +109,7 @@ type Service struct {
 	Store   *storage.Store
 	Meta    *metadata.Service
 	Repo    *workload.Repository
-	Clock   *cluster.Clock
-	Sched   *cluster.Scheduler // optional; nil disables queueing
+	Clock   *Clock
 	Exec    *exec.Executor
 	Opt     *optimizer.Optimizer
 	Config  Config
@@ -148,7 +142,7 @@ type RecoveryStats struct {
 	DegradedReplans  int64
 	ReuseSkipped     int64
 	// Shed counts jobs rejected by admission control before execution
-	// (queue-time estimate past the deadline, or service draining).
+	// because the service was draining.
 	Shed int64
 	// DeadlineExceeded counts jobs that failed because their simulated
 	// completion time passed their logical-clock deadline.
@@ -204,24 +198,18 @@ type StorageStats struct {
 }
 
 // InstallFaults wires one fault injector into every layer of the service:
-// executor vertices, the view store, metadata lookups, and (when a
-// scheduler is attached) cluster admission. Passing nil removes the hooks.
+// executor vertices, the view store, and metadata lookups. Passing nil
+// removes the hooks.
 func (s *Service) InstallFaults(in *fault.Injector) {
 	if in == nil {
 		s.Exec.Faults = nil
 		s.Store.Faults = nil
 		s.Meta.Faults = nil
-		if s.Sched != nil {
-			s.Sched.Faults = nil
-		}
 		return
 	}
 	s.Exec.Faults = in
 	s.Store.Faults = in
 	s.Meta.Faults = in
-	if s.Sched != nil {
-		s.Sched.Faults = in
-	}
 }
 
 // NewService wires a complete in-process job service around a catalog.
@@ -244,7 +232,7 @@ func NewService(cat *catalog.Catalog, cfg Config) *Service {
 		Store:   st,
 		Meta:    meta,
 		Repo:    workload.NewRepository(),
-		Clock:   &cluster.Clock{},
+		Clock:   &Clock{},
 		Exec:    &exec.Executor{Catalog: cat, Store: st},
 		Opt: &optimizer.Optimizer{
 			Meta:                 meta,
@@ -304,8 +292,8 @@ func defaultTags(spec JobSpec) []string {
 // caller's context and records it in the workload repository. User plans
 // are never mutated — optimization operates on an internal clone
 // (transparency, §4). Cancelling ctx stops the job at the next vertex or
-// chunk boundary, releases its build locks and reservations, retracts any
-// views it published, and returns a ReasonCancelled JobError.
+// chunk boundary, releases its build locks, retracts any views it
+// published, and returns a ReasonCancelled JobError.
 func (s *Service) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	return s.submitAt(ctx, spec, s.Clock.Now())
 }
@@ -326,8 +314,8 @@ type BatchOptions struct {
 // other job in the batch immediately.
 //
 // All jobs share one submission timestamp (the clock at batch start),
-// modeling a concurrent arrival wave: admission queueing and lock TTLs
-// see the jobs as simultaneous, so a batch job cannot steal a build lock
+// modeling a concurrent arrival wave: deadlines and lock TTLs see the
+// jobs as simultaneous, so a batch job cannot steal a build lock
 // another batch job still holds. Outputs are deterministic; which job
 // wins a build lock (and therefore pays materialization cost) depends on
 // scheduling, exactly as with concurrent submitters in production.
@@ -403,9 +391,9 @@ func (s *Service) submitAt(ctx context.Context, spec JobSpec, now int64) (*JobRe
 }
 
 // submitJob runs the lifecycle gauntlet in order: admission (the
-// draining latch), deadline-aware shedding against the cluster ledger,
-// then the breaker-gated planning and recovering execution pipeline. Every lifecycle failure comes back as a
-// typed *JobError. tb may be nil (tracing off).
+// draining latch), then the breaker-gated planning and recovering
+// execution pipeline. Every lifecycle failure comes back as a typed
+// *JobError. tb may be nil (tracing off).
 func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *traceBuilder) (*JobResult, error) {
 	jobID := spec.Meta.JobID
 	if err := s.admit.enter(); err != nil {
@@ -415,24 +403,7 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 	if err := ctx.Err(); err != nil {
 		return nil, s.lifecycleError(jobID, err)
 	}
-	adm := tb.span("admission", float64(now), float64(now))
-
-	deadline := spec.Deadline
-	if deadline > 0 && s.Sched != nil {
-		// Load shedding: if the ledger says the job cannot even start
-		// (minimum duration) before its deadline, reject it up front
-		// rather than burn cluster work on a guaranteed deadline miss.
-		tokens := spec.Tokens
-		if tokens < 1 {
-			tokens = 1
-		}
-		if est, serr := s.Sched.EarliestStart(spec.Meta.VC, tokens, now, 1); serr == nil && est >= deadline {
-			s.recovery.bump(func() { s.recovery.shed.Add(1) })
-			adm.Set("shed", "deadline-unreachable")
-			return nil, &JobError{JobID: jobID, Reason: ReasonShed,
-				Err: fmt.Errorf("core: earliest start %d cannot meet deadline %d", est, deadline)}
-		}
-	}
+	tb.span("admission", float64(now), float64(now))
 
 	jr := &JobResult{Spec: spec, Plan: spec.Root, Decision: &optimizer.Decision{}}
 
@@ -440,28 +411,15 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 		s.planWithReuse(jr, spec, now, tb, 0)
 	}
 
-	res, err := s.executeRecovering(ctx, jr, spec, now, deadline, tb)
+	res, err := s.executeRecovering(ctx, jr, spec, now, tb)
 	if err != nil {
 		return nil, s.lifecycleError(jobID, err)
 	}
 	jr.Result = res
 	s.recovery.bump(func() { s.recovery.retries.Add(int64(res.Retries)) })
 
-	// Queueing: reserve VC capacity for the job's simulated duration.
 	jr.StartTime = now
-	if s.Sched != nil {
-		tokens := spec.Tokens
-		if tokens < 1 {
-			tokens = 1
-		}
-		start, aerr := s.Sched.Admit(spec.Meta.VC, tokens, now, int64(res.Latency)+1)
-		if aerr == nil {
-			jr.StartTime = start
-			tb.span("schedule", float64(now), float64(start),
-				obs.A("vc", spec.Meta.VC), obs.A("tokens", itoa(tokens)))
-		}
-	}
-	jr.FinishTime = jr.StartTime + int64(res.Latency)
+	jr.FinishTime = now + int64(res.Latency)
 	// The simulated clock moves with completed work, so build-lock TTLs
 	// (mined average runtimes, §6.1) expire on a meaningful timeline.
 	s.Clock.AdvanceTo(jr.FinishTime + 1)
@@ -556,10 +514,10 @@ const maxReplans = 4
 // plan, which can no longer select the quarantined view. Transient vertex
 // failures never reach this level (the executor's retry loop absorbs
 // them); permanent non-view failures propagate unchanged.
-func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec JobSpec, now, deadline int64, tb *traceBuilder) (*exec.Result, error) {
+func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec JobSpec, now int64, tb *traceBuilder) (*exec.Result, error) {
 	var quarantined []string
 	for replan := 0; ; replan++ {
-		res, err := s.execute(ctx, jr.Plan, spec, jr.Decision, now, deadline, tb, replan)
+		res, err := s.execute(ctx, jr.Plan, spec, jr.Decision, now, spec.Deadline, tb, replan)
 		if err == nil {
 			jr.Decision.QuarantinedViews = quarantined
 			return res, nil

@@ -9,7 +9,6 @@ import (
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/catalog"
-	"cloudviews/internal/cluster"
 	"cloudviews/internal/data"
 	"cloudviews/internal/expr"
 	"cloudviews/internal/plan"
@@ -86,12 +85,6 @@ func specB(job string, instance int64) JobSpec {
 			Filter(expr.B(expr.OpGt, expr.C(2, "count_action"), expr.Lit(data.Int(2)))).
 			Output("activeUsers"),
 	}
-}
-
-func newSchedulerWithVC(name string, capacity int) *cluster.Scheduler {
-	s := cluster.NewScheduler()
-	s.AddVC(name, capacity)
-	return s
 }
 
 // newService builds a validating service with one delivered instance.
@@ -379,25 +372,6 @@ func TestOfflinePhase(t *testing.T) {
 	}
 	if len(r.Decision.ViewsBuilt) != 0 {
 		t.Error("online job rebuilt an offline view")
-	}
-}
-
-func TestSchedulerQueueing(t *testing.T) {
-	s := newService(t)
-	s.Config.ValidateResults = false
-	sched := newSchedulerWithVC("vc1", 1)
-	s.Sched = sched
-	r1, err := s.Run(context.Background(), specA("q1", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Run(context.Background(), specA("q2", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.StartTime < r1.FinishTime {
-		t.Errorf("job 2 started at %d before job 1 finished at %d on a 1-token VC",
-			r2.StartTime, r1.FinishTime)
 	}
 }
 

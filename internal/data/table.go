@@ -83,15 +83,6 @@ func (t *Table) AppendHash(row Row, keys []int, rr *int) {
 	t.cachedBytes.Store(0)
 }
 
-// AllRows flattens the table into a single slice (test and report helper).
-func (t *Table) AllRows() []Row {
-	out := make([]Row, 0, t.NumRows())
-	for _, p := range t.Partitions {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // Validate checks that every row matches the schema arity and kinds
 // (NULL is allowed in any column). It returns the first violation found.
 func (t *Table) Validate() error {

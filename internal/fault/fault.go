@@ -3,11 +3,10 @@
 //
 // One Injector plugs into every layer through the small hook interfaces
 // those layers export — executor vertices (exec.FaultHook), the view store
-// (storage.FaultHook), metadata lookups (metadata.FaultHook), and cluster
-// admission (cluster.FaultHook) — and injects the fault classes production
-// analytics services treat as routine: operator crashes, storage
-// read/write errors, silent view-payload corruption, metadata-service
-// blackouts, and slow or preempted stages.
+// (storage.FaultHook), and metadata lookups (metadata.FaultHook) — and
+// injects the fault classes production analytics services treat as
+// routine: operator crashes, storage read/write errors, silent
+// view-payload corruption, metadata-service blackouts, and slow stages.
 //
 // Every decision is a pure function of (seed, fault class, site key,
 // occurrence index): no clocks, no global RNG, no dependence on goroutine
@@ -52,8 +51,6 @@ const (
 	KindCorruptWrite
 	// KindMetaBlackout fails a metadata-service lookup.
 	KindMetaBlackout
-	// KindAdmitDelay delays a job's cluster admission (preemption).
-	KindAdmitDelay
 	numKinds
 )
 
@@ -71,8 +68,6 @@ func (k Kind) String() string {
 		return "corrupt-write"
 	case KindMetaBlackout:
 		return "meta-blackout"
-	case KindAdmitDelay:
-		return "admit-delay"
 	default:
 		return fmt.Sprintf("fault(%d)", int(k))
 	}
@@ -118,10 +113,6 @@ type Config struct {
 	// MetaBlackout is the per-lookup probability the metadata service is
 	// unreachable.
 	MetaBlackout float64
-	// AdmitDelay is the per-admission probability of a preemption delay of
-	// up to AdmitDelayMax simulated seconds.
-	AdmitDelay    float64
-	AdmitDelayMax int64
 }
 
 // Counts reports how many faults of each kind actually fired.
@@ -132,7 +123,6 @@ type Counts struct {
 	StorageWrites int64
 	CorruptWrites int64
 	MetaBlackouts int64
-	AdmitDelays   int64
 }
 
 // Injector makes the fault decisions. It is safe for concurrent use by
@@ -142,8 +132,7 @@ type Injector struct {
 	fired [numKinds]atomic.Int64
 
 	// occ claims occurrence indexes for sites whose callers carry no
-	// attempt number of their own (storage paths, metadata lookups,
-	// admissions).
+	// attempt number of their own (storage paths, metadata lookups).
 	mu  sync.Mutex
 	occ map[string]uint64
 }
@@ -162,7 +151,6 @@ func (in *Injector) Counts() Counts {
 		StorageWrites: in.fired[KindStorageWrite].Load(),
 		CorruptWrites: in.fired[KindCorruptWrite].Load(),
 		MetaBlackouts: in.fired[KindMetaBlackout].Load(),
-		AdmitDelays:   in.fired[KindAdmitDelay].Load(),
 	}
 }
 
@@ -273,20 +261,4 @@ func (in *Injector) Lookup(vc string) error {
 		return &Error{Kind: KindMetaBlackout, Site: vc}
 	}
 	return nil
-}
-
-// ---- cluster.FaultHook ----------------------------------------------------
-
-// AdmitDelay implements the cluster hook: a preempted admission is pushed
-// back by a deterministic slice of AdmitDelayMax.
-func (in *Injector) AdmitDelay(vc string, at int64) int64 {
-	occ := in.next("admit|" + vc)
-	if !in.decide(KindAdmitDelay, "admit|"+vc, occ, in.cfg.AdmitDelay) {
-		return 0
-	}
-	if in.cfg.AdmitDelayMax <= 0 {
-		return 0
-	}
-	// Derive the delay magnitude from the same key material.
-	return 1 + int64((occ*2654435761)%uint64(in.cfg.AdmitDelayMax))
 }

@@ -109,9 +109,6 @@ func TestZeroConfigNeverFires(t *testing.T) {
 		if in.Lookup("vc") != nil {
 			t.Fatal("blackout fired at p=0")
 		}
-		if in.AdmitDelay("vc", 0) != 0 {
-			t.Fatal("delay fired at p=0")
-		}
 		if in.VertexDelay("j", "0/Filter", plan.OpFilter) != 0 {
 			t.Fatal("slow fired at p=0")
 		}
@@ -146,17 +143,5 @@ func TestRetryReRolls(t *testing.T) {
 	}
 	if !recoveredSomewhere {
 		t.Fatal("no site recovered on attempt 1 — retries would be futile")
-	}
-}
-
-// TestAdmitDelayBounded: injected preemption delays stay within the
-// configured cap and are non-negative.
-func TestAdmitDelayBounded(t *testing.T) {
-	in := NewInjector(Config{Seed: 5, AdmitDelay: 1, AdmitDelayMax: 40})
-	for i := 0; i < 200; i++ {
-		d := in.AdmitDelay("vc1", int64(i))
-		if d < 1 || d > 40 {
-			t.Fatalf("delay %d outside [1,40]", d)
-		}
 	}
 }

@@ -34,21 +34,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a point-in-time level that can move both ways.
-type Gauge struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (either sign).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the gauge's current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. bucket 0 holds v=0,
 // bucket i holds 2^(i-1) ≤ v < 2^i. 33 buckets cover every logical-tick
@@ -99,7 +84,6 @@ type HistogramSnapshot struct {
 // values.
 type MetricsSnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -108,7 +92,6 @@ type MetricsSnapshot struct {
 // maps lock-free.
 type instruments struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -131,7 +114,6 @@ func NewRegistry() *Registry {
 	for i := range r.shards {
 		r.shards[i].idx.Store(&instruments{
 			counters: map[string]*Counter{},
-			gauges:   map[string]*Gauge{},
 			hists:    map[string]*Histogram{},
 		})
 	}
@@ -165,7 +147,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	next := &instruments{
 		counters: make(map[string]*Counter, len(cur.counters)+1),
-		gauges:   cur.gauges,
 		hists:    cur.hists,
 	}
 	for k, v := range cur.counters {
@@ -174,32 +155,6 @@ func (r *Registry) Counter(name string) *Counter {
 	next.counters[name] = c
 	sh.idx.Store(next)
 	return c
-}
-
-// Gauge returns the named gauge, registering it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	sh := r.shardFor(name)
-	if g, ok := sh.idx.Load().gauges[name]; ok {
-		return g
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.idx.Load()
-	if g, ok := cur.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	next := &instruments{
-		counters: cur.counters,
-		gauges:   make(map[string]*Gauge, len(cur.gauges)+1),
-		hists:    cur.hists,
-	}
-	for k, v := range cur.gauges {
-		next.gauges[k] = v
-	}
-	next.gauges[name] = g
-	sh.idx.Store(next)
-	return g
 }
 
 // Histogram returns the named histogram, registering it on first use.
@@ -217,7 +172,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
 	next := &instruments{
 		counters: cur.counters,
-		gauges:   cur.gauges,
 		hists:    make(map[string]*Histogram, len(cur.hists)+1),
 	}
 	for k, v := range cur.hists {
@@ -235,16 +189,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Snapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	for i := range r.shards {
 		idx := r.shards[i].idx.Load()
 		for name, c := range idx.counters {
 			snap.Counters[name] = c.Value()
-		}
-		for name, g := range idx.gauges {
-			snap.Gauges[name] = g.Value()
 		}
 		for name, h := range idx.hists {
 			hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}

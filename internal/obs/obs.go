@@ -4,15 +4,14 @@
 // deterministic as the cost model producing it.
 //
 // Tracing: every job gets a span tree (submit → admission → optimize →
-// schedule → execute with per-vertex children → publish/retract). Spans
+// execute with per-vertex children → publish/retract). Spans
 // carry logical start/end ticks and string attributes (signatures, cache
 // hit/miss verdicts, breaker state, fault injections). Export is
 // order-normalized — children are sorted by (start, name, attributes)
 // before marshaling — so the JSON bytes for a fixed seed are identical in
 // every run. Traces live in a bounded TraceStore ring keyed by job ID.
 //
-// Metrics: a sharded registry of counters, gauges, and logical-tick
-// histograms. The per-shard instrument index is published copy-on-write
+// Metrics: a sharded registry of counters and logical-tick histograms. The per-shard instrument index is published copy-on-write
 // (the same pattern as the metadata service's state pointer), so the hot
 // path — look up an instrument, bump an atomic — never takes a lock, and
 // Snapshot reads a consistent index without blocking writers. Instruments
@@ -20,7 +19,7 @@
 // pointer.
 //
 // The package has no dependencies beyond the standard library and is
-// wired into the layers (core, exec, storage, metadata, cluster) through
+// wired into the layers (core, exec, storage, metadata, analyzer) through
 // small hook seams with nil-able hooks, exactly like internal/fault: a
 // service that uninstalls its observer pays only a nil check.
 package obs

@@ -17,11 +17,10 @@ func TestRegistryInstruments(t *testing.T) {
 	if got := r.Counter("jobs.completed").Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
 	}
-	g := r.Gauge("sched.queue_depth")
-	g.Set(7)
-	g.Add(-2)
-	if got := r.Gauge("sched.queue_depth").Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	f := r.Counter("jobs.failed")
+	f.Add(5)
+	if got := r.Counter("jobs.failed").Value(); got != 5 {
+		t.Fatalf("second counter = %d, want 5", got)
 	}
 	h := r.Histogram("job.latency_ticks")
 	for _, v := range []int64{0, 1, 2, 3, 100, -4} {
@@ -42,7 +41,7 @@ func TestRegistryInstruments(t *testing.T) {
 			t.Fatalf("bucket %d = %+v, want %+v", i, b, want[i])
 		}
 	}
-	if snap.Counters["jobs.completed"] != 3 || snap.Gauges["sched.queue_depth"] != 5 {
+	if snap.Counters["jobs.completed"] != 3 || snap.Counters["jobs.failed"] != 5 {
 		t.Fatalf("snapshot values wrong: %+v", snap)
 	}
 }
@@ -60,7 +59,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter(fmt.Sprintf("c.%d", i%17)).Inc()
-				r.Gauge(fmt.Sprintf("g.%d", w)).Set(int64(i))
+				r.Counter(fmt.Sprintf("w.%d", w)).Inc()
 				r.Histogram("h.shared").Observe(int64(i))
 				if i%50 == 0 {
 					_ = r.Snapshot()
@@ -76,6 +75,11 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Fatalf("counter total = %d, want %d", total, workers*perWorker)
+	}
+	for w := 0; w < workers; w++ {
+		if got := snap.Counters[fmt.Sprintf("w.%d", w)]; got != perWorker {
+			t.Fatalf("per-worker counter w.%d = %d, want %d", w, got, perWorker)
+		}
 	}
 	if snap.Histograms["h.shared"].Count != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", snap.Histograms["h.shared"].Count, workers*perWorker)

@@ -294,10 +294,11 @@ func decodeParallel(ctx context.Context, blocks [][]byte) ([][]data.Row, error) 
 	return parts, nil
 }
 
-// partitionRange runs fn(i) for i in [0, n) with up to GOMAXPROCS
+// partitionRange runs fn(i) for i in [0, n) with up to min(n, GOMAXPROCS)
 // goroutines. fn writes only slot i, and the join establishes the
-// happens-before edge back to the caller. Small inputs run inline — the
-// codec on a few rows is cheaper than a handoff.
+// happens-before edge back to the caller. Only a single partition, or a
+// single usable CPU, runs inline; any n ≥ 2 fans out however few rows
+// each partition holds.
 func partitionRange(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
