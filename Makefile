@@ -12,7 +12,8 @@ race:
 	go test -race ./internal/core/ ./internal/exec/ \
 		./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
 		./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
-		./internal/workload/ ./internal/plan/
+		./internal/workload/ ./internal/plan/ ./internal/catalog/ \
+		./internal/optimizer/ ./internal/signature/ ./internal/fault/
 
 # Long chaos soak: hundreds of concurrent jobs per round under a seeded
 # fault schedule, race detector on. CHAOS_ROUNDS scales the length.

@@ -47,10 +47,12 @@ func TestAPISurface(t *testing.T) {
 		t.Errorf("*Service exported methods:\n got %v\nwant %v", got, want)
 	}
 
-	// The layers below keep only the ctx-first, error-returning forms.
+	// The layers below keep only the ctx-first, error-returning forms, and
+	// the store retires no view on its own: the service does (§5.4 order).
 	deleted := []string{
 		"Run", "Write", "Consume", "RelevantViews", "Recovery", "StorageStats",
 		"Submit", "SubmitCtx", "SubmitBatch", "SubmitBatchCtx",
+		"Purge", "ReclaimLowestUtility", "LookupPrecise",
 	}
 	for _, v := range []any{&exec.Executor{}, &storage.Store{}, &metadata.Service{}, &metadata.Client{}} {
 		for _, name := range methodNames(v) {
@@ -123,6 +125,9 @@ func TestKnobSurface(t *testing.T) {
 		{"JobSpec", JobSpec{}, []string{"Meta", "Root", "Tags", "Deadline"}},
 		{"Service", Service{}, []string{"Catalog", "Store", "Meta", "Repo", "Clock", "Exec", "Opt", "Config"}},
 		{"exec.Executor", exec.Executor{}, []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}},
+		{"storage.Store", storage.Store{}, []string{"Faults", "Gate", "OnConsume", "Obs"}},
+		{"storage.View", storage.View{}, []string{"Path", "PreciseSig", "NormSig", "ProducerJobID", "ExpiresAt",
+			"Schema", "Props", "Encoded", "Bytes", "LogicalBytes", "Rows", "Checksum"}},
 	} {
 		if got := fieldNames(c.v); !slices.Equal(got, c.want) {
 			t.Errorf("%s fields:\n got %v\nwant %v", c.name, got, c.want)

@@ -67,8 +67,8 @@ func (s *Service) ViewsBuiltLastInstance() int {
 // same view selection routines ... replacing the max objective function
 // with a min"). Utility comes from the loaded annotations; views without
 // an annotation (orphans from a previous analysis) rank lowest of all.
-// The metadata registration is removed before the physical file, per the
-// §5.4 ordering. It returns the purged paths.
+// Each victim is retired in the §5.4 order (see retire). It returns the
+// purged paths.
 func (s *Service) ReclaimStorage(wantBytes int64) []string {
 	type scored struct {
 		preciseSig string
@@ -120,8 +120,7 @@ func (s *Service) ReclaimStorage(wantBytes int64) []string {
 		if freed >= wantBytes {
 			break
 		}
-		s.Meta.Unregister(sc.preciseSig)
-		s.Store.Delete(sc.path)
+		s.retire(sc.preciseSig, sc.path)
 		purged = append(purged, sc.path)
 		freed += sc.bytes
 	}

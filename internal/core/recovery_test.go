@@ -8,7 +8,6 @@ import (
 
 	"cloudviews/internal/fault"
 	"cloudviews/internal/plan"
-	"cloudviews/internal/storage"
 )
 
 // transientOnce is an exec.FaultHook that crashes the first attempt of one
@@ -200,39 +199,5 @@ func TestInstallFaultsWiresEveryLayer(t *testing.T) {
 	s.InstallFaults(nil)
 	if s.Exec.Faults != nil || s.Store.Faults != nil || s.Meta.Faults != nil {
 		t.Fatal("injector not removed from every layer")
-	}
-}
-
-// TestStorageReclaimDeregisters is the satellite regression at the service
-// level: utility-based reclamation initiated on the Store directly must
-// drop the metadata registration too — no orphaned registrations.
-func TestStorageReclaimDeregisters(t *testing.T) {
-	s := newService(t)
-	seedHistory(t, s)
-	deliver(t, s.Catalog, 1)
-	s.BeginInstance(1)
-	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Meta.Views()) != 1 {
-		t.Fatal("view not registered")
-	}
-	purged := s.Store.ReclaimLowestUtility(1, func(*storage.View) float64 { return 0 })
-	if len(purged) != 1 {
-		t.Fatalf("reclaimed %d views, want 1", len(purged))
-	}
-	if len(s.Meta.Views()) != 0 {
-		t.Error("reclaimed view still registered in metadata")
-	}
-	// Direct Store.Purge must deregister too.
-	if _, err := s.Run(context.Background(), specA("a2", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Meta.Views()) != 1 {
-		t.Fatal("rebuild failed")
-	}
-	s.Store.Purge(1 << 61)
-	if len(s.Meta.Views()) != 0 {
-		t.Error("purged view still registered in metadata")
 	}
 }

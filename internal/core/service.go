@@ -213,17 +213,15 @@ func (s *Service) InstallFaults(in *fault.Injector) {
 }
 
 // NewService wires a complete in-process job service around a catalog.
+// The service owns every view's lifetime: the store only holds files, and
+// the service retires a view (BeginInstance expiry, ReclaimStorage,
+// quarantine, retraction) metadata first, per §5.4.
 func NewService(cat *catalog.Catalog, cfg Config) *Service {
 	st := storage.NewStore()
 	meta := metadata.NewService()
 	if cfg.MaxViewsPerJob == 0 {
 		cfg.MaxViewsPerJob = 1
 	}
-	// Storage-initiated reclamation (utility-based eviction, direct
-	// purges) must drop the metadata registration before the file goes
-	// away, or metadata would briefly advertise views that no longer
-	// exist (the §5.4 ordering, enforced from the storage side too).
-	st.Deregister = func(preciseSig, _ string) { meta.Unregister(preciseSig) }
 	if cfg.CacheBytes != 0 {
 		st.SetCacheBudget(cfg.CacheBytes)
 	}
@@ -539,12 +537,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 		if !ok || replan >= maxReplans || !s.vcEnabled(spec.Meta.VC) {
 			return nil, err
 		}
-		// Quarantine: deregister first so no new consumer selects the view
-		// (the §5.4 ordering), then drop the broken payload.
-		if sig != "" {
-			s.Meta.Unregister(sig)
-		}
-		s.Store.Delete(path)
+		s.retire(sig, path) // quarantine
 		quarantined = append(quarantined, path)
 		// One grouped bump per quarantine event: a Snapshot never sees the
 		// replan without its quarantine.
@@ -554,6 +547,17 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 		})
 		s.planWithReuse(jr, spec, now, tb, replan+1)
 	}
+}
+
+// retire removes a view from the service in the §5.4 order: the metadata
+// registration goes first, so no new job selects the view, then the file
+// and its cache entry. A consumer that raced the retirement finds the view
+// missing and degrades through the quarantine path; none finds a
+// registration whose file is gone. Every view the service drops while it
+// is registered (quarantine, retraction, reclamation) goes through here.
+func (s *Service) retire(preciseSig, path string) {
+	s.Meta.Unregister(preciseSig)
+	s.Store.Delete(path)
 }
 
 // viewFailure classifies an execution error as a recoverable view problem,
@@ -652,14 +656,12 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 			}
 		}
 		// A cancelled or deadline-failed job is not a checkpoint — it must
-		// leave nothing published. Retract early-published views too:
-		// deregister before deleting the file (the §5.4 ordering), so an
-		// in-flight consumer degrades via the quarantine path instead of
-		// reading a dangling registration.
+		// leave nothing published. Retire early-published views too, so
+		// an in-flight consumer degrades via the quarantine path instead
+		// of reading a dangling registration.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			for sig, path := range sealed {
-				s.Meta.Unregister(sig)
-				s.Store.Delete(path)
+				s.retire(sig, path)
 			}
 			tick := float64(now)
 			for _, path := range sortedPaths(sealed) {

@@ -241,8 +241,8 @@ func (st *execState) deadlineErr() error {
 }
 
 // RunCtx executes the plan rooted at root under a job lifecycle. jobID
-// tags provenance of any views materialized; now is the simulated time
-// used for view creation stamps.
+// tags provenance of any views materialized; now is the simulated
+// submission time that vertex start/end times and the deadline count from.
 //
 // The plan is walked depth-first on the calling goroutine: each vertex
 // runs after all of its children, a shared (spooled) subtree runs once,
@@ -867,7 +867,6 @@ func (e *Executor) applyMaterialize(n *plan.Node, in partitions, inStats *Stats,
 		PreciseSig:    n.MatPreciseSig,
 		NormSig:       n.MatNormSig,
 		ProducerJobID: st.job,
-		CreatedAt:     st.now,
 		ExpiresAt:     1<<62 - 1, // runtime sets real expiry from the analyzer
 		Schema:        n.Schema(),
 		Props:         n.MatProps,

@@ -341,9 +341,9 @@ func TestOfflineViewPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.MaterializedPaths) != 1 {
-		t.Error("offline plan did not materialize")
+		t.Fatal("offline plan did not materialize")
 	}
-	if env.st.LookupPrecise(sig.Precise) == nil {
+	if v, err := env.st.Get(res.MaterializedPaths[0]); err != nil || v.PreciseSig != sig.Precise {
 		t.Error("view not in store after offline run")
 	}
 	// Second call: lock/exists checks prevent duplicates.

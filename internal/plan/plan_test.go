@@ -182,9 +182,14 @@ func TestInputsAndGUIDs(t *testing.T) {
 	if len(in) != 2 || in[0] != "clicks" || in[1] != "users" {
 		t.Errorf("Inputs = %v", in)
 	}
-	gd := InputGUIDs(p)
-	if gd["clicks"] != "g-clicks" || gd["users"] != "uguid" {
-		t.Errorf("InputGUIDs = %v", gd)
+	// Inputs name tables, not data versions: a new GUID changes the
+	// precise encoding but not the inputs.
+	q := samplePlan("g-clicks-2", 17001)
+	if got := Inputs(q); len(got) != 2 || got[0] != in[0] || got[1] != in[1] {
+		t.Errorf("Inputs changed with the GUID: %v vs %v", got, in)
+	}
+	if p.EncodeString(expr.Precise) == q.EncodeString(expr.Precise) {
+		t.Error("precise encoding ignores the input GUID")
 	}
 }
 

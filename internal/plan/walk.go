@@ -112,17 +112,6 @@ func Inputs(n *Node) []string {
 	return out
 }
 
-// InputGUIDs returns the distinct (table, guid) pairs read by the subgraph.
-func InputGUIDs(n *Node) map[string]string {
-	out := map[string]string{}
-	Walk(n, func(m *Node) {
-		if m.Kind == OpExtract {
-			out[m.Table] = m.GUID
-		}
-	})
-	return out
-}
-
 // Equal reports whether two subgraphs are structurally identical under the
 // given encoding mode.
 func Equal(a, b *Node, mode expr.Mode) bool {

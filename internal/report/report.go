@@ -1,6 +1,7 @@
 // Package report provides the small statistics and tabulation helpers the
-// benchmark harnesses share: percentiles, cumulative distributions, and
-// fixed-width table rendering for regenerating the paper's figures as text.
+// paper's figures share: percentiles, the fractions of samples above or
+// below a value, and fixed-width table rendering for regenerating the
+// figures as text.
 package report
 
 import (
@@ -34,48 +35,8 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[rank]
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// CDFPoint is one point of a cumulative distribution: the fraction of
-// samples with value <= X.
-type CDFPoint struct {
-	X        float64
-	Fraction float64
-}
-
-// CDF evaluates the empirical CDF of xs at each threshold, returning one
-// point per threshold.
-func CDF(xs []float64, thresholds []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(thresholds))
-	for i, t := range thresholds {
-		// count of samples <= t
-		n := sort.SearchFloat64s(s, t)
-		for n < len(s) && s[n] <= t {
-			n++
-		}
-		frac := 0.0
-		if len(s) > 0 {
-			frac = float64(n) / float64(len(s))
-		}
-		out[i] = CDFPoint{X: t, Fraction: frac}
-	}
-	return out
-}
 
 // FractionAtLeast returns the fraction of samples >= x.
 func FractionAtLeast(xs []float64, x float64) float64 {
@@ -103,16 +64,6 @@ func FractionAtMost(xs []float64, x float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// LogThresholds returns thresholds at powers of base covering [lo, hi],
-// the x-axes of the paper's log-scale CDF figures.
-func LogThresholds(lo, hi, base float64) []float64 {
-	var out []float64
-	for x := lo; x <= hi; x *= base {
-		out = append(out, x)
-	}
-	return out
 }
 
 // Table renders rows as a fixed-width text table.

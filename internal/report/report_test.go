@@ -33,29 +33,9 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanMedian(t *testing.T) {
-	if Mean([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Error("mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
+func TestMedian(t *testing.T) {
 	if Median([]float64{9, 1, 5}) != 5 {
 		t.Error("median wrong")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{1, 2, 2, 3, 10}
-	pts := CDF(xs, []float64{0, 2, 5, 10})
-	want := []float64{0, 0.6, 0.8, 1.0}
-	for i, p := range pts {
-		if p.Fraction != want[i] {
-			t.Errorf("CDF at %v = %v, want %v", p.X, p.Fraction, want[i])
-		}
-	}
-	if pts := CDF(nil, []float64{1}); pts[0].Fraction != 0 {
-		t.Error("empty CDF should be 0")
 	}
 }
 
@@ -69,19 +49,6 @@ func TestFractions(t *testing.T) {
 	}
 	if FractionAtLeast(nil, 1) != 0 || FractionAtMost(nil, 1) != 0 {
 		t.Error("empty fractions should be 0")
-	}
-}
-
-func TestLogThresholds(t *testing.T) {
-	ts := LogThresholds(1, 1000, 10)
-	want := []float64{1, 10, 100, 1000}
-	if len(ts) != len(want) {
-		t.Fatalf("thresholds = %v", ts)
-	}
-	for i := range want {
-		if ts[i] != want[i] {
-			t.Errorf("threshold[%d] = %v", i, ts[i])
-		}
 	}
 }
 
@@ -121,26 +88,6 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		return v >= sorted[0] && v <= sorted[n-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 1+r.Intn(40))
-		for i := range xs {
-			xs[i] = r.Float64() * 10
-		}
-		pts := CDF(xs, LogThresholds(0.1, 100, 2))
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Fraction < pts[i-1].Fraction {
-				return false
-			}
-		}
-		return len(pts) == 0 || pts[len(pts)-1].Fraction == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -275,6 +275,6 @@ func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
 func (s *Store) CacheContains(path string) bool { return s.cache.contains(path) }
 
 // CachedPaths returns the paths currently resident in the hot-view cache,
-// sorted. Every cached path refers to a stored view — Delete, Purge, and
-// ReclaimLowestUtility drop cache entries with the view.
+// sorted. Every cached path refers to a stored view — Delete drops the
+// cache entry with the view.
 func (s *Store) CachedPaths() []string { return s.cache.paths() }

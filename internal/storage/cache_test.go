@@ -129,10 +129,10 @@ func TestDeleteDropsCacheEntry(t *testing.T) {
 	if st := s.CacheStats(); st.Entries != 2 {
 		t.Fatalf("setup: %+v", st)
 	}
-	// Purge reclaims the expired view; its cache entry must go with it.
-	s.Purge(50)
+	// Deleting a view drops its cache entry and only that one.
+	s.Delete(PathFor("d2", "job-d2"))
 	if got := s.CachedPaths(); len(got) != 1 || got[0] != v.Path {
-		t.Fatalf("after purge, CachedPaths = %v", got)
+		t.Fatalf("after deleting d2, CachedPaths = %v", got)
 	}
 	s.Delete(v.Path)
 	if st := s.CacheStats(); st.Entries != 0 || st.Bytes != 0 {

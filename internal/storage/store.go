@@ -3,12 +3,10 @@
 // Following the paper, a materialized view is a set of partitioned files
 // whose "physical path" embeds the precise signature of the computation it
 // captures, the ID of the job that produced it (provenance), and its expiry
-// (§5.4, §6.2). The storage manager purges expired views; the metadata
-// service must be cleaned first so in-flight jobs never read a dangling
-// path — Store enforces that ordering by keeping purged views readable by
-// open handles while removing them from lookup, and by invoking the
-// Deregister callback for every storage-initiated reclamation before the
-// file goes away.
+// (§5.4, §6.2). The store only holds files: it never decides that a view
+// should go. The job service (internal/core) retires views — expiry,
+// reclamation, quarantine — dropping the metadata registration before it
+// calls Delete, so in-flight jobs never read a dangling path.
 //
 // At rest a view is *encoded*: each partition is one columnar byte block
 // (internal/data/colenc — typed vectors, dictionaries, null bitmaps), so
@@ -17,8 +15,8 @@
 // read used by executing jobs — verifies the payload checksum, decodes in parallel,
 // and serves repeat consumers out of a sharded, byte-budgeted hot-view
 // cache of decoded partitions (zero-copy under the engine's read-only
-// aliasing contract). Metadata-level accessors (Get, Views, LookupPrecise)
-// never decode: listing, ranking, and reclaim work off headers alone.
+// aliasing contract). Metadata-level accessors (Get, Views) never decode:
+// listing and reclaim ranking work off headers alone.
 //
 // Integrity: WriteCtx records a checksum of the encoded payload on the
 // view; ConsumeCtx verifies it and reports a CorruptError on mismatch, so silent
@@ -86,10 +84,9 @@ type View struct {
 	PreciseSig    string
 	NormSig       string
 	ProducerJobID string
-	// ExpiresAt is the simulated time after which the storage manager may
-	// purge the view (derived from input lineage, §5.4).
+	// ExpiresAt is the simulated time after which the view may be purged
+	// (derived from input lineage, §5.4).
 	ExpiresAt int64
-	CreatedAt int64
 	Schema    data.Schema
 	Props     plan.PhysicalProps
 	// Encoded holds the at-rest payload: one columnar block per partition
@@ -97,8 +94,8 @@ type View struct {
 	// Store.WriteCtx; read through Store.ConsumeCtx, which decodes.
 	Encoded [][]byte
 	// Bytes is the true at-rest footprint — the total size of the encoded
-	// blocks. Storage accounting (TotalBytes, Purge, ReclaimLowestUtility)
-	// evicts on this real footprint.
+	// blocks. Storage accounting (TotalBytes) and the service's
+	// reclamation count this real footprint.
 	Bytes int64
 	// LogicalBytes is the decoded row-representation size (the sum of
 	// Row.ByteSize). The cost model and the optimizer's reuse estimates
@@ -122,19 +119,12 @@ func PathFor(preciseSig, jobID string) string {
 	return fmt.Sprintf("/views/%s/%s.ss", preciseSig, jobID)
 }
 
-// Store is a concurrent view store with signature lookup, expiry,
+// Store is a concurrent view store with precise-signature write dedupe,
 // consume-time integrity verification, and a decoded hot-view cache.
 type Store struct {
 	// Faults, if set, injects storage failures (reads, writes, silent
 	// corruption). Wired by fault-injection tests and chaos soaks.
 	Faults FaultHook
-	// Deregister, if set, is invoked for every view selected by Purge or
-	// ReclaimLowestUtility just before its file is removed, giving the
-	// owner the chance to drop the metadata registration first (the §5.4
-	// ordering). Without it, storage-initiated reclamation would leave the
-	// metadata service referencing deleted paths.
-	Deregister func(preciseSig, path string)
-
 	// Gate, if set, is consulted before every ConsumeCtx touches the store —
 	// the circuit-breaker admission seam. A non-nil error short-circuits
 	// the read (nothing is looked up, verified, or decoded) and is returned
@@ -523,72 +513,18 @@ func (s *Store) consume(ctx context.Context, path string) (*View, [][]data.Row, 
 	return v, parts, false, nil
 }
 
-// LookupPrecise returns the view materialized for the precise signature,
-// or nil if none exists. Header-only: nothing is decoded.
-func (s *Store) LookupPrecise(sig string) *View {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if p, ok := s.byPrecise[sig]; ok {
-		return s.byPath[p]
-	}
-	return nil
-}
-
 // Delete removes the view at path, including any hot-cache entry for it —
 // a deleted (or quarantined) view must not be served from cache. It is
 // idempotent.
 func (s *Store) Delete(path string) {
 	s.mu.Lock()
-	s.deleteLocked(path)
+	if v, ok := s.byPath[path]; ok {
+		delete(s.byPath, path)
+		delete(s.byPrecise, v.PreciseSig)
+		s.bytes -= v.Bytes
+	}
 	s.mu.Unlock()
 	s.cache.drop(path)
-}
-
-func (s *Store) deleteLocked(path string) {
-	v, ok := s.byPath[path]
-	if !ok {
-		return
-	}
-	delete(s.byPath, path)
-	delete(s.byPrecise, v.PreciseSig)
-	s.bytes -= v.Bytes
-}
-
-// reap deregisters (metadata first, per §5.4) and deletes the selected
-// views, in path order. victims maps path -> precise signature.
-func (s *Store) reap(victims map[string]string) []string {
-	if len(victims) == 0 {
-		return nil
-	}
-	paths := make([]string, 0, len(victims))
-	for p := range victims {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if s.Deregister != nil {
-			s.Deregister(victims[p], p)
-		}
-		s.Delete(p)
-	}
-	return paths
-}
-
-// Purge removes every view whose expiry is at or before now and returns
-// the purged paths. Each victim's metadata registration is dropped (via
-// the Deregister callback) before its file, so a consumer that raced the
-// purge sees at worst a missing view — never a registered-but-deleted one
-// surviving the purge.
-func (s *Store) Purge(now int64) []string {
-	s.mu.Lock()
-	victims := map[string]string{}
-	for path, v := range s.byPath {
-		if v.ExpiresAt <= now {
-			victims[path] = v.PreciseSig
-		}
-	}
-	s.mu.Unlock()
-	return s.reap(victims)
 }
 
 // TotalBytes returns the at-rest (encoded) bytes currently held by all
@@ -617,40 +553,4 @@ func (s *Store) Views() []*View {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// ReclaimLowestUtility removes views in ascending order of the utility
-// score provided by rank until at least wantBytes have been reclaimed.
-// This is the admin "reclaim storage by min-utility" operation of §5.4.
-// Victims are deregistered from metadata (Deregister callback) before
-// their files are deleted — which also drops their hot-cache entries, so
-// eviction and the cache stay coordinated. Reclamation accounts in real
-// (encoded) bytes. It returns the purged paths.
-func (s *Store) ReclaimLowestUtility(wantBytes int64, rank func(*View) float64) []string {
-	s.mu.Lock()
-	type scored struct {
-		v     *View
-		score float64
-	}
-	all := make([]scored, 0, len(s.byPath))
-	for _, v := range s.byPath {
-		all = append(all, scored{v, rank(v)})
-	}
-	s.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score < all[j].score
-		}
-		return all[i].v.Path < all[j].v.Path
-	})
-	victims := map[string]string{}
-	var freed int64
-	for _, sc := range all {
-		if freed >= wantBytes {
-			break
-		}
-		victims[sc.v.Path] = sc.v.PreciseSig
-		freed += sc.v.Bytes
-	}
-	return s.reap(victims)
 }

@@ -76,12 +76,6 @@ func TestWriteGetLookup(t *testing.T) {
 	if err != nil || got != v {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
-	if s.LookupPrecise("sig1") != v {
-		t.Error("LookupPrecise missed")
-	}
-	if s.LookupPrecise("nope") != nil {
-		t.Error("LookupPrecise false positive")
-	}
 	if _, err := s.Get("/nope"); err == nil {
 		t.Error("Get missing should error")
 	}
@@ -116,7 +110,7 @@ func TestDuplicateWrites(t *testing.T) {
 	if created, err := s.WriteCtx(context.Background(), v, mkParts(1)); err != nil || created {
 		t.Errorf("lost race: created=%v err=%v, want false, nil", created, err)
 	}
-	if s.Len() != 1 || s.LookupPrecise("sig1").Path != first.Path {
+	if got, err := s.Get(first.Path); s.Len() != 1 || err != nil || got != first {
 		t.Error("losing write must leave the first writer in place")
 	}
 	if _, err := s.Get("/views/other"); err == nil {
@@ -124,22 +118,33 @@ func TestDuplicateWrites(t *testing.T) {
 	}
 }
 
+// TestDeleteAndPurge purges the way the job service does — every view
+// whose expiry has passed, found through the header listing, goes by
+// Delete — and checks the accounting and the signature index follow.
 func TestDeleteAndPurge(t *testing.T) {
 	s := NewStore()
 	for i, exp := range []int64{5, 10, 15} {
 		write(t, s, fmt.Sprintf("s%d", i), 2, exp)
 	}
-	purged := s.Purge(10)
-	if len(purged) != 2 {
-		t.Fatalf("Purge(10) removed %d, want 2", len(purged))
+	for _, v := range s.Views() {
+		if v.ExpiresAt <= 10 {
+			s.Delete(v.Path)
+		}
 	}
-	if s.Len() != 1 || s.LookupPrecise("s2") == nil {
-		t.Error("wrong survivor after purge")
+	survivor, err := s.Get(PathFor("s2", "job-s2"))
+	if err != nil || s.Len() != 1 || s.TotalBytes() != survivor.Bytes {
+		t.Fatalf("after purge: survivor err=%v len=%d bytes=%d", err, s.Len(), s.TotalBytes())
 	}
-	if s.LookupPrecise("s0") != nil {
-		t.Error("purged view still findable")
+	var nf *NotFoundError
+	if _, err := s.Get(PathFor("s0", "job-s0")); !errors.As(err, &nf) {
+		t.Errorf("purged view still readable: %v", err)
 	}
-	s.Delete(PathFor("s2", "job-s2"))
+	// A purged signature is free again: a rebuild installs.
+	if created, err := s.WriteCtx(context.Background(), mkView("s0", 20), mkParts(2)); err != nil || !created {
+		t.Errorf("rewrite after purge: created=%v err=%v", created, err)
+	}
+	s.Delete(PathFor("s0", "job-s0"))
+	s.Delete(survivor.Path)
 	if s.Len() != 0 || s.TotalBytes() != 0 {
 		t.Errorf("after delete: len=%d bytes=%d", s.Len(), s.TotalBytes())
 	}
@@ -162,25 +167,6 @@ func TestViewsSnapshotOrdered(t *testing.T) {
 	}
 }
 
-func TestReclaimLowestUtility(t *testing.T) {
-	s := NewStore()
-	// Three views, utility = expiry for the test. Sizes equal.
-	for i, sig := range []string{"low", "mid", "high"} {
-		write(t, s, sig, 4, int64(i))
-	}
-	one := s.Views()[0].Bytes
-	purged := s.ReclaimLowestUtility(one+1, func(v *View) float64 { return float64(v.ExpiresAt) })
-	if len(purged) != 2 {
-		t.Fatalf("reclaimed %d views, want 2", len(purged))
-	}
-	if s.LookupPrecise("high") == nil {
-		t.Error("highest-utility view should survive")
-	}
-	if s.LookupPrecise("low") != nil || s.LookupPrecise("mid") != nil {
-		t.Error("low-utility views should be gone")
-	}
-}
-
 func TestConcurrentStoreOps(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -193,9 +179,11 @@ func TestConcurrentStoreOps(t *testing.T) {
 				if _, err := s.WriteCtx(context.Background(), mkView(sig, int64(i)), mkParts(1)); err != nil {
 					t.Errorf("write: %v", err)
 				}
-				s.LookupPrecise(sig)
+				s.Get(PathFor(sig, "job-"+sig))
 				if i%10 == 0 {
-					s.Purge(int64(i / 2))
+					// Delete a view another goroutine may be writing.
+					other := fmt.Sprintf("g%d-%d", (g+1)%8, i/2)
+					s.Delete(PathFor(other, "job-"+other))
 				}
 			}
 		}(g)
@@ -315,41 +303,6 @@ type errInjected struct{}
 
 func (errInjected) Error() string   { return "injected" }
 func (errInjected) Transient() bool { return true }
-
-// TestPurgeDeregistersBeforeDelete is the orphan-window regression: every
-// storage-initiated reclamation must drop the metadata registration (via
-// Deregister) before the file disappears, so metadata never references a
-// deleted path.
-func TestPurgeDeregistersBeforeDelete(t *testing.T) {
-	s := NewStore()
-	for i, sig := range []string{"a", "b", "c"} {
-		write(t, s, sig, 2, int64(i))
-	}
-	var order []string
-	s.Deregister = func(sig, path string) {
-		// At deregistration time the file must still exist.
-		if _, err := s.Get(path); err != nil {
-			t.Errorf("Deregister(%s): file already deleted", path)
-		}
-		order = append(order, sig)
-	}
-	purged := s.Purge(1) // expiries 0 and 1
-	if len(purged) != 2 || len(order) != 2 {
-		t.Fatalf("purged %v, deregistered %v", purged, order)
-	}
-	for _, p := range purged {
-		if _, err := s.Get(p); err == nil {
-			t.Errorf("purged path %s still stored", p)
-		}
-	}
-
-	// Same contract for min-utility reclamation.
-	order = nil
-	reclaimed := s.ReclaimLowestUtility(1, func(v *View) float64 { return 0 })
-	if len(reclaimed) != 1 || len(order) != 1 {
-		t.Fatalf("reclaimed %v, deregistered %v", reclaimed, order)
-	}
-}
 
 // TestMultiPartitionRoundTrip covers parallel encode/decode over many
 // partitions: every partition must come back in position, bit-exact.

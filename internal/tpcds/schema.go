@@ -115,13 +115,3 @@ func Tables() []TableDef {
 			Schema: withString(ints("sm_ship_mode_sk"), "sm_type", "sm_carrier")},
 	}
 }
-
-// TableDefByName returns the definition of one table.
-func TableDefByName(name string) (TableDef, bool) {
-	for _, t := range Tables() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return TableDef{}, false
-}

@@ -173,12 +173,3 @@ func TestQueryByIDMatchesBatch(t *testing.T) {
 		}
 	}
 }
-
-func TestTableDefByName(t *testing.T) {
-	if _, ok := TableDefByName("store_sales"); !ok {
-		t.Error("store_sales missing")
-	}
-	if _, ok := TableDefByName("nope"); ok {
-		t.Error("false positive")
-	}
-}

@@ -20,25 +20,15 @@ import (
 // already varies precise signatures across instances while normalized
 // signatures — the analyzer's grouping key — stay stable.
 
-// SyntheticObservations instantiates every template for recurring
-// instances [0, instances) and returns one observation per subgraph, in
-// submission order — the same order repository ingestion would record
-// them. Statistics are deterministic: each job's generator is seeded from
-// its job ID and the profile seed, so the output is a pure function of
-// the profile regardless of how many instances are generated or batched.
-func (w *Workload) SyntheticObservations(instances int64) []workload.Observation {
-	var out []workload.Observation
-	for i := int64(0); i < instances; i++ {
-		for _, job := range w.JobsForInstance(i) {
-			out = appendJobObservations(out, job, w.Profile.Seed)
-		}
-	}
-	return out
-}
-
-// SyntheticUntil generates whole recurring instances until at least
-// minObs observations exist (benchmarks ask for observation counts, not
-// instance counts). Returns nil if the workload produces no observations.
+// SyntheticUntil instantiates every template for recurring instances 0,
+// 1, … until at least minObs observations exist (benchmarks ask for
+// observation counts, not instance counts), and returns one observation
+// per subgraph, in submission order — the same order repository ingestion
+// would record them. Instances are generated whole, so a smaller request
+// yields a prefix of a larger one. Statistics are deterministic: each
+// job's generator is seeded from its job ID and the profile seed, so the
+// output is a pure function of the profile and minObs. Returns nil if the
+// workload produces no observations.
 func (w *Workload) SyntheticUntil(minObs int) []workload.Observation {
 	var out []workload.Observation
 	for i := int64(0); len(out) < minObs; i++ {

@@ -8,18 +8,23 @@ import (
 )
 
 // TestSyntheticObservationsDeterministic pins the generator: same profile,
-// same observations, bit for bit — and batching by instance must not
+// same observations, bit for bit — and the volume asked for must not
 // change anything (each job's statistics generator is seeded from the job
-// ID alone).
+// ID alone, and instances are generated whole), so a smaller request is a
+// prefix of a larger one.
 func TestSyntheticObservationsDeterministic(t *testing.T) {
 	p := DefaultProfile("synth", 5)
-	a := Generate(p).SyntheticObservations(3)
-	b := Generate(p).SyntheticObservations(3)
+	a := Generate(p).SyntheticUntil(500)
+	b := Generate(p).SyntheticUntil(500)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two generations of the same profile differ")
 	}
-	if len(a) == 0 {
-		t.Fatal("no observations generated")
+	if len(a) < 500 {
+		t.Fatalf("SyntheticUntil(500) returned %d observations", len(a))
+	}
+	more := Generate(p).SyntheticUntil(len(a) + 1)
+	if len(more) <= len(a) || !reflect.DeepEqual(more[:len(a)], a) {
+		t.Fatal("a larger request is not an extension of a smaller one")
 	}
 }
 
@@ -29,7 +34,10 @@ func TestSyntheticObservationsDeterministic(t *testing.T) {
 // totals shared within a job.
 func TestSyntheticObservationsShape(t *testing.T) {
 	p := DefaultProfile("shape", 9)
-	obs := Generate(p).SyntheticObservations(2)
+	// The first instance, then at least one observation past it: two
+	// instances or more.
+	obs := Generate(p).SyntheticUntil(1)
+	obs = Generate(p).SyntheticUntil(len(obs) + 1)
 
 	bySig := map[string][]int{}
 	byJob := map[string]float64{}
