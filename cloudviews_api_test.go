@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"cloudviews/internal/breaker"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/storage"
@@ -111,8 +112,10 @@ func methodNames(v any) []string {
 
 // TestKnobSurface pins every setting a caller can turn: Config's exact
 // fields, a JobSpec that carries only the job and its deadline, a Service
-// whose exported fields are its components and Config, and an Executor
-// with nothing beyond its catalog, store and three hooks. A knob exists
+// whose exported fields are its components and Config, an Executor
+// with nothing beyond its catalog, store and three hooks, and a breaker
+// with no exported field (its transitions are read through its
+// counters, not a callback). A knob exists
 // only while a non-test caller sets it, so adding one means changing
 // this list on purpose.
 func TestKnobSurface(t *testing.T) {
@@ -126,6 +129,7 @@ func TestKnobSurface(t *testing.T) {
 		{"Service", Service{}, []string{"Catalog", "Store", "Meta", "Repo", "Clock", "Exec", "Opt", "Config"}},
 		{"exec.Executor", exec.Executor{}, []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}},
 		{"storage.Store", storage.Store{}, []string{"Faults", "Gate", "OnConsume", "Obs"}},
+		{"breaker.Breaker", breaker.Breaker{}, nil},
 		{"storage.View", storage.View{}, []string{"Path", "PreciseSig", "NormSig", "ProducerJobID", "ExpiresAt",
 			"Schema", "Props", "Encoded", "Bytes", "LogicalBytes", "Rows", "Checksum"}},
 	} {

@@ -67,13 +67,6 @@ type Breaker struct {
 	threshold int
 	cooldown  int64
 
-	// OnStateChange, if set, is invoked after every state transition
-	// (outside the breaker's lock, so it may take its own locks but the
-	// reported transition can be momentarily stale under contention). The
-	// observability layer wires metric bumps here. Set before first use;
-	// it is read without synchronization.
-	OnStateChange func(name string, from, to State, now int64)
-
 	mu          sync.Mutex
 	state       State
 	consecutive int
@@ -110,21 +103,18 @@ func (b *Breaker) Name() string { return b.name }
 // an OpenError (or degrade) without touching the dependency.
 func (b *Breaker) Allow(now int64) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch b.state {
 	case Closed:
-		b.mu.Unlock()
 		return true
 	case Open:
 		if now >= b.openedAt+b.cooldown {
 			b.state = HalfOpen
 			b.probes.Add(1)
-			b.mu.Unlock()
-			b.notify(Open, HalfOpen, now)
 			return true // the probe
 		}
 	}
 	b.shorts.Add(1)
-	b.mu.Unlock()
 	return false
 }
 
@@ -146,37 +136,27 @@ func (b *Breaker) Ready(now int64) bool {
 // before the trip — are ignored.
 func (b *Breaker) Observe(now int64, ok bool) {
 	b.mu.Lock()
-	from := b.state
+	defer b.mu.Unlock()
 	switch b.state {
 	case Closed:
 		if ok {
 			b.consecutive = 0
-			b.mu.Unlock()
 			return
 		}
 		b.consecutive++
 		if b.consecutive >= b.threshold {
 			b.trip(now)
-			b.mu.Unlock()
-			b.notify(from, Open, now)
-			return
 		}
 	case HalfOpen:
 		if ok {
 			b.state = Closed
 			b.consecutive = 0
 			b.probeSuccesses.Add(1)
-			b.mu.Unlock()
-			b.notify(from, Closed, now)
 			return
 		}
 		b.probeFailures.Add(1)
 		b.trip(now)
-		b.mu.Unlock()
-		b.notify(from, Open, now)
-		return
 	}
-	b.mu.Unlock()
 }
 
 // trip moves the breaker to Open at time now. Callers hold b.mu.
@@ -185,14 +165,6 @@ func (b *Breaker) trip(now int64) {
 	b.openedAt = now
 	b.consecutive = 0
 	b.opens.Add(1)
-}
-
-// notify reports a state transition to OnStateChange, if set. Called
-// after the breaker's lock is released.
-func (b *Breaker) notify(from, to State, now int64) {
-	if b.OnStateChange != nil {
-		b.OnStateChange(b.name, from, to, now)
-	}
 }
 
 // State returns the current position without transitioning it (an Open

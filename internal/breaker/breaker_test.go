@@ -179,40 +179,38 @@ func TestBreakerConcurrent(t *testing.T) {
 // probe admitted after a cooldown is counted, and its observed outcome
 // lands in exactly one of ProbeSuccesses/ProbeFailures. Earlier versions
 // counted opens only, so dashboards could not tell "still failing at
-// every probe" from "never probed at all".
+// every probe" from "never probed at all". Each transition is checked
+// through the counters it moves.
 func TestBreakerProbeCounters(t *testing.T) {
 	b := New("dep", 1, 10)
-	var transitions []string
-	b.OnStateChange = func(name string, from, to State, now int64) {
-		transitions = append(transitions, from.String()+">"+to.String())
+	type counts struct {
+		state                                        State
+		opens, probes, probeSuccesses, probeFailures int64
 	}
-
-	b.Observe(0, false) // trip at t=0
-	if !b.Allow(10) {   // probe 1
-		t.Fatal("probe 1 rejected")
+	steps := []struct {
+		name string
+		do   func()
+		want counts
+	}{
+		{"closed>open", func() { b.Observe(0, false) }, counts{Open, 1, 0, 0, 0}},
+		{"open>half-open", func() {
+			if !b.Allow(10) {
+				t.Fatal("probe 1 rejected")
+			}
+		}, counts{HalfOpen, 1, 1, 0, 0}},
+		{"half-open>open", func() { b.Observe(10, false) }, counts{Open, 2, 1, 0, 1}},
+		{"open>half-open", func() {
+			if !b.Allow(20) {
+				t.Fatal("probe 2 rejected")
+			}
+		}, counts{HalfOpen, 2, 2, 0, 1}},
+		{"half-open>closed", func() { b.Observe(20, true) }, counts{Closed, 2, 2, 1, 1}},
 	}
-	b.Observe(10, false) // probe 1 fails, re-open
-	if !b.Allow(20) {    // probe 2
-		t.Fatal("probe 2 rejected")
-	}
-	b.Observe(20, true) // probe 2 succeeds, close
-
-	if got := b.Probes(); got != 2 {
-		t.Fatalf("Probes = %d, want 2", got)
-	}
-	if got := b.ProbeFailures(); got != 1 {
-		t.Fatalf("ProbeFailures = %d, want 1", got)
-	}
-	if got := b.ProbeSuccesses(); got != 1 {
-		t.Fatalf("ProbeSuccesses = %d, want 1", got)
-	}
-	want := []string{"closed>open", "open>half-open", "half-open>open", "open>half-open", "half-open>closed"}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %s, want %s (all: %v)", i, transitions[i], want[i], transitions)
+	for i, st := range steps {
+		st.do()
+		got := counts{b.State(), b.Opens(), b.Probes(), b.ProbeSuccesses(), b.ProbeFailures()}
+		if got != st.want {
+			t.Fatalf("step %d (%s): got %+v, want %+v", i, st.name, got, st.want)
 		}
 	}
 }

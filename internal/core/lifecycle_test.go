@@ -21,15 +21,13 @@ import (
 
 // newBreakerService builds a validating service whose metadata breaker
 // waits cooldown logical ticks (instead of breakerCooldown) before its
-// half-open probe. Re-installing the observer hooks the new breaker's
-// state changes into the service's counters.
+// half-open probe. Snapshot reads the swapped-in breaker's counters.
 func newBreakerService(t testing.TB, cooldown int64) *Service {
 	t.Helper()
 	cat := catalog.New()
 	deliver(t, cat, 0)
 	s := NewService(cat, Config{Enabled: true, ValidateResults: true})
 	s.metaBreaker = breaker.New("metadata", breakerThreshold, cooldown)
-	s.SetObserver(s.Observer())
 	return s
 }
 

@@ -210,6 +210,11 @@ func TestViewProvenanceAndReplay(t *testing.T) {
 	if _, err := s.ViewProvenance("no-such-view"); err == nil {
 		t.Error("missing view should error")
 	}
+	// An empty key is a substring of every path; it must not return
+	// whichever view happens to be registered first.
+	if p, err := s.ViewProvenance(""); err == nil {
+		t.Errorf("empty key should error, got view %q", p.Path)
+	}
 
 	// Replay a consumer job: same decisions, same output.
 	consumer, err := s.Run(context.Background(), specB("b1", 1))

@@ -3,11 +3,13 @@
 // versioned stats view Snapshot, and per-job trace export via Trace.
 //
 // One Observer implements every layer's observability hook (executor
-// vertices, view-store reads and writes, metadata lookups, analyzer runs,
-// breaker transitions) — the same one-object-implements-all-seams shape
-// as fault.Injector. Metrics are bumped synchronously at each hook; traces are assembled per job by the
-// submitting goroutine from simulated quantities only, so a fixed-seed
-// run exports byte-identical trace JSON every time.
+// vertices, view-store reads and writes, metadata lookups, analyzer runs)
+// — the same one-object-implements-all-seams shape as fault.Injector. It
+// counts only events no component counts itself; Snapshot names those
+// counters and the owners' (cache, metadata, breakers, recovery) in one
+// table. Traces are assembled per job by the submitting goroutine from
+// simulated quantities only, so a fixed-seed run exports byte-identical
+// trace JSON every time.
 package core
 
 import (
@@ -24,27 +26,22 @@ import (
 	"cloudviews/internal/storage"
 )
 
-// Observer owns the service's metrics registry and trace store and
+// Observer owns the service's job-level instruments and trace store and
 // implements every layer's observability hook. One Observer serves one
 // Service; NewService installs one by default, SetObserver(nil) removes
-// it (the measured no-op baseline).
+// it (the measured no-op baseline). Snapshot names each instrument.
 type Observer struct {
-	metrics *obs.Registry
-	traces  *obs.TraceStore // nil = tracing disabled (metrics stay on)
+	traces *obs.TraceStore // nil = tracing disabled (metrics stay on)
 
-	// Hot-path instruments are resolved once at construction so hooks
-	// never touch the registry's name index.
-	jobsSubmitted, jobsCompleted, jobsFailed *obs.Counter
-	jobLatency                               *obs.Histogram
-	vertices, vertexRetries                  *obs.Counter
-	retryWait                                *obs.Histogram
-	cacheHits, cacheMisses, consumeErrors    *obs.Counter
-	viewsWritten, encodedWritten             *obs.Counter
-	metaLookups, metaLookupErrors            *obs.Counter
-	metaAnnotations                          *obs.Counter
-	breakerTrips, breakerCloses              *obs.Counter
-	analyzerRuns, analyzerCandidates         *obs.Counter
-	analyzerSelected                         *obs.Counter
+	jobsSubmitted, jobsCompleted, jobsFailed obs.Counter
+	jobLatency                               obs.Histogram
+	vertices, vertexRetries                  obs.Counter
+	retryWait                                obs.Histogram
+	consumeErrors                            obs.Counter
+	viewsWritten, encodedWritten             obs.Counter
+	metaLookupErrors, metaAnnotations        obs.Counter
+	analyzerRuns, analyzerCandidates         obs.Counter
+	analyzerSelected                         obs.Counter
 }
 
 // Compile-time proof the Observer satisfies every layer's hook seam.
@@ -60,30 +57,7 @@ var (
 // entirely (metrics remain live) — the same zero-default / negative-off
 // convention as Config.CacheBytes.
 func NewObserver(traceCapacity int) *Observer {
-	reg := obs.NewRegistry()
-	o := &Observer{
-		metrics:            reg,
-		jobsSubmitted:      reg.Counter("jobs.submitted"),
-		jobsCompleted:      reg.Counter("jobs.completed"),
-		jobsFailed:         reg.Counter("jobs.failed"),
-		jobLatency:         reg.Histogram("job.latency_ticks"),
-		vertices:           reg.Counter("exec.vertices"),
-		vertexRetries:      reg.Counter("exec.vertex_retries"),
-		retryWait:          reg.Histogram("exec.retry_wait_ticks"),
-		cacheHits:          reg.Counter("cache.hits"),
-		cacheMisses:        reg.Counter("cache.misses"),
-		consumeErrors:      reg.Counter("storage.consume_errors"),
-		viewsWritten:       reg.Counter("storage.views_written"),
-		encodedWritten:     reg.Counter("storage.encoded_bytes_written"),
-		metaLookups:        reg.Counter("meta.lookups"),
-		metaLookupErrors:   reg.Counter("meta.lookup_errors"),
-		metaAnnotations:    reg.Counter("meta.annotations_served"),
-		breakerTrips:       reg.Counter("breaker.trips"),
-		breakerCloses:      reg.Counter("breaker.closes"),
-		analyzerRuns:       reg.Counter("analyzer.runs"),
-		analyzerCandidates: reg.Counter("analyzer.candidates"),
-		analyzerSelected:   reg.Counter("analyzer.selected"),
-	}
+	o := &Observer{}
 	if traceCapacity >= 0 {
 		o.traces = obs.NewTraceStore(traceCapacity)
 	}
@@ -103,16 +77,11 @@ func (o *Observer) vertexMetrics(ev exec.VertexEvent) {
 // a vertexCollector installed by execute).
 func (o *Observer) VertexDone(_ string, ev exec.VertexEvent) { o.vertexMetrics(ev) }
 
-// ViewConsumed implements storage.ObsHook.
-func (o *Observer) ViewConsumed(_ string, cacheHit bool, err error) {
+// ViewConsumed implements storage.ObsHook. Hits and misses are the
+// store's own CacheStats.
+func (o *Observer) ViewConsumed(_ string, err error) {
 	if err != nil {
 		o.consumeErrors.Inc()
-		return
-	}
-	if cacheHit {
-		o.cacheHits.Inc()
-	} else {
-		o.cacheMisses.Inc()
 	}
 }
 
@@ -122,9 +91,9 @@ func (o *Observer) ViewWritten(_ string, encodedBytes int64, _ bool) {
 	o.encodedWritten.Add(encodedBytes)
 }
 
-// LookupDone implements metadata.ObsHook.
+// LookupDone implements metadata.ObsHook. Successful lookups are the
+// metadata service's own count; the Observer counts the failed ones.
 func (o *Observer) LookupDone(_ string, annotations int, err error) {
-	o.metaLookups.Inc()
 	if err != nil {
 		o.metaLookupErrors.Inc()
 		return
@@ -137,16 +106,6 @@ func (o *Observer) AnalyzeDone(_, _, candidates, selected int) {
 	o.analyzerRuns.Inc()
 	o.analyzerCandidates.Add(int64(candidates))
 	o.analyzerSelected.Add(int64(selected))
-}
-
-// breakerChange is wired as breaker.Breaker.OnStateChange.
-func (o *Observer) breakerChange(_ string, from, to breaker.State, _ int64) {
-	switch {
-	case to == breaker.Open:
-		o.breakerTrips.Inc()
-	case to == breaker.Closed && from == breaker.HalfOpen:
-		o.breakerCloses.Inc()
-	}
 }
 
 // vertexCollector is the per-execution-attempt executor hook: it feeds
@@ -254,8 +213,8 @@ func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // SetObserver replaces the service's observability layer, wiring o's
-// hooks into every layer: executor, view store, metadata service, and
-// the dependency breakers. Passing nil removes every hook — the no-op
+// hooks into the executor, view store and metadata service (the analyzer
+// picks it up per run). Passing nil removes every hook — the no-op
 // baseline the overhead benchmarks measure. Like InstallFaults, call it
 // before submissions begin; hooks are read without synchronization.
 func (s *Service) SetObserver(o *Observer) {
@@ -264,16 +223,13 @@ func (s *Service) SetObserver(o *Observer) {
 		execHook  exec.ObsHook
 		storeHook storage.ObsHook
 		metaHook  metadata.ObsHook
-		brkHook   func(string, breaker.State, breaker.State, int64)
 	)
 	if o != nil {
-		execHook, storeHook, metaHook, brkHook = o, o, o, o.breakerChange
+		execHook, storeHook, metaHook = o, o, o
 	}
 	s.Exec.Obs = execHook
 	s.Store.Obs = storeHook
 	s.Meta.Obs = metaHook
-	s.metaBreaker.OnStateChange = brkHook
-	s.storeBreaker.OnStateChange = brkHook
 }
 
 // Observer returns the installed observability layer (nil when removed).
@@ -323,18 +279,22 @@ type ServiceStats struct {
 	Storage       StorageStats
 	Scheduler     SchedulerStats
 	Breakers      []BreakerStats
-	// Metrics is the observability registry's snapshot; empty maps when
-	// no observer is installed.
+	// Metrics names every counter and histogram (see Snapshot); empty
+	// when no observer is installed.
 	Metrics obs.MetricsSnapshot
 }
 
 // Snapshot returns a consistent point-in-time view of the whole service.
 // Safe to call concurrently with submissions: every subsystem is read
 // through its own synchronized snapshot path (the recovery counters under
-// their write lock, so no grouped update is seen half-applied). The four
-// lifecycle events counted only there — shed, cancelled, deadline
-// exceeded, reuse skipped — are published under their registry names too
-// when an observer is installed, so Metrics.Counters and Recovery agree.
+// their write lock, so no grouped update is seen half-applied).
+//
+// Each event is counted once, by the component that sees it; Metrics is
+// the one table that names every count, filled only when an observer is
+// installed. Names whose owner is a component (cache, metadata, breakers,
+// recovery) read that component's counter, so they count from service
+// start and agree with the rest of the snapshot; the Observer's own
+// instruments count from its installation.
 func (s *Service) Snapshot() ServiceStats {
 	r := &s.recovery
 	r.mu.Lock()
@@ -372,12 +332,46 @@ func (s *Service) Snapshot() ServiceStats {
 		})
 	}
 	st.Recovery = rs
-	if s.obsv != nil {
-		st.Metrics = s.obsv.metrics.Snapshot()
-		st.Metrics.Counters["jobs.shed"] = rs.Shed
-		st.Metrics.Counters["jobs.cancelled"] = rs.Cancelled
-		st.Metrics.Counters["jobs.deadline_exceeded"] = rs.DeadlineExceeded
-		st.Metrics.Counters["reuse.skipped"] = rs.ReuseSkipped
+	if o := s.obsv; o != nil {
+		var trips, closes int64
+		for _, b := range st.Breakers {
+			trips += b.Opens
+			closes += b.ProbeSuccesses
+		}
+		_, _, _, lookups, _ := s.Meta.Stats()
+		cache := st.Storage.Cache
+		st.Metrics = obs.MetricsSnapshot{
+			Counters: map[string]int64{
+				// Counted by the Observer.
+				"jobs.submitted":                o.jobsSubmitted.Value(),
+				"jobs.completed":                o.jobsCompleted.Value(),
+				"jobs.failed":                   o.jobsFailed.Value(),
+				"exec.vertices":                 o.vertices.Value(),
+				"exec.vertex_retries":           o.vertexRetries.Value(),
+				"storage.consume_errors":        o.consumeErrors.Value(),
+				"storage.views_written":         o.viewsWritten.Value(),
+				"storage.encoded_bytes_written": o.encodedWritten.Value(),
+				"meta.lookup_errors":            o.metaLookupErrors.Value(),
+				"meta.annotations_served":       o.metaAnnotations.Value(),
+				"analyzer.runs":                 o.analyzerRuns.Value(),
+				"analyzer.candidates":           o.analyzerCandidates.Value(),
+				"analyzer.selected":             o.analyzerSelected.Value(),
+				// Counted by their owners.
+				"cache.hits":             cache.Hits,
+				"cache.misses":           cache.Misses,
+				"meta.lookups":           lookups + o.metaLookupErrors.Value(),
+				"breaker.trips":          trips,
+				"breaker.closes":         closes,
+				"jobs.shed":              rs.Shed,
+				"jobs.cancelled":         rs.Cancelled,
+				"jobs.deadline_exceeded": rs.DeadlineExceeded,
+				"reuse.skipped":          rs.ReuseSkipped,
+			},
+			Histograms: map[string]obs.HistogramSnapshot{
+				"job.latency_ticks":     o.jobLatency.Snapshot(),
+				"exec.retry_wait_ticks": o.retryWait.Snapshot(),
+			},
+		}
 	}
 	return st
 }

@@ -50,3 +50,16 @@ func BenchmarkSubmit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSnapshot prices one Service.Snapshot of a warmed service with
+// the default observer — the cost a monitoring poll pays.
+func BenchmarkSnapshot(b *testing.B) {
+	s, _ := benchSubmitService(b, "trace")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := s.Snapshot(); len(st.Metrics.Counters) != 22 {
+			b.Fatalf("lost counters: %d", len(st.Metrics.Counters))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -32,8 +33,12 @@ type ViewProvenance struct {
 }
 
 // ViewProvenance traces a materialized view by its physical path or
-// precise signature (both are embedded in the path, per §6.2).
+// precise signature (both are embedded in the path, per §6.2), or by a
+// fragment of its path. An empty key matches no view.
 func (s *Service) ViewProvenance(pathOrSig string) (ViewProvenance, error) {
+	if pathOrSig == "" {
+		return ViewProvenance{}, errors.New("core: empty view path or signature")
+	}
 	for _, v := range s.Meta.Views() {
 		if v.Path == pathOrSig || v.PreciseSig == pathOrSig ||
 			strings.Contains(v.Path, pathOrSig) {

@@ -149,7 +149,7 @@ type RecoveryStats struct {
 	DeadlineExceeded int64
 	// Cancelled counts jobs stopped by submission-context cancellation.
 	Cancelled int64
-	// BreakerOpens counts closed→open transitions across the dependency
+	// BreakerOpens counts transitions to open across the dependency
 	// breakers; BreakerShortCircuits counts requests turned away at an
 	// open breaker without touching the dependency.
 	BreakerOpens         int64
@@ -157,8 +157,8 @@ type RecoveryStats struct {
 }
 
 // recoveryCounters hold the lifecycle and fault-recovery tallies — the one
-// place each of those events is counted (always on, unlike the obs
-// registry, which SetObserver(nil) removes). Writers always go through
+// place each of those events is counted (always on, unlike the Observer,
+// which SetObserver(nil) removes). Writers always go through
 // bump, sharing the RWMutex's read side so unrelated increments stay
 // concurrent; Snapshot takes the write side, so a grouped update (e.g.
 // quarantined+replans, bumped together for one quarantine event) is never
@@ -458,7 +458,7 @@ func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *trac
 		matchName = "re-match"
 	}
 	// degrade keeps the job on its original plan: reuse skipped, counted
-	// (once, here; Snapshot publishes it to the registry too), never fatal.
+	// (once, here; Snapshot publishes it as reuse.skipped), never fatal.
 	degrade := func(why string, dec *optimizer.Decision) {
 		s.recovery.bump(func() { s.recovery.reuseSkip.Add(1) })
 		opt.Set("decision", "skip-reuse")

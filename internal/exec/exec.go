@@ -77,7 +77,8 @@ type VertexEvent struct {
 	// ViewScan's deterministic cache verdict ("hit"/"miss"), precomputed
 	// at job start in plan order so it does not depend on whether a
 	// concurrent job decoded the view first (exact runtime hit/miss counts
-	// live in the storage layer's own hook).
+	// are the store's CacheStats, which Snapshot publishes as cache.hits
+	// and cache.misses).
 	ViewPath string
 	Cache    string
 }

@@ -1,5 +1,5 @@
 // Package obs is the service's zero-dependency observability layer:
-// per-job span traces plus a registry of named metrics, both expressed on
+// per-job span traces plus counters and histograms, both expressed on
 // the *simulated* logical clock so that everything they report is as
 // deterministic as the cost model producing it.
 //
@@ -11,12 +11,10 @@
 // before marshaling — so the JSON bytes for a fixed seed are identical in
 // every run. Traces live in a bounded TraceStore ring keyed by job ID.
 //
-// Metrics: a sharded registry of counters and logical-tick histograms. The per-shard instrument index is published copy-on-write
-// (the same pattern as the metadata service's state pointer), so the hot
-// path — look up an instrument, bump an atomic — never takes a lock, and
-// Snapshot reads a consistent index without blocking writers. Instruments
-// are cheap enough that callers may also resolve them once and hold the
-// pointer.
+// Metrics: cache-line-padded atomic counters and power-of-two
+// logical-tick histograms. The owner holds them as plain fields and names
+// them when it builds a MetricsSnapshot, so a bump is one atomic add and
+// nothing is looked up by name.
 //
 // The package has no dependencies beyond the standard library and is
 // wired into the layers (core, exec, storage, metadata, analyzer) through

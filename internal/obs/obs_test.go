@@ -8,26 +8,23 @@ import (
 	"testing"
 )
 
-func TestRegistryInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("jobs.completed")
+func TestInstruments(t *testing.T) {
+	var c, f Counter
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // ignored: counters only go up
-	if got := r.Counter("jobs.completed").Value(); got != 3 {
+	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
 	}
-	f := r.Counter("jobs.failed")
 	f.Add(5)
-	if got := r.Counter("jobs.failed").Value(); got != 5 {
+	if got := f.Value(); got != 5 {
 		t.Fatalf("second counter = %d, want 5", got)
 	}
-	h := r.Histogram("job.latency_ticks")
+	var h Histogram
 	for _, v := range []int64{0, 1, 2, 3, 100, -4} {
 		h.Observe(v)
 	}
-	snap := r.Snapshot()
-	hs := snap.Histograms["job.latency_ticks"]
+	hs := h.Snapshot()
 	if hs.Count != 6 || hs.Sum != 106 {
 		t.Fatalf("histogram count/sum = %d/%d, want 6/106", hs.Count, hs.Sum)
 	}
@@ -41,64 +38,79 @@ func TestRegistryInstruments(t *testing.T) {
 			t.Fatalf("bucket %d = %+v, want %+v", i, b, want[i])
 		}
 	}
-	if snap.Counters["jobs.completed"] != 3 || snap.Counters["jobs.failed"] != 5 {
-		t.Fatalf("snapshot values wrong: %+v", snap)
+	if hs := (&Histogram{}).Snapshot(); hs.Count != 0 || hs.Buckets != nil {
+		t.Fatalf("empty histogram snapshot = %+v, want zero", hs)
 	}
 }
 
-// TestRegistryConcurrent registers and bumps instruments from many
-// goroutines while snapshots run — the copy-on-write index must never
-// lose a registration or a count (run under -race in check.sh).
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+// TestInstrumentsConcurrent bumps shared and per-worker instruments from
+// many goroutines while snapshots run — no count may be lost (run under
+// -race by make race).
+func TestInstrumentsConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 200
-	var wg sync.WaitGroup
+	var (
+		shared [17]Counter
+		perW   [workers]Counter
+		hist   Histogram
+		wg     sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Counter(fmt.Sprintf("c.%d", i%17)).Inc()
-				r.Counter(fmt.Sprintf("w.%d", w)).Inc()
-				r.Histogram("h.shared").Observe(int64(i))
+				shared[i%17].Inc()
+				perW[w].Inc()
+				hist.Observe(int64(i))
 				if i%50 == 0 {
-					_ = r.Snapshot()
+					_ = hist.Snapshot()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	snap := r.Snapshot()
 	var total int64
-	for i := 0; i < 17; i++ {
-		total += snap.Counters[fmt.Sprintf("c.%d", i)]
+	for i := range shared {
+		total += shared[i].Value()
 	}
 	if total != workers*perWorker {
 		t.Fatalf("counter total = %d, want %d", total, workers*perWorker)
 	}
-	for w := 0; w < workers; w++ {
-		if got := snap.Counters[fmt.Sprintf("w.%d", w)]; got != perWorker {
+	for w := range perW {
+		if got := perW[w].Value(); got != perWorker {
 			t.Fatalf("per-worker counter w.%d = %d, want %d", w, got, perWorker)
 		}
 	}
-	if snap.Histograms["h.shared"].Count != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", snap.Histograms["h.shared"].Count, workers*perWorker)
+	if hs := hist.Snapshot(); hs.Count != workers*perWorker {
+		t.Fatalf("histogram count = %d, want %d", hs.Count, workers*perWorker)
 	}
 }
 
-// TestSnapshotJSONDeterministic pins that a MetricsSnapshot marshals to
-// identical bytes across repeated snapshots of unchanged state.
+// TestSnapshotJSONDeterministic pins that a MetricsSnapshot built from
+// instruments marshals to identical bytes across repeated snapshots of
+// unchanged state.
 func TestSnapshotJSONDeterministic(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 20; i++ {
-		r.Counter(fmt.Sprintf("m.%02d", i)).Add(int64(i))
-		r.Histogram(fmt.Sprintf("h.%02d", i)).Observe(int64(i * 3))
+	var (
+		counters [20]Counter
+		hists    [20]Histogram
+	)
+	for i := range counters {
+		counters[i].Add(int64(i))
+		hists[i].Observe(int64(i * 3))
 	}
-	a, err := json.Marshal(r.Snapshot())
+	snapshot := func() MetricsSnapshot {
+		snap := MetricsSnapshot{Counters: map[string]int64{}, Histograms: map[string]HistogramSnapshot{}}
+		for i := range counters {
+			snap.Counters[fmt.Sprintf("m.%02d", i)] = counters[i].Value()
+			snap.Histograms[fmt.Sprintf("h.%02d", i)] = hists[i].Snapshot()
+		}
+		return snap
+	}
+	a, err := json.Marshal(snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r.Snapshot())
+	b, err := json.Marshal(snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

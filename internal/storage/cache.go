@@ -20,7 +20,8 @@ const cacheShardCount = 16
 
 // CacheStats is a point-in-time snapshot of the hot-view cache.
 type CacheStats struct {
-	// Hits and Misses count ConsumeCtx calls served from / past the cache.
+	// Hits and Misses count ConsumeCtx reads of a stored view served from
+	// / past the cache; while the cache is disabled every read is a miss.
 	Hits   int64
 	Misses int64
 	// Evictions counts entries displaced to fit the byte budget (drops
@@ -89,8 +90,11 @@ func (c *viewCache) shardFor(path string) *cacheShard {
 
 func (c *viewCache) tick() int64 { return c.clock.Add(1) }
 
+// get serves path from the cache, counting a hit or a miss. A read with
+// the cache disabled is a miss: it is served past the cache.
 func (c *viewCache) get(path string) ([][]data.Row, bool) {
 	if c.budget.Load() <= 0 {
+		c.misses.Add(1)
 		return nil, false
 	}
 	sh := c.shardFor(path)

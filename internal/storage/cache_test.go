@@ -69,6 +69,28 @@ func TestCacheDisabledAndResize(t *testing.T) {
 	}
 }
 
+// TestCacheDisabledCountsMisses: with the cache off every read is served
+// past it, so each one is a miss (CacheStats' definition), and a read of
+// a missing path is neither.
+func TestCacheDisabledCountsMisses(t *testing.T) {
+	for _, budget := range []int64{0, -1} {
+		s := NewStore()
+		s.SetCacheBudget(budget)
+		v := write(t, s, "cold", 16, 100)
+		for i := 0; i < 3; i++ {
+			if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.ConsumeCtx(context.Background(), "/views/none"); err == nil {
+			t.Fatal("consume of a missing path succeeded")
+		}
+		if st := s.CacheStats(); st.Hits != 0 || st.Misses != 3 || st.Entries != 0 {
+			t.Errorf("budget %d: %+v, want 0 hits, 3 misses, 0 entries", budget, st)
+		}
+	}
+}
+
 func TestCacheEvictsLowestUtility(t *testing.T) {
 	s := NewStore()
 	v1 := write(t, s, "e1", 64, 100)

@@ -53,7 +53,7 @@ type FaultHook interface {
 // ObsHook is the storage observability seam (see the Obs field). A nil
 // hook costs nothing.
 type ObsHook interface {
-	ViewConsumed(path string, cacheHit bool, err error)
+	ViewConsumed(path string, err error)
 	ViewWritten(path string, encodedBytes int64, created bool)
 }
 
@@ -141,8 +141,8 @@ type Store struct {
 
 	// Obs, if set, is the storage observability seam (see internal/obs):
 	// ViewConsumed fires per real consume attempt (Gate rejections and
-	// context-abandoned reads excluded, like OnConsume) with whether the
-	// hot cache served it; ViewWritten fires per write that reached the
+	// context-abandoned reads excluded, like OnConsume) with its outcome
+	// (cache hits and misses are CacheStats); ViewWritten fires per write that reached the
 	// install step, with the encoded footprint and whether this call
 	// created the view (false = deduplicated against a resident copy).
 	// Hooks must not call back into the store. Nil costs one branch.
@@ -459,32 +459,32 @@ func (s *Store) ConsumeCtx(ctx context.Context, path string) (*View, [][]data.Ro
 			return nil, nil, err
 		}
 	}
-	v, parts, hit, err := s.consume(ctx, path)
+	v, parts, err := s.consume(ctx, path)
 	if ctx.Err() == nil {
 		if s.OnConsume != nil {
 			s.OnConsume(path, err)
 		}
 		if s.Obs != nil {
-			s.Obs.ViewConsumed(path, hit, err)
+			s.Obs.ViewConsumed(path, err)
 		}
 	}
 	return v, parts, err
 }
 
-func (s *Store) consume(ctx context.Context, path string) (*View, [][]data.Row, bool, error) {
+func (s *Store) consume(ctx context.Context, path string) (*View, [][]data.Row, error) {
 	if s.Faults != nil {
 		if err := s.Faults.ReadView(path); err != nil {
-			return nil, nil, false, fmt.Errorf("storage: read %q: %w", path, err)
+			return nil, nil, fmt.Errorf("storage: read %q: %w", path, err)
 		}
 	}
 	s.mu.RLock()
 	v, ok := s.byPath[path]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil, false, &NotFoundError{Path: path}
+		return nil, nil, &NotFoundError{Path: path}
 	}
 	if parts, hit := s.cache.get(path); hit {
-		return v, parts, true, nil
+		return v, parts, nil
 	}
 	// Verify and decode outside the lock: the payload is immutable.
 	// Concurrent first consumers may both decode; both admit the same
@@ -492,25 +492,25 @@ func (s *Store) consume(ctx context.Context, path string) (*View, [][]data.Row, 
 	// interrupted mid-walk — a partial hash would misreport a healthy view
 	// as corrupt — so the cancellation check sits between the stages.
 	if checksumEncoded(v.Encoded) != v.Checksum {
-		return nil, nil, false, &CorruptError{Path: path, PreciseSig: v.PreciseSig}
+		return nil, nil, &CorruptError{Path: path, PreciseSig: v.PreciseSig}
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, false, fmt.Errorf("storage: read %q: %w", path, cerr)
+		return nil, nil, fmt.Errorf("storage: read %q: %w", path, cerr)
 	}
 	parts, err := decodeParallel(ctx, v.Encoded)
 	if err != nil {
 		// The checksum matched but the payload does not parse: damage that
 		// slipped under the hash, still quarantinable corruption.
-		return nil, nil, false, &CorruptError{Path: path, PreciseSig: v.PreciseSig}
+		return nil, nil, &CorruptError{Path: path, PreciseSig: v.PreciseSig}
 	}
 	// A cancel during the decode leaves nil partitions; return the
 	// context's error rather than serving — or worse, caching — a partial
 	// decode.
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, false, fmt.Errorf("storage: read %q: %w", path, cerr)
+		return nil, nil, fmt.Errorf("storage: read %q: %w", path, cerr)
 	}
 	parts = s.cache.admit(path, parts, v.LogicalBytes)
-	return v, parts, false, nil
+	return v, parts, nil
 }
 
 // Delete removes the view at path, including any hot-cache entry for it —

@@ -1,13 +1,14 @@
 #!/bin/sh
-# check.sh — the full local gate: vet, build, tests, the race detector on
-# every concurrent package (which includes the chaos soak at its default
-# length), fuzz smokes, the observability allocation guard, and a
-# 1-iteration smoke of every benchmark.
+# check.sh — the full local gate: vet, gofmt, build, tests, the race
+# detector on every concurrent package (which includes the chaos soak at
+# its default length), fuzz smokes, the observability allocation guard,
+# and a 1-iteration smoke of every benchmark.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
 make race
