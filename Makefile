@@ -9,7 +9,7 @@ test:
 # The race detector on every concurrent package; scripts/check.sh runs
 # this target, so the list lives here only.
 race:
-	go test -race ./internal/core/ ./internal/exec/ \
+	go test -race . ./internal/core/ ./internal/exec/ ./internal/data/ \
 		./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
 		./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
 		./internal/workload/ ./internal/plan/ ./internal/catalog/ \

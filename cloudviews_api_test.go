@@ -31,8 +31,7 @@ func TestAPISurface(t *testing.T) {
 	var snapshot func() ServiceStats = svc.Snapshot
 	var trace func(string) (*Trace, bool) = svc.Trace
 	var setObserver func(*ServiceObserver) = svc.SetObserver
-	var observer func() *ServiceObserver = svc.Observer
-	for _, fn := range []any{run, runBatch, snapshot, trace, setObserver, observer} {
+	for _, fn := range []any{run, runBatch, snapshot, trace, setObserver} {
 		if fn == nil {
 			t.Fatal("nil method value")
 		}
@@ -40,7 +39,7 @@ func TestAPISurface(t *testing.T) {
 
 	want := []string{
 		"AnalysisStale", "BeginInstance", "Drain", "Draining", "InFlight",
-		"InstallFaults", "Observer", "ReclaimStorage", "Replay", "Run",
+		"InstallFaults", "ReclaimStorage", "Replay", "Run",
 		"RunAnalyzer", "RunBatch", "RunOfflinePhase", "SetObserver",
 		"Snapshot", "Trace", "ViewProvenance", "ViewsBuiltLastInstance",
 	}
@@ -48,14 +47,15 @@ func TestAPISurface(t *testing.T) {
 		t.Errorf("*Service exported methods:\n got %v\nwant %v", got, want)
 	}
 
-	// The layers below keep only the ctx-first, error-returning forms, and
-	// the store retires no view on its own: the service does (§5.4 order).
+	// The layers below keep only the ctx-first, error-returning forms, the
+	// store retires no view on its own (the service does, in §5.4 order),
+	// and no layer keeps an accessor that only its own tests call.
 	deleted := []string{
 		"Run", "Write", "Consume", "RelevantViews", "Recovery", "StorageStats",
 		"Submit", "SubmitCtx", "SubmitBatch", "SubmitBatchCtx",
-		"Purge", "ReclaimLowestUtility", "LookupPrecise",
+		"Purge", "ReclaimLowestUtility", "LookupPrecise", "CacheBudget", "PartitionCount",
 	}
-	for _, v := range []any{&exec.Executor{}, &storage.Store{}, &metadata.Service{}, &metadata.Client{}} {
+	for _, v := range []any{&exec.Executor{}, &storage.Store{}, &storage.View{}, &metadata.Service{}, &metadata.Client{}} {
 		for _, name := range methodNames(v) {
 			if slices.Contains(deleted, name) {
 				t.Errorf("%T has deleted method %s", v, name)

@@ -27,14 +27,15 @@ import (
 	"strings"
 
 	"cloudviews/internal/catalog"
+	"cloudviews/internal/core"
 	"cloudviews/internal/data"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/report"
 	"cloudviews/internal/script"
-	"cloudviews/internal/storage"
 	"cloudviews/internal/tpcds"
 	"cloudviews/internal/workgen"
+	"cloudviews/internal/workload"
 )
 
 // paramFlags collects repeated -p name=value flags.
@@ -105,13 +106,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
+	svc := core.NewService(cat, core.Config{})
 	for i, root := range compiled.Outputs {
-		res, err := ex.RunCtx(context.Background(), root, fmt.Sprintf("scoperun-%d", i), 0, 0)
+		r, err := svc.Run(context.Background(), core.JobSpec{
+			Meta: workload.JobMeta{JobID: fmt.Sprintf("scoperun-%d", i)}, Root: root})
 		if err != nil {
 			log.Fatal(err)
 		}
-		printResult(root, res, *maxRows)
+		printResult(root, r.Result, *maxRows)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/report"
-	"cloudviews/internal/signature"
-	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
 )
 
@@ -32,24 +30,42 @@ type Ablations struct {
 	ViewLimit    *ViewLimitAblationResult
 }
 
-// RunAblations runs every ablation.
+// ablationRun is what every ablation shares: one recorded history and
+// its instance 1's total CPU with reuse off.
+type ablationRun struct {
+	*history
+	cfg     ProdConfig
+	baseCPU float64
+}
+
+// RunAblations records the seed-2024 history once and runs every
+// ablation over it.
 func RunAblations() (*Ablations, error) {
-	const seed = 2024
+	cfg := DefaultProdConfig()
+	cfg.Profile.Seed = 2024
+	h, err := recordHistory(cfg.Profile)
+	if err != nil {
+		return nil, err
+	}
+	base, err := runAll(core.NewService(h.cat, core.Config{}), h.jobs)
+	if err != nil {
+		return nil, err
+	}
+	r := &ablationRun{history: h, cfg: cfg, baseCPU: totalCPU(base)}
 	var a Ablations
-	var err error
-	if a.Feedback, err = RunFeedbackAblation(seed); err != nil {
+	if a.Feedback, err = r.feedback(); err != nil {
 		return nil, err
 	}
-	if a.Design, err = RunPhysicalDesignAblation(seed); err != nil {
+	if a.Design, err = r.design(); err != nil {
 		return nil, err
 	}
-	if a.Coordination, err = RunCoordinationAblation(seed); err != nil {
+	if a.Coordination, err = r.coordination(); err != nil {
 		return nil, err
 	}
-	if a.EarlyMat, err = RunEarlyMatAblation(seed); err != nil {
+	if a.EarlyMat, err = r.earlyMat(); err != nil {
 		return nil, err
 	}
-	if a.ViewLimit, err = RunViewLimitAblation(seed); err != nil {
+	if a.ViewLimit, err = r.viewLimit(); err != nil {
 		return nil, err
 	}
 	return &a, nil
@@ -75,6 +91,33 @@ func (a *Ablations) Write(w io.Writer) {
 	t.Write(w)
 }
 
+// pct is the total CPU improvement of cpu over the reuse-off baseline.
+func (r *ablationRun) pct(cpu float64) float64 { return (1 - cpu/r.baseCPU) * 100 }
+
+// savedPct runs specs, in order, on a reuse-on service under cfg with
+// anns loaded and returns their total CPU improvement.
+func (r *ablationRun) savedPct(cfg core.Config, anns []metadata.Annotation, specs []core.JobSpec) (float64, error) {
+	rs, err := runAll(reuseService(r.cat, cfg, anns), specs)
+	if err != nil {
+		return 0, err
+	}
+	return r.pct(totalCPU(rs)), nil
+}
+
+// viewPair mines the single best view and returns its analysis with the
+// first two instance-1 jobs that contain it: its builder and the next job.
+func (r *ablationRun) viewPair() (*analyzer.Analysis, []core.JobSpec, error) {
+	an, err := analyze(r.repo, r.cfg.analyzerConfig(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	picks := pickRelevant(r.jobs, an.Selected[:1], nil, 2)
+	if len(picks) < 2 {
+		return nil, nil, errors.New("bench: not enough jobs contain the view")
+	}
+	return an, []core.JobSpec{picks[0].spec, picks[1].spec}, nil
+}
+
 // FeedbackAblationResult compares view selection driven by measured
 // runtime statistics (the feedback loop, §5.1) against selection driven by
 // naive compile-time estimates.
@@ -84,14 +127,31 @@ type FeedbackAblationResult struct {
 	EstimatesPct     float64
 }
 
-// RunFeedbackAblation runs the production experiment twice with identical
-// workloads, swapping only the utility source.
-func RunFeedbackAblation(seed int64) (*FeedbackAblationResult, error) {
-	withStats, err := runSelectionVariant(seed, false)
+// feedback mines the history twice, swapping only the utility source, and
+// runs every instance-1 job under each selection.
+func (r *ablationRun) feedback() (*FeedbackAblationResult, error) {
+	mineAndRun := func(repo *workload.Repository, acfg analyzer.Config) (float64, error) {
+		an, err := analyze(repo, acfg)
+		if err != nil {
+			return 0, err
+		}
+		return r.savedPct(core.Config{MaxViewsPerJob: 1}, an.Annotations, r.jobs)
+	}
+	acfg := r.cfg.analyzerConfig(r.cfg.TopViews)
+	withStats, err := mineAndRun(r.repo, acfg)
 	if err != nil {
 		return nil, err
 	}
-	withEst, err := runSelectionVariant(seed, true)
+	// The analyzer reads whatever costs the repository holds, so the
+	// estimate variant mines a copy of the history whose measured costs
+	// are replaced by the naive estimate.
+	est := workload.NewRepository()
+	for _, o := range r.repo.Snapshot() {
+		o.CumulativeCost = naiveEstimate(o)
+		est.Append(o)
+	}
+	acfg.MinCostRatio = 0 // estimate-based ratios are incomparable
+	withEst, err := mineAndRun(est, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -110,65 +170,6 @@ func naiveEstimate(o workload.Observation) float64 {
 	return cost * float64(o.Ops)
 }
 
-func runSelectionVariant(seed int64, useEstimates bool) (float64, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return 0, err
-		}
-	}
-	acfg := analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	}
-	repo := hist.Repo
-	if useEstimates {
-		// The analyzer reads whatever costs the repository holds, so the
-		// estimate variant mines a copy of the history whose measured
-		// costs are replaced by the naive estimate.
-		repo = workload.NewRepository()
-		for _, o := range hist.Repo.Snapshot() {
-			o.CumulativeCost = naiveEstimate(o)
-			repo.Append(o)
-		}
-		acfg.MinCostRatio = 0 // estimate-based ratios are incomparable
-	}
-	an := analyzer.New(repo).Analyze(acfg)
-	if len(an.Selected) == 0 {
-		return 0, errors.New("bench: ablation selected no views")
-	}
-
-	// Consumer instance: run every job, annotations loaded; measure the
-	// realized total CPU against a baseline pass.
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return 0, err
-		}
-		baseCPU += r.Result.TotalCPU
-	}
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	var cvCPU float64
-	for _, j := range jobs {
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return 0, err
-		}
-		cvCPU += r.Result.TotalCPU
-	}
-	return (1 - cvCPU/baseCPU) * 100, nil
-}
-
 // DesignAblationResult compares consumer latency when views are laid out
 // with the analyzer-elected physical design (§5.3) vs a naive
 // single-partition layout.
@@ -177,64 +178,27 @@ type DesignAblationResult struct {
 	NaiveLatency   float64
 }
 
-// RunPhysicalDesignAblation builds the same view twice — once with the
-// elected design, once gathered to one partition — and measures a
-// consumer's simulated latency against each. A single-partition view
-// collapses the consumer's downstream parallelism, which is exactly why
-// §5.3 says poorly designed views end up unused.
-func RunPhysicalDesignAblation(seed int64) (*DesignAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
+// design builds the same view twice — once with the elected design, once
+// gathered to one partition — and measures a consumer's simulated latency
+// against each. A single-partition view collapses the consumer's
+// downstream parallelism, which is exactly why §5.3 says poorly designed
+// views end up unused.
+func (r *ablationRun) design() (*DesignAblationResult, error) {
+	an, pair, err := r.viewPair()
+	if err != nil {
+		return nil, err
 	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob: 1, TopK: 1,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no view selected")
-	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	sel := an.Selected[0].NormSig
-	comp := signature.NewComputer()
-	var builder, consumer *workgen.Job
-	for i := range jobs {
-		if planContainsNorm(comp, jobs[i], sel) {
-			if builder == nil {
-				builder = &jobs[i]
-			} else if consumer == nil {
-				consumer = &jobs[i]
-				break
-			}
-		}
-	}
-	if consumer == nil {
-		return nil, errors.New("bench: not enough jobs contain the view")
-	}
-
-	run := func(anns []metadata.Annotation) (float64, error) {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-		svc.Meta.LoadAnalysis(anns)
-		if _, err := svc.Run(context.Background(), core.JobSpec{Meta: builder.Meta, Root: builder.Root}); err != nil {
-			return 0, err
-		}
-		r, err := svc.Run(context.Background(), core.JobSpec{Meta: consumer.Meta, Root: consumer.Root})
+	latency := func(anns []metadata.Annotation) (float64, error) {
+		rs, err := runAll(reuseService(r.cat, core.Config{MaxViewsPerJob: 1}, anns), pair)
 		if err != nil {
 			return 0, err
 		}
-		if len(r.Decision.ViewsUsed) == 0 {
+		if len(rs[1].Decision.ViewsUsed) == 0 {
 			return 0, errors.New("bench: consumer did not reuse")
 		}
-		return r.Result.Latency, nil
+		return rs[1].Result.Latency, nil
 	}
-
-	elected, err := run(an.Annotations)
+	elected, err := latency(an.Annotations)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +208,7 @@ func RunPhysicalDesignAblation(seed int64) (*DesignAblationResult, error) {
 			Part: plan.Partitioning{Kind: plan.PartSingleton, Count: 1},
 		}
 	}
-	naive, err := run(naiveAnns)
+	naive, err := latency(naiveAnns)
 	if err != nil {
 		return nil, err
 	}
@@ -260,120 +224,39 @@ type CoordinationAblationResult struct {
 	UncoordinatedPct float64
 }
 
-// RunCoordinationAblation measures both orders on the production workload.
-func RunCoordinationAblation(seed int64) (*CoordinationAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
+// coordination measures both orders over every instance-1 job.
+func (r *ablationRun) coordination() (*CoordinationAblationResult, error) {
+	an, err := analyze(r.repo, r.cfg.analyzerConfig(r.cfg.TopViews))
+	if err != nil {
+		return nil, err
 	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob: 1, TopK: cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no views selected")
+	coordinated, err := r.savedPct(core.Config{MaxViewsPerJob: 1}, an.Annotations, buildersFirst(r.jobs, an.JobOrder))
+	if err != nil {
+		return nil, err
 	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
+	// Uncoordinated concurrent arrival: every job is optimized before any
+	// finishes, so no job sees another's views. No service schedule
+	// reproduces that deterministically, so this variant drives the
+	// service's optimizer and executor directly, with the lookup tags
+	// core derives (the plan's inputs plus the template ID).
+	svc := reuseService(r.cat, core.Config{MaxViewsPerJob: 1}, an.Annotations)
+	plans := make([]*plan.Node, len(r.jobs))
+	for i, j := range r.jobs {
+		anns, err := svc.Meta.TryRelevantViews(j.Meta.VC, append(plan.Inputs(j.Root), j.Meta.TemplateID))
 		if err != nil {
 			return nil, err
 		}
-		baseCPU += r.Result.TotalCPU
+		plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
 	}
-
-	run := func(order []workgen.Job, concurrent bool) (float64, error) {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-		svc.Meta.LoadAnalysis(an.Annotations)
-		var cpu float64
-		if concurrent {
-			// Uncoordinated concurrent arrival: every job is optimized
-			// before any finishes, so no job sees another's views.
-			plans := make([]*plan.Node, len(order))
-			for i, j := range order {
-				anns, err := svc.Meta.TryRelevantViews(j.Meta.VC, []string{j.Meta.TemplateID, j.Template.Input})
-				if err != nil {
-					return 0, err
-				}
-				plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
-			}
-			for i, j := range order {
-				res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
-				if err != nil {
-					return 0, err
-				}
-				cpu += res.TotalCPU
-			}
-			return cpu, nil
+	var cpu float64
+	for i, j := range r.jobs {
+		res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
+		if err != nil {
+			return nil, err
 		}
-		for _, j := range order {
-			r, err := svc.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-			if err != nil {
-				return 0, err
-			}
-			cpu += r.Result.TotalCPU
-		}
-		return cpu, nil
+		cpu += res.TotalCPU
 	}
-
-	coordCPU, err := run(coordinatedJobOrder(jobs, an.JobOrder), false)
-	if err != nil {
-		return nil, err
-	}
-	uncoordCPU, err := run(jobs, true)
-	if err != nil {
-		return nil, err
-	}
-	return &CoordinationAblationResult{
-		CoordinatedPct:   (1 - coordCPU/baseCPU) * 100,
-		UncoordinatedPct: (1 - uncoordCPU/baseCPU) * 100,
-	}, nil
-}
-
-// coordinatedJobOrder puts the analyzer's builder jobs first. The hints
-// name instance-0 job IDs; recurring instances map by template.
-func coordinatedJobOrder(jobs []workgen.Job, hints []string) []workgen.Job {
-	rank := map[string]int{}
-	for i, h := range hints {
-		rank[templateOf(h)] = i + 1
-	}
-	out := append([]workgen.Job(nil), jobs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less2(out[j], out[j-1], rank); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func less2(a, b workgen.Job, rank map[string]int) bool {
-	ra, rb := rank[a.Meta.TemplateID], rank[b.Meta.TemplateID]
-	if ra == 0 {
-		ra = 1 << 30
-	}
-	if rb == 0 {
-		rb = 1 << 30
-	}
-	return ra < rb
-}
-
-// templateOf strips the instance suffix from a generated job ID.
-func templateOf(jobID string) string {
-	for i := len(jobID) - 1; i >= 0; i-- {
-		if jobID[i] == '-' {
-			return jobID[:i]
-		}
-	}
-	return jobID
+	return &CoordinationAblationResult{CoordinatedPct: coordinated, UncoordinatedPct: r.pct(cpu)}, nil
 }
 
 // EarlyMatAblationResult compares recovery cost after a builder crash with
@@ -398,64 +281,34 @@ func (c crashAtKind) VertexDone(_, _ string, k plan.OpKind, _ int) error {
 
 func (c crashAtKind) VertexDelay(string, string, plan.OpKind) float64 { return 0 }
 
-// RunEarlyMatAblation injects a builder failure after the view seals and
-// measures the follow-up job's CPU under both publication modes.
-func RunEarlyMatAblation(seed int64) (*EarlyMatAblationResult, error) {
-	runMode := func(late bool) (float64, error) {
-		cfg := DefaultProdConfig()
-		cfg.Profile.Seed = seed
-		w := workgen.Generate(cfg.Profile)
-		hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-		for _, j := range w.JobsForInstance(0) {
-			if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-				return 0, err
-			}
-		}
-		an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-			MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-			MaxPerJob: 1, TopK: 1,
-		})
-		if len(an.Selected) == 0 {
-			return 0, errors.New("bench: no view selected")
-		}
-		w.DeliverInstance(1)
-		jobs := w.JobsForInstance(1)
-		comp := signature.NewComputer()
-		var builder, next *workgen.Job
-		for i := range jobs {
-			if planContainsNorm(comp, jobs[i], an.Selected[0].NormSig) {
-				if builder == nil {
-					builder = &jobs[i]
-				} else {
-					next = &jobs[i]
-					break
-				}
-			}
-		}
-		if next == nil {
-			return 0, errors.New("bench: not enough relevant jobs")
-		}
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1, LatePublish: late})
-		svc.Meta.LoadAnalysis(an.Annotations)
+// earlyMat injects a builder failure after the view seals and measures
+// the follow-up job's CPU under both publication modes.
+func (r *ablationRun) earlyMat() (*EarlyMatAblationResult, error) {
+	an, pair, err := r.viewPair()
+	if err != nil {
+		return nil, err
+	}
+	nextCPU := func(late bool) (float64, error) {
+		svc := reuseService(r.cat, core.Config{MaxViewsPerJob: 1, LatePublish: late}, an.Annotations)
 		// The builder crashes right after the Materialize operator runs.
 		// The crash is permanent (not Transient), so the vertex-retry loop
 		// fails the job on the first attempt.
 		svc.Exec.Faults = crashAtKind{plan.OpMaterialize}
-		if _, err := svc.Run(context.Background(), core.JobSpec{Meta: builder.Meta, Root: builder.Root}); err == nil {
+		if _, err := svc.Run(context.Background(), pair[0]); err == nil {
 			return 0, errors.New("bench: expected injected failure")
 		}
 		svc.Exec.Faults = nil
-		r, err := svc.Run(context.Background(), core.JobSpec{Meta: next.Meta, Root: next.Root})
+		rs, err := runAll(svc, pair[1:])
 		if err != nil {
 			return 0, err
 		}
-		return r.Result.TotalCPU, nil
+		return totalCPU(rs), nil
 	}
-	early, err := runMode(false)
+	early, err := nextCPU(false)
 	if err != nil {
 		return nil, err
 	}
-	late, err := runMode(true)
+	late, err := nextCPU(true)
 	if err != nil {
 		return nil, err
 	}
@@ -469,48 +322,18 @@ type ViewLimitAblationResult struct {
 	ImprovementPct map[int]float64
 }
 
-// RunViewLimitAblation reruns the production workload with per-job limits
-// of 1, 2, and 4 views.
-func RunViewLimitAblation(seed int64) (*ViewLimitAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: 2, MinCostRatio: 0.1, TopK: 12,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no views selected")
-	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return nil, err
-		}
-		baseCPU += r.Result.TotalCPU
+// viewLimit reruns every instance-1 job with per-job limits of 1, 2, and
+// 4 views over one permissive selection.
+func (r *ablationRun) viewLimit() (*ViewLimitAblationResult, error) {
+	an, err := analyze(r.repo, analyzer.Config{MinFrequency: 2, MinCostRatio: 0.1, TopK: 12})
+	if err != nil {
+		return nil, err
 	}
 	res := &ViewLimitAblationResult{ImprovementPct: map[int]float64{}}
 	for _, limit := range []int{1, 2, 4} {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: limit})
-		svc.Meta.LoadAnalysis(an.Annotations)
-		var cpu float64
-		for _, j := range jobs {
-			r, err := svc.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-			if err != nil {
-				return nil, err
-			}
-			cpu += r.Result.TotalCPU
+		if res.ImprovementPct[limit], err = r.savedPct(core.Config{MaxViewsPerJob: limit}, an.Annotations, r.jobs); err != nil {
+			return nil, err
 		}
-		res.ImprovementPct[limit] = (1 - cpu/baseCPU) * 100
 	}
 	return res, nil
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"cloudviews/internal/core"
+	"cloudviews/internal/report"
+	"cloudviews/internal/workload"
 )
 
 // checkFigure renders r through the named figure's registry entry — the
@@ -107,7 +112,7 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 	}
 	st := f3.Stats
 	// Jobs in the largest BU carry multiple overlapping subgraphs each.
-	if got := medianOf(st.OverlapsPerJob); got < 2 {
+	if got := report.Median(st.OverlapsPerJob); got < 2 {
 		t.Errorf("median overlaps per job = %.1f, want >= 2", got)
 	}
 	if len(st.OverlapsPerInput) == 0 || len(st.OverlapsPerUser) == 0 {
@@ -128,9 +133,9 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 
 	f5 := &Figure5Result{Stats: st}
 	// Heavy skew: mean frequency well above median (paper: 4.2 vs 2).
-	if f5.Stats.AvgFrequency <= medianOf(f5.Stats.Frequencies) {
+	if f5.Stats.AvgFrequency <= report.Median(f5.Stats.Frequencies) {
 		t.Errorf("frequency not skewed: avg %.2f vs median %.2f",
-			f5.Stats.AvgFrequency, medianOf(f5.Stats.Frequencies))
+			f5.Stats.AvgFrequency, report.Median(f5.Stats.Frequencies))
 	}
 	// Cost ratios concentrated at the low end (most overlaps are a small
 	// fraction of their job).
@@ -146,19 +151,6 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 	checkFigure(t, "3", f3)
 	checkFigure(t, "4", f4)
 	checkFigure(t, "5", f5)
-}
-
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j-1] > c[j]; j-- {
-			c[j-1], c[j] = c[j], c[j-1]
-		}
-	}
-	return c[len(c)/2]
 }
 
 func TestProductionShapes(t *testing.T) {
@@ -235,6 +227,40 @@ func TestTPCDSShapes(t *testing.T) {
 		t.Error("no query improved at all")
 	}
 	checkFigure(t, "13", r)
+}
+
+func TestBuildersFirst(t *testing.T) {
+	specs := func(ids ...string) []core.JobSpec {
+		out := make([]core.JobSpec, len(ids)/2)
+		for i := range out {
+			out[i].Meta = workload.JobMeta{JobID: ids[2*i], TemplateID: ids[2*i+1]}
+		}
+		return out
+	}
+	recurring := specs("p-tpl0-i1", "p-tpl0", "p-tpl1-i1", "p-tpl1", "p-tpl2-i1", "p-tpl2", "p-tpl2-i1-dup1", "p-tpl2")
+	for _, tc := range []struct {
+		name  string
+		specs []core.JobSpec
+		hints []string
+		want  []string
+	}{
+		{"instance-0 hints rank instance-1 jobs of their template", recurring,
+			[]string{"p-tpl2-i0", "p-tpl1-i0"}, []string{"p-tpl2-i1", "p-tpl2-i1-dup1", "p-tpl1-i1", "p-tpl0-i1"}},
+		{"TPC-DS IDs carry no instance suffix", specs("q1", "q1", "q2", "q2", "q3", "q3"),
+			[]string{"q3", "q2"}, []string{"q3", "q2", "q1"}},
+		{"non-builders keep their given order", specs("q9", "q9", "q2", "q2", "q5", "q5", "q1", "q1"),
+			[]string{"q5"}, []string{"q5", "q9", "q2", "q1"}},
+		{"a hint that matches no job is ignored", recurring,
+			[]string{"p-tpl7-i0", "p-tpl1-i0"}, []string{"p-tpl1-i1", "p-tpl0-i1", "p-tpl2-i1", "p-tpl2-i1-dup1"}},
+	} {
+		var got []string
+		for _, s := range buildersFirst(tc.specs, tc.hints) {
+			got = append(got, s.Meta.JobID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestOverheadShapes(t *testing.T) {

@@ -5,16 +5,14 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"cloudviews/internal/analyzer"
-	"cloudviews/internal/exec"
+	"cloudviews/internal/core"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/report"
-	"cloudviews/internal/storage"
 	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
 )
@@ -48,19 +46,14 @@ type ClusterOverlap struct {
 	Stats   *analyzer.OverlapStats
 }
 
-// RunWorkload executes one instance of every job of a generated cluster
-// and returns the populated repository.
+// RunWorkload runs one instance of every job of a generated cluster on a
+// reuse-off service and returns the populated repository.
 func RunWorkload(w *workgen.Workload, instance int64) (*workload.Repository, error) {
-	ex := &exec.Executor{Catalog: w.Catalog, Store: storage.NewStore()}
-	repo := workload.NewRepository()
-	for _, j := range w.JobsForInstance(instance) {
-		res, err := ex.RunCtx(context.Background(), j.Root, j.Meta.JobID, instance, 0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: job %s: %w", j.Meta.JobID, err)
-		}
-		repo.Record(j.Meta, j.Root, res)
+	svc := core.NewService(w.Catalog, core.Config{})
+	if _, err := runAll(svc, specsOf(w.JobsForInstance(instance))); err != nil {
+		return nil, err
 	}
-	return repo, nil
+	return svc.Repo, nil
 }
 
 // Figure1 measures the per-cluster overlap triple over the five profiles.

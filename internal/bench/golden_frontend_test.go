@@ -9,11 +9,11 @@ package bench
 //
 //	go test ./internal/bench -run TestGoldenFrontend -update
 //
-// Both workloads run fully serially here — the golden contract includes
-// decision order, which concurrent submission legitimately perturbs.
+// Each test reads the reuse-on pass of its figure's harness, which runs
+// serially: the golden contract includes decision order, which concurrent
+// submission legitimately perturbs.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -24,140 +24,43 @@ import (
 	"strings"
 	"testing"
 
-	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
-	"cloudviews/internal/tpcds"
-	"cloudviews/internal/workgen"
-	"cloudviews/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func TestGoldenFrontendProduction(t *testing.T) {
-	cfg := DefaultProdConfig()
-	w := workgen.Generate(cfg.Profile)
-
-	// History instance, serially: the analyzer input must be identical to
-	// RunProduction's (it is order-insensitive, but serial keeps the golden
-	// run self-contained and deterministic).
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			t.Fatal(err)
-		}
+	runs, err := runProductionJobs(DefaultProdConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		t.Fatal("analyzer selected no views")
-	}
-
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	// Same relevant-job picking as RunProduction: per selected view, in
-	// group order.
-	comp := signature.NewComputer()
-	var picks []workgen.Job
-	seen := map[string]bool{}
-	for g, c := range an.Selected {
-		groupCap := 0
-		if g < len(cfg.GroupSizes) {
-			groupCap = cfg.GroupSizes[g]
-		}
-		inGroup := 0
-		for _, j := range jobs {
-			if seen[j.Meta.JobID] {
-				continue
-			}
-			if planContainsNorm(comp, j, c.NormSig) {
-				picks = append(picks, j)
-				seen[j.Meta.JobID] = true
-				inGroup++
-				if groupCap > 0 && inGroup >= groupCap {
-					break
-				}
-				if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-					break
-				}
-			}
-		}
-		if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-			break
-		}
-	}
-	if len(picks) < 2 {
-		t.Fatalf("only %d relevant jobs", len(picks))
-	}
-
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-
-	var lines []string
-	for _, j := range picks {
-		lines = append(lines, sigLine(comp, j.Meta.JobID, j.Root))
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, decLine(j.Meta.JobID, r.Decision))
-	}
-	checkGolden(t, "golden_frontend_production.txt", lines)
+	checkGolden(t, "golden_frontend_production.txt", frontendLines(runs.cv))
 }
 
 func TestGoldenFrontendTPCDS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-DS golden run; skipped in -short mode")
 	}
-	cfg := DefaultTPCDSConfig()
-	cat := tpcds.Generate(cfg.Scale, cfg.Seed)
-	builder := &tpcds.Builder{Cat: cat}
-	queries := builder.Queries()
-
-	meta := func(q tpcds.Query) workload.JobMeta {
-		return workload.JobMeta{
-			JobID: q.Name, Cluster: "tpcds", BusinessUnit: "tpcds",
-			VC: "tpcds_vc", User: "bench", TemplateID: q.Name, Period: 1,
-		}
+	runs, err := runTPCDSQueries(DefaultTPCDSConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkGolden(t, "golden_frontend_tpcds.txt", frontendLines(runs.cv))
+}
 
-	base := core.NewService(cat, core.Config{Enabled: false})
-	for _, q := range queries {
-		if _, err := base.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	an := analyzer.New(base.Repo).Analyze(analyzer.Config{
-		MinFrequency: 3,
-		MinCostRatio: 0.05,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		t.Fatal("analyzer selected no views")
-	}
-
-	cv := core.NewService(cat, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	order := coordinateOrder(queries, an.JobOrder)
-
+// frontendLines pins each reuse-on job, in submission order: its
+// signatures, then the optimizer's Decision.
+func frontendLines(rs []*core.JobResult) []string {
 	comp := signature.NewComputer()
 	var lines []string
-	for _, q := range order {
-		lines = append(lines, sigLine(comp, q.Name, q.Root))
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, decLine(q.Name, r.Decision))
+	for _, r := range rs {
+		id := r.Spec.Meta.JobID
+		lines = append(lines, sigLine(comp, id, r.Spec.Root), decLine(id, r.Decision))
 	}
-	checkGolden(t, "golden_frontend_tpcds.txt", lines)
+	return lines
 }
 
 // sigLine pins every signature of the job: the root pair verbatim plus a

@@ -12,7 +12,7 @@ import (
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/metadata"
-	"cloudviews/internal/signature"
+	"cloudviews/internal/plan"
 	"cloudviews/internal/workgen"
 )
 
@@ -59,7 +59,7 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 	defer srv.Close()
 	tags := [][]string{}
 	for _, j := range w.JobsForInstance(0) {
-		tags = append(tags, []string{j.Meta.TemplateID, j.Template.Input})
+		tags = append(tags, append(plan.Inputs(j.Root), j.Meta.TemplateID))
 		if len(tags) >= 200 {
 			break
 		}
@@ -120,18 +120,11 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 		return 0, 0, 0, fmt.Errorf("bench: no views selected")
 	}
 	// Find a job containing the top view.
-	jobs := w.JobsForInstance(0)
-	comp := signature.NewComputer()
-	var target *workgen.Job
-	for i := range jobs {
-		if planContainsNorm(comp, jobs[i], an.Selected[0].NormSig) {
-			target = &jobs[i]
-			break
-		}
-	}
-	if target == nil {
+	picked := pickRelevant(specsOf(w.JobsForInstance(0)), an.Selected[:1], nil, 1)
+	if len(picked) == 0 {
 		return 0, 0, 0, fmt.Errorf("bench: no job contains the selected view")
 	}
+	target := picked[0].spec
 
 	// Best-of-batches timing: the per-call work is microseconds, so GC
 	// pauses and scheduler noise dominate a single mean. The minimum
@@ -169,7 +162,7 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	// job succeeds) and wraps the subgraph in a Materialize operator.
 	svcCreate := core.NewService(w.Catalog, core.Config{Enabled: true})
 	svcCreate.Meta.LoadAnalysis(an.Annotations)
-	annsCreate, err := svcCreate.Meta.TryRelevantViews(target.Meta.VC, []string{target.Meta.TemplateID, target.Template.Input})
+	annsCreate, err := svcCreate.Meta.TryRelevantViews(target.Meta.VC, append(plan.Inputs(target.Root), target.Meta.TemplateID))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -183,7 +176,7 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	// measurement is pure consumption, not consume-plus-build.
 	svcUse := core.NewService(w.Catalog, core.Config{Enabled: true})
 	svcUse.Meta.LoadAnalysis(an.Annotations)
-	r, err := svcUse.Run(context.Background(), core.JobSpec{Meta: target.Meta, Root: target.Root})
+	r, err := svcUse.Run(context.Background(), target)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/report"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/workgen"
 )
 
@@ -47,8 +45,9 @@ type ProdResult struct {
 }
 
 // ProdConfig parameterizes the §7.1 experiment. Defaults mirror the paper:
-// overlaps appearing at least thrice, costing at least 20% of their job, at
-// most one per job, top-3 by utility, and the jobs relevant to those views.
+// overlaps appearing at least thrice, costing at least 0.4 of their job
+// (the paper used 20%), at most one per job, top-3 by utility, and the
+// jobs relevant to those views.
 type ProdConfig struct {
 	Profile      workgen.Profile
 	TopViews     int
@@ -63,7 +62,8 @@ type ProdConfig struct {
 // DefaultProdConfig returns the paper-mirroring configuration. The paper
 // hand-picked the three most overlapping computations of a heavy-sharing
 // customer workload, so the profile here is the tight producer/consumer
-// pipeline case: deep sharing, short private tails.
+// pipeline case: deep sharing, short private tails. An overlap must cost
+// at least 0.4 of its job (MinCostRatio); the paper's filter was 20%.
 func DefaultProdConfig() ProdConfig {
 	p := workgen.DefaultProfile("prod", 7)
 	p.Templates = 420
@@ -82,142 +82,67 @@ func DefaultProdConfig() ProdConfig {
 	}
 }
 
-// RunProduction executes the §7.1 experiment:
-//
-//  1. run one day (instance 0) of the business-unit workload as history,
-//  2. run the CloudViews analyzer with the paper's filters,
-//  3. deliver the next instance and pick the jobs relevant to the selected
-//     views,
-//  4. run each of those jobs twice over the new instance — once with
-//     CloudViews off and once with it on, jobs ordered per view group so
-//     the first job of each group builds and the rest reuse.
-func RunProduction(cfg ProdConfig) (*ProdResult, error) {
-	w := workgen.Generate(cfg.Profile)
+// prodRuns is the measured half of §7.1: the jobs picked for the
+// selected views, each run with reuse off (base) and on (cv), in pick
+// order.
+type prodRuns struct {
+	an       *analyzer.Analysis
+	picks    []pick
+	base, cv []*core.JobResult
+}
 
-	// History + analysis. CloudViews is off, so history jobs are fully
-	// independent and run through the concurrent pipeline; the analyzer is
-	// insensitive to repository observation order.
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	histJobs := w.JobsForInstance(0)
-	histSpecs := make([]core.JobSpec, len(histJobs))
-	for i, j := range histJobs {
-		histSpecs[i] = core.JobSpec{Meta: j.Meta, Root: j.Root}
-	}
-	if _, err := hist.RunBatch(context.Background(), histSpecs, core.BatchOptions{}); err != nil {
-		return nil, err
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, fmt.Errorf("bench: analyzer selected no views; workload too sparse")
-	}
+// analyzerConfig is the paper's selection filter: at most one view per
+// job, the topK best by utility.
+func (c ProdConfig) analyzerConfig(topK int) analyzer.Config {
+	return analyzer.Config{MinFrequency: c.MinFrequency, MinCostRatio: c.MinCostRatio, MaxPerJob: 1, TopK: topK}
+}
 
-	// Next instance: fresh data, same templates.
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	// Relevant jobs: those whose plan contains a selected computation,
-	// grouped by view and ordered so group members run consecutively
-	// (the paper ran each view's jobs as a sequence).
-	selectedSigs := make([]string, len(an.Selected))
-	for i, c := range an.Selected {
-		selectedSigs[i] = c.NormSig
-	}
-	type pick struct {
-		job   workgen.Job
-		group int
-	}
-	var picks []pick
-	seen := map[string]bool{}
-	comp := signature.NewComputer()
-	for g, sig := range selectedSigs {
-		groupCap := 0
-		if g < len(cfg.GroupSizes) {
-			groupCap = cfg.GroupSizes[g]
-		}
-		inGroup := 0
-		for _, j := range jobs {
-			if seen[j.Meta.JobID] {
-				continue
-			}
-			if planContainsNorm(comp, j, sig) {
-				picks = append(picks, pick{job: j, group: g})
-				seen[j.Meta.JobID] = true
-				inGroup++
-				if groupCap > 0 && inGroup >= groupCap {
-					break
-				}
-				if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-					break
-				}
-			}
-		}
-		if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-			break
-		}
-	}
-	if len(picks) < 2 {
-		return nil, fmt.Errorf("bench: only %d relevant jobs found", len(picks))
-	}
-
-	// Baseline pass (CloudViews off) over the new instance. Baseline jobs
-	// are independent, so the whole pass goes through the concurrent
-	// submission pipeline; simulated latency/CPU are unaffected.
-	baseline := core.NewService(w.Catalog, core.Config{Enabled: false})
-	baseSpecs := make([]core.JobSpec, len(picks))
-	for i, p := range picks {
-		baseSpecs[i] = core.JobSpec{Meta: p.job.Meta, Root: p.job.Root}
-	}
-	baseBatch, err := baseline.RunBatch(context.Background(), baseSpecs, core.BatchOptions{})
+// runProductionJobs records one day (instance 0) as history, mines it
+// with the paper's filters, picks the next instance's jobs relevant to
+// the selected views, and runs them with reuse off and then on. In the
+// reuse-on pass the first job of each view group builds and the rest
+// reuse.
+func runProductionJobs(cfg ProdConfig) (*prodRuns, error) {
+	h, err := recordHistory(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
-	baseRes := map[string]*core.JobResult{}
-	for i, p := range picks {
-		baseRes[p.job.Meta.JobID] = baseBatch[i]
+	an, err := analyze(h.repo, cfg.analyzerConfig(cfg.TopViews))
+	if err != nil {
+		return nil, err
 	}
+	picks := pickRelevant(h.jobs, an.Selected, cfg.GroupSizes, cfg.MaxJobs)
+	if len(picks) < 2 {
+		return nil, fmt.Errorf("bench: only %d relevant jobs found", len(picks))
+	}
+	specs := make([]core.JobSpec, len(picks))
+	for i, p := range picks {
+		specs[i] = p.spec
+	}
+	base, err := runAll(core.NewService(h.cat, core.Config{}), specs)
+	if err != nil {
+		return nil, err
+	}
+	cv, err := runAll(reuseService(h.cat, core.Config{MaxViewsPerJob: 1}, an.Annotations), specs)
+	if err != nil {
+		return nil, err
+	}
+	return &prodRuns{an: an, picks: picks, base: base, cv: cv}, nil
+}
 
-	// CloudViews pass: same catalog, annotations loaded, group order. The
-	// first job of each view group builds (submitted alone, as the paper's
-	// sequences did), then the rest of the group runs as a concurrent
-	// batch of reusers.
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	cvRes := make([]*core.JobResult, 0, len(picks))
-	for lo := 0; lo < len(picks); {
-		hi := lo + 1
-		for hi < len(picks) && picks[hi].group == picks[lo].group {
-			hi++
-		}
-		head, err := cv.Run(context.Background(), core.JobSpec{Meta: picks[lo].job.Meta, Root: picks[lo].job.Root})
-		if err != nil {
-			return nil, err
-		}
-		cvRes = append(cvRes, head)
-		if hi > lo+1 {
-			rest := make([]core.JobSpec, 0, hi-lo-1)
-			for _, p := range picks[lo+1 : hi] {
-				rest = append(rest, core.JobSpec{Meta: p.job.Meta, Root: p.job.Root})
-			}
-			batch, err := cv.RunBatch(context.Background(), rest, core.BatchOptions{})
-			if err != nil {
-				return nil, err
-			}
-			cvRes = append(cvRes, batch...)
-		}
-		lo = hi
+// RunProduction executes the §7.1 experiment (runProductionJobs) and
+// aggregates it as the paper reports it.
+func RunProduction(cfg ProdConfig) (*ProdResult, error) {
+	runs, err := runProductionJobs(cfg)
+	if err != nil {
+		return nil, err
 	}
-	res := &ProdResult{ViewsSelected: len(an.Selected)}
+	res := &ProdResult{ViewsSelected: len(runs.an.Selected)}
 	var sumBaseLat, sumCVLat, sumBaseCPU, sumCVCPU, sumLatImp, sumCPUImp float64
-	for i, p := range picks {
-		r := cvRes[i]
-		b := baseRes[p.job.Meta.JobID]
+	for i, p := range runs.picks {
+		b, r := runs.base[i], runs.cv[i]
 		pj := ProdJob{
-			JobID:           p.job.Meta.JobID,
+			JobID:           p.spec.Meta.JobID,
 			ViewGroup:       p.group,
 			Builder:         len(r.Decision.ViewsBuilt) > 0,
 			BaselineLatency: b.Result.Latency,
@@ -239,15 +164,6 @@ func RunProduction(cfg ProdConfig) (*ProdResult, error) {
 	res.AvgCPUImprovementPct = sumCPUImp / n
 	res.TotalCPUImprovementPct = (1 - sumCVCPU/sumBaseCPU) * 100
 	return res, nil
-}
-
-func planContainsNorm(comp *signature.Computer, j workgen.Job, normSig string) bool {
-	for _, s := range comp.AllSubgraphs(j.Root) {
-		if s.Sig.Normalized == normSig {
-			return true
-		}
-	}
-	return false
 }
 
 // Write renders the Figures 11 and 12 tables plus the paper-style

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
@@ -52,81 +50,70 @@ func DefaultTPCDSConfig() TPCDSConfig {
 	return TPCDSConfig{Scale: 1.0, Seed: 42, TopViews: 10}
 }
 
-// RunTPCDS executes the §7.2 experiment:
-//
-//  1. run all 99 queries without CloudViews (this pass doubles as the
-//     analysis input, exactly as in the paper),
-//  2. run the analyzer and select the top-K overlapping computations,
-//  3. rerun the workload with CloudViews on, using the job-coordination
-//     hints to submit one builder per view first (§6.5),
-//  4. report per-query runtimes.
-func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
-	cat := tpcds.Generate(cfg.Scale, cfg.Seed)
-	builder := &tpcds.Builder{Cat: cat}
-	queries := builder.Queries()
+// tpcdsRuns is the §7.2 protocol's output: every query with reuse off in
+// ID order (base), and with reuse on in submission order (cv).
+type tpcdsRuns struct {
+	an       *analyzer.Analysis
+	base, cv []*core.JobResult
+}
 
-	meta := func(q tpcds.Query) workload.JobMeta {
-		return workload.JobMeta{
+// runTPCDSQueries executes the §7.2 experiment:
+//
+//  1. run all 99 queries with reuse off (this pass doubles as the
+//     analysis history, exactly as in the paper),
+//  2. select the top-K overlapping computations,
+//  3. rerun the queries with reuse on, the analyzer's builder jobs first
+//     (§6.5), so each view is built once before the queries that reuse it.
+func runTPCDSQueries(cfg TPCDSConfig) (*tpcdsRuns, error) {
+	cat := tpcds.Generate(cfg.Scale, cfg.Seed)
+	queries := (&tpcds.Builder{Cat: cat}).Queries()
+	specs := make([]core.JobSpec, len(queries))
+	for i, q := range queries {
+		specs[i] = core.JobSpec{Root: q.Root, Meta: workload.JobMeta{
 			JobID: q.Name, Cluster: "tpcds", BusinessUnit: "tpcds",
 			VC: "tpcds_vc", User: "bench", TemplateID: q.Name, Period: 1,
-		}
+		}}
 	}
-
-	// Pass 1: baseline (also the analysis history). With CloudViews off
-	// the 99 queries are independent, so the pass runs through the
-	// concurrent submission pipeline; simulated latencies are unchanged
-	// and the analyzer is order-insensitive.
-	base := core.NewService(cat, core.Config{Enabled: false})
-	baseSpecs := make([]core.JobSpec, len(queries))
-	for i, q := range queries {
-		baseSpecs[i] = core.JobSpec{Meta: meta(q), Root: q.Root}
-	}
-	baseBatch, err := base.RunBatch(context.Background(), baseSpecs, core.BatchOptions{})
+	hist := core.NewService(cat, core.Config{})
+	base, err := runAll(hist, specs)
 	if err != nil {
-		return nil, fmt.Errorf("bench: baseline pass: %w", err)
+		return nil, err
 	}
-	baseline := map[int]float64{}
-	for i, q := range queries {
-		baseline[q.ID] = baseBatch[i].Result.Latency
+	// TPC-DS is not recurring, so candidate filters stay permissive; the
+	// conservative part is the top-K cut.
+	an, err := analyze(hist.Repo, analyzer.Config{MinFrequency: 3, MinCostRatio: 0.05, TopK: cfg.TopViews})
+	if err != nil {
+		return nil, err
 	}
+	cv, err := runAll(reuseService(cat, core.Config{MaxViewsPerJob: 1}, an.Annotations), buildersFirst(specs, an.JobOrder))
+	if err != nil {
+		return nil, err
+	}
+	return &tpcdsRuns{an: an, base: base, cv: cv}, nil
+}
 
-	// Pass 2: analyze. TPC-DS is not recurring, so candidate filters stay
-	// permissive; the conservative part is the top-K cut.
-	an := analyzer.New(base.Repo).Analyze(analyzer.Config{
-		MinFrequency: 3,
-		MinCostRatio: 0.05,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, fmt.Errorf("bench: no overlapping computations selected")
+// RunTPCDS executes the §7.2 experiment (runTPCDSQueries) and reports
+// per-query runtimes with the paper's aggregates.
+func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
+	runs, err := runTPCDSQueries(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 3: CloudViews run with coordinated submission order: the
-	// analyzer's builder jobs first (each materializes a view the rest
-	// depend on), then everything else — the §6.5 hint-driven schedule.
-	// The pass runs serially, so which query pays for each view's
-	// materialization is fixed by the order, not by a build race.
-	cv := core.NewService(cat, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	results := map[int]TPCDSQueryResult{}
-	for _, q := range coordinateOrder(queries, an.JobOrder) {
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
-		if err != nil {
-			return nil, fmt.Errorf("bench: cloudviews %s: %w", q.Name, err)
-		}
-		results[q.ID] = TPCDSQueryResult{
-			ID:         q.ID,
-			Baseline:   baseline[q.ID],
+	cv := map[string]*core.JobResult{}
+	for _, r := range runs.cv {
+		cv[r.Spec.Meta.JobID] = r
+	}
+	res := &TPCDSResult{ViewsSelected: len(runs.an.Selected)}
+	var sumBase, sumCV, sumImp float64
+	for i, b := range runs.base {
+		r := cv[b.Spec.Meta.JobID]
+		q := TPCDSQueryResult{
+			ID:         i + 1, // Queries lists q1..q99 in ID order
+			Baseline:   b.Result.Latency,
 			CloudViews: r.Result.Latency,
 			UsedViews:  len(r.Decision.ViewsUsed),
 			BuiltViews: len(r.Decision.ViewsBuilt),
 		}
-	}
-
-	res := &TPCDSResult{ViewsSelected: len(an.Selected)}
-	var sumBase, sumCV, sumImp float64
-	for id := 1; id <= 99; id++ {
-		q := results[id]
 		res.Queries = append(res.Queries, q)
 		imp := q.ImprovementPct()
 		if imp > 0 {
@@ -145,30 +132,6 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 	res.AvgImprovementPct = sumImp / float64(len(res.Queries))
 	res.TotalImprovementPct = (1 - sumCV/sumBase) * 100
 	return res, nil
-}
-
-// coordinateOrder returns the queries with the analyzer-designated
-// builders first (in hint order), then the rest by ID.
-func coordinateOrder(queries []tpcds.Query, builderIDs []string) []tpcds.Query {
-	isBuilder := map[string]int{}
-	for i, id := range builderIDs {
-		isBuilder[id] = i + 1
-	}
-	out := append([]tpcds.Query(nil), queries...)
-	sort.SliceStable(out, func(i, j int) bool {
-		bi, bj := isBuilder[out[i].Name], isBuilder[out[j].Name]
-		switch {
-		case bi != 0 && bj != 0:
-			return bi < bj
-		case bi != 0:
-			return true
-		case bj != 0:
-			return false
-		default:
-			return out[i].ID < out[j].ID
-		}
-	})
-	return out
 }
 
 // Write renders the Figure 13 series and aggregates.

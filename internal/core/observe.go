@@ -232,9 +232,6 @@ func (s *Service) SetObserver(o *Observer) {
 	s.Meta.Obs = metaHook
 }
 
-// Observer returns the installed observability layer (nil when removed).
-func (s *Service) Observer() *Observer { return s.obsv }
-
 // Trace returns the retained trace for jobID. The second result is false
 // when the job was never traced or its trace has been evicted. Callers
 // must treat the trace as immutable; Trace.JSON renders it as stable

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cloudviews/internal/catalog"
-	"cloudviews/internal/storage"
 )
 
 // TestStorageStatsGauges checks the service-level byte gauges: after a
@@ -55,30 +54,28 @@ func TestStorageStatsGauges(t *testing.T) {
 	}
 }
 
-// TestConfigCacheBytes verifies the service-level cache knob: zero keeps
-// the store default, negative disables, positive resizes.
+// TestConfigCacheBytes verifies the service-level cache knob by what the
+// cache holds after a build-then-reuse instance: zero keeps the store's
+// default budget, positive resizes (a 1-byte budget admits no view),
+// negative disables.
 func TestConfigCacheBytes(t *testing.T) {
-	cat := catalog.New()
-	deliver(t, cat, 0)
-	if got := NewService(cat, Config{}).Store.CacheBudget(); got != storage.DefaultCacheBudget {
-		t.Errorf("default budget = %d", got)
-	}
-	if got := NewService(cat, Config{CacheBytes: 1 << 20}).Store.CacheBudget(); got != 1<<20 {
-		t.Errorf("explicit budget = %d", got)
-	}
-	s := NewService(cat, Config{Enabled: true, CacheBytes: -1})
-	if s.Store.CacheBudget() >= 0 {
-		t.Errorf("negative CacheBytes must disable the cache, budget = %d", s.Store.CacheBudget())
-	}
-	seedHistory(t, s)
-	deliver(t, s.Catalog, 1)
-	s.BeginInstance(1)
-	for _, spec := range []JobSpec{specA("a1", 1), specB("b1", 1)} {
-		if _, err := s.Run(context.Background(), spec); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		cacheBytes int64
+		resident   bool
+	}{{0, true}, {1 << 20, true}, {1, false}, {-1, false}} {
+		cat := catalog.New()
+		deliver(t, cat, 0)
+		s := NewService(cat, Config{Enabled: true, CacheBytes: tc.cacheBytes})
+		seedHistory(t, s)
+		deliver(t, s.Catalog, 1)
+		s.BeginInstance(1)
+		for _, spec := range []JobSpec{specA("a1", 1), specB("b1", 1)} {
+			if _, err := s.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if st := s.Snapshot().Storage; st.Cache.Entries != 0 {
-		t.Errorf("disabled cache admitted entries: %+v", st.Cache)
+		if st := s.Snapshot().Storage; (st.Cache.Entries > 0) != tc.resident {
+			t.Errorf("CacheBytes %d: cache %+v, want resident entries %v", tc.cacheBytes, st.Cache, tc.resident)
+		}
 	}
 }

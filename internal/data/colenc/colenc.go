@@ -409,20 +409,20 @@ func (d *decoder) column(rows []data.Row, c, nrows int) error {
 			if err != nil {
 				return err
 			}
-			switch data.Kind(kb) {
-			case data.KindInt, data.KindDate, data.KindBool:
+			switch k := data.Kind(kb); {
+			case k.IntPayload():
 				u, err := d.uvarint()
 				if err != nil {
 					return err
 				}
-				rows[i][c] = data.Value{K: data.Kind(kb), I: unzigzag(u)}
-			case data.KindFloat:
+				rows[i][c] = data.Value{K: k, I: unzigzag(u)}
+			case k == data.KindFloat:
 				b, err := d.bytes(8)
 				if err != nil {
 					return err
 				}
 				rows[i][c] = data.Value{K: data.KindFloat, F: math.Float64frombits(binary.LittleEndian.Uint64(b))}
-			case data.KindString:
+			case k == data.KindString:
 				sl, err := d.uvarint()
 				if err != nil {
 					return err

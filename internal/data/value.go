@@ -46,6 +46,12 @@ func (k Kind) String() string {
 	}
 }
 
+// IntPayload reports whether values of kind k carry their payload in
+// Value.I: ints, dates and bools. Compare orders any two of them by I.
+func (k Kind) IntPayload() bool {
+	return k == KindInt || k == KindDate || k == KindBool
+}
+
 // Value is a dynamically typed scalar. The zero Value is NULL.
 type Value struct {
 	K Kind
@@ -87,10 +93,10 @@ func (v Value) Truth() bool { return v.K == KindBool && v.I != 0 }
 
 // AsFloat converts numeric values to float64; other kinds yield 0.
 func (v Value) AsFloat() float64 {
-	switch v.K {
-	case KindInt, KindDate, KindBool:
+	switch {
+	case v.K.IntPayload():
 		return float64(v.I)
-	case KindFloat:
+	case v.K == KindFloat:
 		return v.F
 	default:
 		return 0
@@ -99,10 +105,10 @@ func (v Value) AsFloat() float64 {
 
 // AsInt converts numeric values to int64; other kinds yield 0.
 func (v Value) AsInt() int64 {
-	switch v.K {
-	case KindInt, KindDate, KindBool:
+	switch {
+	case v.K.IntPayload():
 		return v.I
-	case KindFloat:
+	case v.K == KindFloat:
 		return int64(v.F)
 	default:
 		return 0
@@ -159,7 +165,7 @@ func (v Value) AppendString(dst []byte) []byte {
 
 // numericKind reports whether k participates in numeric comparison.
 func numericKind(k Kind) bool {
-	return k == KindInt || k == KindFloat || k == KindDate || k == KindBool
+	return k == KindFloat || k.IntPayload()
 }
 
 // rank groups kinds into comparison classes so mixed-kind ordering is a
@@ -184,8 +190,8 @@ func Compare(a, b Value) int {
 	// below exactly — in particular the float switch keeps NaN comparing
 	// equal to everything, as </> both report false.
 	if a.K == b.K {
-		switch a.K {
-		case KindInt, KindDate, KindBool:
+		switch {
+		case a.K.IntPayload():
 			switch {
 			case a.I < b.I:
 				return -1
@@ -193,7 +199,7 @@ func Compare(a, b Value) int {
 				return 1
 			}
 			return 0
-		case KindFloat:
+		case a.K == KindFloat:
 			switch {
 			case a.F < b.F:
 				return -1
@@ -201,7 +207,7 @@ func Compare(a, b Value) int {
 				return 1
 			}
 			return 0
-		case KindString:
+		case a.K == KindString:
 			switch {
 			case a.S < b.S:
 				return -1
@@ -209,7 +215,7 @@ func Compare(a, b Value) int {
 				return 1
 			}
 			return 0
-		case KindNull:
+		case a.K == KindNull:
 			return 0
 		}
 	}

@@ -69,7 +69,7 @@ func newAggTable(n *plan.Node, inSchema data.Schema, hint int) *aggTable {
 		mask:       uint64(size - 1),
 		arena:      data.NewScratchRowArena(),
 	}
-	if len(n.GroupBy) == 1 && intLikeKind(inSchema[n.GroupBy[0]].Kind) {
+	if len(n.GroupBy) == 1 && inSchema[n.GroupBy[0]].Kind.IntPayload() {
 		t.fastCol = n.GroupBy[0]
 	}
 	var needSum, needMin, needMax bool

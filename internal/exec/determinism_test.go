@@ -183,7 +183,7 @@ func TestRangeDesignedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.PartitionCount() != 3 || len(parts) != 3 {
+	if len(v.Encoded) != 3 || len(parts) != 3 {
 		t.Fatalf("partitions = %d", len(parts))
 	}
 	// Ranges are disjoint and ascending across partitions.

@@ -364,7 +364,7 @@ func TestMaterializeAndViewScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.PartitionCount() != 3 || len(parts) != 3 {
+	if len(v.Encoded) != 3 || len(parts) != 3 {
 		t.Errorf("view has %d partitions, want 3", len(parts))
 	}
 	for _, part := range parts {

@@ -234,7 +234,7 @@ func applyJoin(ctx context.Context, n *plan.Node, left, right partitions, leftSt
 	if len(n.LeftKeys) == 1 && len(n.RightKeys) == 1 {
 		lk := n.Children[0].Schema()[n.LeftKeys[0]].Kind
 		rk := n.Children[1].Schema()[n.RightKeys[0]].Kind
-		fastKey = lk == rk && intLikeKind(lk)
+		fastKey = lk == rk && lk.IntPayload()
 	}
 	jt := buildJoinTable(ctx, right, rightStats.Rows, n.RightKeys, fastKey)
 	outWidth := len(n.Children[0].Schema()) + len(n.Children[1].Schema())

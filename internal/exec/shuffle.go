@@ -19,12 +19,6 @@ import (
 // they save on tiny inputs.
 const parallelRowThreshold = 256
 
-// intLikeKind reports whether k stores its payload in Value.I — the kinds
-// eligible for the single-column key-hash fast path below.
-func intLikeKind(k data.Kind) bool {
-	return k == data.KindInt || k == data.KindDate || k == data.KindBool
-}
-
 // intKeyHash is the cheap deterministic hash for single int-like key
 // columns (murmur fmix64 over payload and kind). Join chain lookup and
 // group identification only need *a* deterministic, Equal-consistent hash

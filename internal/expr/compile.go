@@ -493,15 +493,8 @@ func (c *compiler) boolean(e Expr) (boolFn, *bool) {
 	return func(ctx *Ctx, row data.Row) bool { return vf(ctx, row).Truth() }, nil
 }
 
-// intLikeKind reports the kinds data.Compare orders by the integer payload
-// whenever both sides are one of them (ints, dates, bools — the non-float
-// numeric class shares rank 1 and compares on .I even across kinds).
-func intLikeKind(k data.Kind) bool {
-	return k == data.KindInt || k == data.KindDate || k == data.KindBool
-}
-
-// cmpIntFast compares two int-payload values (both already guarded
-// int-like), matching data.Compare's integer branch exactly.
+// cmpIntFast compares two int-payload values (both kinds already checked
+// with Kind.IntPayload), matching data.Compare's integer branch exactly.
 func cmpIntFast(op Op, l, r int64) bool {
 	switch op {
 	case OpEq:
@@ -572,17 +565,17 @@ func (c *compiler) cmp(b *Bin) (boolFn, *bool) {
 		return constBool(k), &k
 	}
 	lk, rk := b.L.ResultKind(c.schema), b.R.ResultKind(c.schema)
-	intHint := intLikeKind(lk) && intLikeKind(rk)
+	intHint := lk.IntPayload() && rk.IntPayload()
 	floatHint := lk == data.KindFloat && rk == data.KindFloat
 	li, lCol := colOf(b.L)
 	ri, rCol := colOf(b.R)
 	switch {
-	case intHint && rc != nil && intLikeKind(rc.K):
+	case intHint && rc != nil && rc.K.IntPayload():
 		rv, rcv := rc.I, *rc
 		if lCol {
 			return func(_ *Ctx, row data.Row) bool {
 				l := row[li]
-				if intLikeKind(l.K) {
+				if l.K.IntPayload() {
 					return cmpIntFast(op, l.I, rv)
 				}
 				return cmpGeneric(op, l, rcv)
@@ -590,7 +583,7 @@ func (c *compiler) cmp(b *Bin) (boolFn, *bool) {
 		}
 		return func(ctx *Ctx, row data.Row) bool {
 			l := lf(ctx, row)
-			if intLikeKind(l.K) {
+			if l.K.IntPayload() {
 				return cmpIntFast(op, l.I, rv)
 			}
 			return cmpGeneric(op, l, rcv)
@@ -616,7 +609,7 @@ func (c *compiler) cmp(b *Bin) (boolFn, *bool) {
 	case intHint && lCol && rCol:
 		return func(_ *Ctx, row data.Row) bool {
 			l, r := row[li], row[ri]
-			if intLikeKind(l.K) && intLikeKind(r.K) {
+			if l.K.IntPayload() && r.K.IntPayload() {
 				return cmpIntFast(op, l.I, r.I)
 			}
 			return cmpGeneric(op, l, r)
@@ -624,7 +617,7 @@ func (c *compiler) cmp(b *Bin) (boolFn, *bool) {
 	case intHint:
 		return func(ctx *Ctx, row data.Row) bool {
 			l, r := lf(ctx, row), rf(ctx, row)
-			if intLikeKind(l.K) && intLikeKind(r.K) {
+			if l.K.IntPayload() && r.K.IntPayload() {
 				return cmpIntFast(op, l.I, r.I)
 			}
 			return cmpGeneric(op, l, r)

@@ -320,8 +320,8 @@ func TestMaterializeEnforcesAnnotatedPhysicalDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.PartitionCount() != 4 || v.Props.Part.Kind != plan.PartHash {
-		t.Errorf("view design not enforced: %d partitions, %v", v.PartitionCount(), v.Props.Part.Kind)
+	if len(v.Encoded) != 4 || v.Props.Part.Kind != plan.PartHash {
+		t.Errorf("view design not enforced: %d partitions, %v", len(v.Encoded), v.Props.Part.Kind)
 	}
 }
 

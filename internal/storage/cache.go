@@ -264,9 +264,6 @@ func (s *Store) SetCacheBudget(budget int64) {
 	s.cache.budget.Store(budget)
 }
 
-// CacheBudget returns the hot-view cache's total byte budget.
-func (s *Store) CacheBudget() int64 { return s.cache.budget.Load() }
-
 // CacheStats returns a snapshot of hot-view cache counters and gauges.
 func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
 

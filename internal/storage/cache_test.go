@@ -43,8 +43,8 @@ func TestCacheHitServesSameDecode(t *testing.T) {
 
 func TestCacheDisabledAndResize(t *testing.T) {
 	s := NewStore()
-	if s.CacheBudget() != DefaultCacheBudget {
-		t.Fatalf("default budget = %d", s.CacheBudget())
+	if s.cache.budget.Load() != DefaultCacheBudget {
+		t.Fatalf("default budget = %d", s.cache.budget.Load())
 	}
 	s.SetCacheBudget(-1)
 	v := write(t, s, "nc", 16, 100)
@@ -109,8 +109,8 @@ func TestCacheEvictsLowestUtility(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("over-budget admits evicted nothing")
 	}
-	if st.Entries == 0 || st.Entries > 2 || st.Bytes > s.CacheBudget() {
-		t.Errorf("cache over budget: %+v (budget %d)", st, s.CacheBudget())
+	if st.Entries == 0 || st.Entries > 2 || st.Bytes > s.cache.budget.Load() {
+		t.Errorf("cache over budget: %+v (budget %d)", st, s.cache.budget.Load())
 	}
 	// Everything still decodes correctly whether cached or evicted.
 	for _, p := range paths {

@@ -108,10 +108,6 @@ type View struct {
 	Checksum uint64
 }
 
-// PartitionCount returns the number of partitions in the view's physical
-// design without decoding any of them.
-func (v *View) PartitionCount() int { return len(v.Encoded) }
-
 // PathFor builds the canonical physical path of a view, embedding the
 // precise signature and producing job — the paper's trick for provenance
 // and matching without extra metadata state.

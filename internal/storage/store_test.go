@@ -69,8 +69,8 @@ func TestWriteGetLookup(t *testing.T) {
 	if enc != v.Bytes {
 		t.Errorf("View.Bytes=%d but encoded blocks total %d", v.Bytes, enc)
 	}
-	if v.PartitionCount() != 1 {
-		t.Errorf("PartitionCount = %d", v.PartitionCount())
+	if len(v.Encoded) != 1 {
+		t.Errorf("partitions = %d", len(v.Encoded))
 	}
 	got, err := s.Get(v.Path)
 	if err != nil || got != v {
@@ -320,8 +320,8 @@ func TestMultiPartitionRoundTrip(t *testing.T) {
 	if _, err := s.WriteCtx(context.Background(), v, parts); err != nil {
 		t.Fatal(err)
 	}
-	if v.PartitionCount() != 64 {
-		t.Fatalf("PartitionCount = %d", v.PartitionCount())
+	if len(v.Encoded) != 64 {
+		t.Fatalf("partitions = %d", len(v.Encoded))
 	}
 	_, got, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil {

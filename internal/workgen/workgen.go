@@ -414,8 +414,6 @@ func (w *Workload) DeliverInstance(i int64) {
 type Job struct {
 	Meta workload.JobMeta
 	Root *plan.Node
-	// Template backs the job (for coordination experiments).
-	Template *Template
 }
 
 // JobsForInstance instantiates every template for recurring instance i, in
@@ -444,8 +442,7 @@ func (w *Workload) JobsForInstance(i int64) []Job {
 					Period:       tpl.Period,
 					SubmitOrder:  order,
 				},
-				Root:     w.Instantiate(tpl, i),
-				Template: tpl,
+				Root: w.Instantiate(tpl, i),
 			})
 			order++
 		}
