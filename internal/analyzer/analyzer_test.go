@@ -289,8 +289,8 @@ func TestCoordinationOrder(t *testing.T) {
 	}
 	best := ""
 	for _, j := range sel.Jobs {
-		if best == "" || jobRuntime[j] < jobRuntime[best] {
-			best = j
+		if id := an.JobIDs[j]; best == "" || jobRuntime[id] < jobRuntime[best] {
+			best = id
 		}
 	}
 	if an.JobOrder[0] != best {

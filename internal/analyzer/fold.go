@@ -2,7 +2,7 @@ package analyzer
 
 import (
 	"iter"
-	"sort"
+	"slices"
 
 	"cloudviews/internal/exec"
 	"cloudviews/internal/plan"
@@ -29,7 +29,7 @@ func (a *Analyzer) analyzeFolded(cfg Config) (an *Analysis, ok bool) {
 			return
 		}
 		ok = true
-		an = mine(from, to, f, cfg)
+		an = mine(from, to, f, slices.Clone(f.Jobs.IDs), cfg)
 	})
 	return an, ok
 }
@@ -46,7 +46,7 @@ func (a *Analyzer) analyzeSnapshot(cfg Config) *Analysis {
 		f.Sigs.Add(obs, i, f.Jobs.Add(o))
 		f.Observations++
 	}
-	return mine(from, to, &f, cfg)
+	return mine(from, to, &f, f.Jobs.IDs, cfg)
 }
 
 // inWindow yields the index and address of every observation of the runs
@@ -64,47 +64,62 @@ func inWindow(obs []workload.Observation, runs []workload.Run, cfg *Config) iter
 	}
 }
 
-// mine is both paths' tail: it finalizes every signature f saw twice,
-// sorts the candidates, selects, annotates, and orders the builders.
-func mine(from, to int64, f *workload.Fold, cfg Config) *Analysis {
-	an := &Analysis{WindowFrom: from, WindowTo: to,
-		TotalJobs: len(f.Jobs.IDs), TotalSubgraphs: f.Observations}
+// mineKey is one recurring signature's place in the candidate order.
+type mineKey struct {
+	utility float64
+	sig     string
+	fold    *workload.SigFold
+}
+
+// mine is both paths' tail. It ranks every signature f saw twice under
+// utilityOrder and finalizes them in that order, then selects, annotates,
+// and orders the builders. jobIDs names f's job indices and becomes the
+// analysis's JobIDs.
+func mine(from, to int64, f *workload.Fold, jobIDs []string, cfg Config) *Analysis {
+	an := &Analysis{WindowFrom: from, WindowTo: to, JobIDs: jobIDs,
+		TotalJobs: len(jobIDs), TotalSubgraphs: f.Observations}
+	keys := make([]mineKey, 0, len(f.Sigs.Overlaps))
+	jobs := 0
 	for sig, s := range f.Sigs.Overlaps {
-		an.Candidates = append(an.Candidates, finalize(sig, s, f.Jobs.IDs, f.Periods))
+		n := float64(s.Freq)
+		_, u := netUtility(s.Freq, s.Cost/n, s.Rows/n, s.Bytes/n)
+		keys = append(keys, mineKey{u, sig, s})
+		jobs += len(s.Jobs)
 	}
-	byUtility(an.Candidates)
-	an.Selected = selectViews(an.Candidates, cfg, true)
+	slices.SortFunc(keys, func(a, b mineKey) int { return utilityOrder(a.utility, a.sig, b.utility, b.sig) })
+	if len(keys) > 0 {
+		an.Candidates = make([]Candidate, len(keys))
+	}
+	// Every candidate's jobs are carved from one pointer-free block.
+	block := make([]int32, jobs)
+	for i, k := range keys {
+		n := len(k.fold.Jobs)
+		finalize(&an.Candidates[i], k.sig, k.fold, block[:n:n], f.Periods)
+		block = block[n:]
+	}
+	an.Selected = selectViews(an.Candidates, len(jobIDs), cfg, true)
 	an.Annotations = annotate(an.Selected)
-	an.JobOrder = coordinateFolded(an.Selected, f)
+	if len(an.Selected) > 0 {
+		// Each job's overlap count: its occurrences of the selected
+		// signatures, which their folds already hold per job.
+		overlaps := make([]int32, len(jobIDs))
+		for _, c := range an.Selected {
+			for _, j := range f.Sigs.Overlaps[c.NormSig].Jobs {
+				overlaps[j.Job] += j.Count
+			}
+		}
+		an.JobOrder = orderBuilders(an.Selected, jobIDs, f.Jobs.Latency, overlaps)
+	}
 	return an
 }
 
-// coordinateFolded is coordinate over a fold: each job's runtime comes
-// from the job index and its overlap count from the selected signatures'
-// per-job occurrence counts — the same two maps coordinate builds from the
-// observations.
-func coordinateFolded(selected []Candidate, f *workload.Fold) []string {
-	if len(selected) == 0 {
-		return nil
-	}
-	jobRuntime := map[string]float64{}
-	jobOverlaps := map[string]int{}
-	for _, c := range selected {
-		for _, j := range f.Sigs.Overlaps[c.NormSig].Jobs {
-			id := f.Jobs.IDs[j.Job]
-			jobRuntime[id] = f.Jobs.Latency[j.Job]
-			jobOverlaps[id] += int(j.Count)
-		}
-	}
-	return orderBuilders(selected, jobRuntime, jobOverlaps)
-}
-
-// finalize renders one recurring signature's running statistics as a
-// Candidate, mirroring the serial aggregate's per-group epilogue. Every
-// slice it returns is a fresh copy, so nothing of the fold it reads
-// escapes; jobIDs resolves the fold's job indices.
-func finalize(sig string, f *workload.SigFold, jobIDs []string, periods map[string]int64) Candidate {
-	c := Candidate{NormSig: sig, Frequency: f.Freq, RootOp: f.RootOp}
+// finalize renders one recurring signature's running statistics into c,
+// mirroring the serial aggregate's per-group epilogue. It fills jobs,
+// which has one slot per job of f, with their indices and makes it c's
+// Jobs; every other slice it stores is a fresh copy, so nothing of the
+// fold it reads escapes.
+func finalize(c *Candidate, sig string, f *workload.SigFold, jobs []int32, periods map[string]int64) {
+	*c = Candidate{NormSig: sig, Frequency: f.Freq, RootOp: f.RootOp}
 	n := float64(f.Freq)
 	c.AvgCost = f.Cost / n
 	c.AvgLatency = f.Latency / n
@@ -112,23 +127,31 @@ func finalize(sig string, f *workload.SigFold, jobIDs []string, periods map[stri
 	c.AvgRows = f.Rows / n
 	c.AvgBytes = f.Bytes / n
 	c.CostRatio = f.Ratio / n
-	c.ReadCost = exec.OperatorCost(plan.OpViewScan, 0, int64(c.AvgRows), int64(c.AvgBytes))
-	saving := c.AvgCost - c.ReadCost
-	if saving < 0 {
-		saving = 0
-	}
-	c.Utility = float64(c.Frequency-1) * saving
+	c.ReadCost, c.Utility = netUtility(c.Frequency, c.AvgCost, c.AvgRows, c.AvgBytes)
 	c.JobCount = len(f.Jobs)
 	c.UserCount = len(f.Users)
-	c.Jobs = make([]string, len(f.Jobs))
 	for k, j := range f.Jobs {
-		c.Jobs[k] = jobIDs[j.Job]
+		jobs[k] = j.Job
 	}
+	c.Jobs = jobs
 	c.Inputs = append(make([]string, 0, len(f.Inputs)), f.Inputs...)
 	c.Tags = mergeSorted(f.Inputs, f.Templates)
 	c.Props, c.MultiDesign = f.Designs.Elect()
 	c.ExpiryDelta = expiryFromLineage(c.Inputs, periods)
-	return c
+}
+
+// netUtility returns the cost of reading a view of avgRows rows and
+// avgBytes bytes and the net saving of serving a signature's freq
+// occurrences from it: every occurrence after the first reads the view
+// instead of spending avgCost. mine ranks by it and finalize stores it,
+// so the two agree to the bit.
+func netUtility(freq int, avgCost, avgRows, avgBytes float64) (readCost, utility float64) {
+	readCost = exec.OperatorCost(plan.OpViewScan, 0, int64(avgRows), int64(avgBytes))
+	saving := avgCost - readCost
+	if saving < 0 {
+		saving = 0
+	}
+	return readCost, float64(freq-1) * saving
 }
 
 // mergeSorted returns the sorted union of two sorted, duplicate-free
@@ -147,15 +170,4 @@ func mergeSorted(a, b []string) []string {
 	}
 	out = append(out, a...)
 	return append(out, b...)
-}
-
-// byUtility sorts candidates by utility descending, ties by signature —
-// a total order, so the result is independent of map iteration order.
-func byUtility(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Utility != cands[j].Utility {
-			return cands[i].Utility > cands[j].Utility
-		}
-		return cands[i].NormSig < cands[j].NormSig
-	})
 }

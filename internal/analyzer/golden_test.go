@@ -111,6 +111,7 @@ type goldenCase struct {
 func goldenConfigs(cluster string, lastInstance int64) []goldenCase {
 	return []goldenCase{
 		{Config{}, true},
+		{recurringCfg, true},
 		{Config{Strategy: TopKUtility, TopK: 5}, true},
 		{Config{Strategy: TopKUtility, TopK: 5, MaxPerJob: 1}, true},
 		{Config{Strategy: TopKUtilityPerByte, TopK: 8}, true},

@@ -29,13 +29,7 @@ func packOptimal(pool []Candidate, budget int64) []Candidate {
 			items = append(items, c)
 		}
 	}
-	sort.Slice(items, func(i, j int) bool {
-		di, dj := density(items[i]), density(items[j])
-		if di != dj {
-			return di > dj
-		}
-		return items[i].NormSig < items[j].NormSig
-	})
+	sort.Slice(items, func(i, j int) bool { return denseBefore(items[i], items[j]) })
 	if len(items) > packOptimalMaxCandidates {
 		items = items[:packOptimalMaxCandidates]
 	}
@@ -75,12 +69,7 @@ func packOptimal(pool []Candidate, budget int64) []Candidate {
 		}
 	}
 	// Present in utility order like the other strategies.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Utility != out[j].Utility {
-			return out[i].Utility > out[j].Utility
-		}
-		return out[i].NormSig < out[j].NormSig
-	})
+	sort.Slice(out, func(i, j int) bool { return utilityBefore(out[i], out[j]) })
 	return out
 }
 
