@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudviews/internal/core"
@@ -153,11 +154,19 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 	checkFigure(t, "5", f5)
 }
 
+// The §7 protocols run once per test binary: each figure's shape test and
+// its frontend golden read the same runs.
+var (
+	productionRuns = sync.OnceValues(func() (*prodRuns, error) { return runProductionJobs(DefaultProdConfig()) })
+	tpcdsQueryRuns = sync.OnceValues(func() (*tpcdsRuns, error) { return runTPCDSQueries(DefaultTPCDSConfig()) })
+)
+
 func TestProductionShapes(t *testing.T) {
-	r, err := RunProduction(DefaultProdConfig())
+	runs, err := productionRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := runs.result()
 	if len(r.Jobs) < 8 {
 		t.Fatalf("only %d jobs in the experiment", len(r.Jobs))
 	}
@@ -207,10 +216,11 @@ func TestTPCDSShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tpc-ds run is slow")
 	}
-	r, err := RunTPCDS(DefaultTPCDSConfig())
+	runs, err := tpcdsQueryRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := runs.result()
 	if len(r.Queries) != 99 {
 		t.Fatalf("queries = %d", len(r.Queries))
 	}

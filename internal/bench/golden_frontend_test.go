@@ -33,7 +33,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func TestGoldenFrontendProduction(t *testing.T) {
-	runs, err := runProductionJobs(DefaultProdConfig())
+	runs, err := productionRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestGoldenFrontendTPCDS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-DS golden run; skipped in -short mode")
 	}
-	runs, err := runTPCDSQueries(DefaultTPCDSConfig())
+	runs, err := tpcdsQueryRuns()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,11 @@ func RunProduction(cfg ProdConfig) (*ProdResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runs.result(), nil
+}
+
+// result aggregates the runs as the paper reports them.
+func (runs *prodRuns) result() *ProdResult {
 	res := &ProdResult{ViewsSelected: len(runs.an.Selected)}
 	var sumBaseLat, sumCVLat, sumBaseCPU, sumCVCPU, sumLatImp, sumCPUImp float64
 	for i, p := range runs.picks {
@@ -163,7 +168,7 @@ func RunProduction(cfg ProdConfig) (*ProdResult, error) {
 	res.TotalLatencyImprovementPct = (1 - sumCVLat/sumBaseLat) * 100
 	res.AvgCPUImprovementPct = sumCPUImp / n
 	res.TotalCPUImprovementPct = (1 - sumCVCPU/sumBaseCPU) * 100
-	return res, nil
+	return res
 }
 
 // Write renders the Figures 11 and 12 tables plus the paper-style

@@ -99,6 +99,11 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runs.result(), nil
+}
+
+// result reports the runs per query, with the paper's aggregates.
+func (runs *tpcdsRuns) result() *TPCDSResult {
 	cv := map[string]*core.JobResult{}
 	for _, r := range runs.cv {
 		cv[r.Spec.Meta.JobID] = r
@@ -131,7 +136,7 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 	}
 	res.AvgImprovementPct = sumImp / float64(len(res.Queries))
 	res.TotalImprovementPct = (1 - sumCV/sumBase) * 100
-	return res, nil
+	return res
 }
 
 // Write renders the Figure 13 series and aggregates.
