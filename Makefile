@@ -13,7 +13,8 @@ race:
 		./internal/storage/ ./internal/expr/ ./internal/analyzer/ \
 		./internal/breaker/ ./internal/obs/ ./internal/metadata/ \
 		./internal/workload/ ./internal/plan/ ./internal/catalog/ \
-		./internal/optimizer/ ./internal/signature/ ./internal/fault/
+		./internal/optimizer/ ./internal/signature/ ./internal/fault/ \
+		./internal/bench/
 
 # Long chaos soak: hundreds of concurrent jobs per round under a seeded
 # fault schedule, race detector on. CHAOS_ROUNDS scales the length.
