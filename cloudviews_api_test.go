@@ -38,10 +38,10 @@ func TestAPISurface(t *testing.T) {
 	}
 
 	want := []string{
-		"AnalysisStale", "BeginInstance", "Drain", "Draining", "InFlight",
+		"BeginInstance", "Drain", "Draining", "InFlight",
 		"InstallFaults", "ReclaimStorage", "Replay", "Run",
-		"RunAnalyzer", "RunBatch", "RunOfflinePhase", "SetObserver",
-		"Snapshot", "Trace", "ViewProvenance", "ViewsBuiltLastInstance",
+		"RunAnalyzer", "RunBatch", "SetObserver",
+		"Snapshot", "Trace", "ViewProvenance",
 	}
 	if got := methodNames(svc); !slices.Equal(got, want) {
 		t.Errorf("*Service exported methods:\n got %v\nwant %v", got, want)
@@ -49,11 +49,13 @@ func TestAPISurface(t *testing.T) {
 
 	// The layers below keep only the ctx-first, error-returning forms, the
 	// store retires no view on its own (the service does, in §5.4 order),
-	// and no layer keeps an accessor that only its own tests call.
+	// no layer keeps an accessor that only its own tests call, staleness is
+	// read from Snapshot, and the per-VC offline mode is gone.
 	deleted := []string{
 		"Run", "Write", "Consume", "RelevantViews", "Recovery", "StorageStats",
 		"Submit", "SubmitCtx", "SubmitBatch", "SubmitBatchCtx",
 		"Purge", "ReclaimLowestUtility", "LookupPrecise", "CacheBudget", "PartitionCount",
+		"AnalysisStale", "ViewsBuiltLastInstance", "RunOfflinePhase", "SetOfflineVC",
 	}
 	for _, v := range []any{&exec.Executor{}, &storage.Store{}, &storage.View{}, &metadata.Service{}, &metadata.Client{}} {
 		for _, name := range methodNames(v) {
@@ -124,7 +126,7 @@ func TestKnobSurface(t *testing.T) {
 		v    any
 		want []string
 	}{
-		{"Config", Config{}, []string{"Enabled", "MaxViewsPerJob", "VCEnabled", "ValidateResults", "LatePublish", "CacheBytes"}},
+		{"Config", Config{}, []string{"Enabled", "MaxViewsPerJob", "ValidateResults", "LatePublish", "CacheBytes"}},
 		{"JobSpec", JobSpec{}, []string{"Meta", "Root", "Tags", "Deadline"}},
 		{"Service", Service{}, []string{"Catalog", "Store", "Meta", "Repo", "Clock", "Exec", "Opt", "Config"}},
 		{"exec.Executor", exec.Executor{}, []string{"Catalog", "Store", "OnViewMaterialized", "Faults", "Obs"}},

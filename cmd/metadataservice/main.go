@@ -8,7 +8,7 @@
 // pushed with POST /load.
 //
 //	metadataservice -addr :8439
-//	metadataservice -addr :8439 -offline-vc batch_vc,etl_vc
+//	metadataservice -addr :8439 -state meta.journal
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"cloudviews/internal/metadata"
@@ -26,7 +25,6 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("metadataservice: ")
 	addr := flag.String("addr", ":8439", "listen address")
-	offlineVCs := flag.String("offline-vc", "", "comma-separated VCs configured for offline materialization")
 	statsEvery := flag.Duration("stats", time.Minute, "interval for logging service counters (0 disables)")
 	statePath := flag.String("state", "", "snapshot file: restored at startup, saved periodically (the AzureSQL-durability stand-in)")
 	saveEvery := flag.Duration("save-every", 30*time.Second, "snapshot interval when -state is set")
@@ -54,13 +52,6 @@ func main() {
 			}
 		}()
 	}
-	if *offlineVCs != "" {
-		for _, vc := range strings.Split(*offlineVCs, ",") {
-			svc.SetOfflineVC(strings.TrimSpace(vc), true)
-			log.Printf("VC %q configured for offline materialization", vc)
-		}
-	}
-
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {

@@ -49,11 +49,11 @@ func buildFixture(t testing.TB) *fixture {
 	t.Helper()
 	cat := catalog.New()
 	logs := data.NewTable("logs", "g1", logSchema(), 4)
-	data.NewGenerator(5).Fill(logs, 600, 40)
+	fill(logs, 5, 600, 40)
 	dims := data.NewTable("dims", "d1", dimSchema(), 2)
-	data.NewGenerator(6).Fill(dims, 40, 40)
+	fill(dims, 6, 40, 40)
 	misc := data.NewTable("misc", "m1", dimSchema(), 2)
-	data.NewGenerator(7).Fill(misc, 40, 40)
+	fill(misc, 7, 40, 40)
 	cat.Register(logs)
 	cat.Register(dims)
 	cat.Register(misc)
@@ -381,5 +381,14 @@ func TestOverlapStats(t *testing.T) {
 	empty := ComputeOverlapStats(nil)
 	if empty.TotalJobs != 0 || empty.PctJobsOverlapping != 0 {
 		t.Error("empty stats wrong")
+	}
+}
+
+// fill appends n deterministic rows from seed to t, hash-partitioned on
+// the first column.
+func fill(t *data.Table, seed int64, n int, card int64) {
+	g, rr := data.NewGenerator(seed), 0
+	for i := 0; i < n; i++ {
+		t.AppendHash(g.Row(t.Schema, card), []int{0}, &rr)
 	}
 }

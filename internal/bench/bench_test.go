@@ -273,6 +273,47 @@ func TestBuildersFirst(t *testing.T) {
 	}
 }
 
+// TestOperatorShapes: every view instance 1 built traces to its producer
+// and an annotation, every replayed reuse job reproduces its outputs and
+// views, reclamation evicts lowest utility first, and staleness flips
+// only once the annotated templates stop building.
+func TestOperatorShapes(t *testing.T) {
+	r, err := RunOperator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Views) == 0 || len(r.Replays) == 0 {
+		t.Fatalf("%d views, %d replays; want both non-zero", len(r.Views), len(r.Replays))
+	}
+	utility := map[string]float64{}
+	for _, v := range r.Views {
+		utility[v.Path] = v.Utility
+		if !v.Annotated || v.ProducerJobID == "" || v.Rows == 0 {
+			t.Errorf("provenance %+v", v)
+		}
+	}
+	for _, c := range r.Replays {
+		if !c.SameOutputs || !c.SameViewsUsed {
+			t.Errorf("replay %+v differs from its original", c)
+		}
+	}
+	if len(r.Victims) == 0 || len(r.Victims) >= len(r.Views) {
+		t.Errorf("reclaiming half of %d bytes evicted %d of %d views", r.Resident, len(r.Victims), len(r.Views))
+	}
+	for i := 1; i < len(r.Victims); i++ {
+		if utility[r.Victims[i]] < utility[r.Victims[i-1]] {
+			t.Errorf("victims out of utility order: %v", r.Victims)
+		}
+	}
+	if r.StaleAfter1 || r.BuiltIn1 != len(r.Views) {
+		t.Errorf("after instance 1: stale=%v built=%d, want false and %d", r.StaleAfter1, r.BuiltIn1, len(r.Views))
+	}
+	if !r.StaleAfter2 || r.BuiltIn2 != 0 {
+		t.Errorf("after instance 2: stale=%v built=%d, want true and 0", r.StaleAfter2, r.BuiltIn2)
+	}
+	checkFigure(t, "operator", r)
+}
+
 func TestOverheadShapes(t *testing.T) {
 	r, err := RunOverheads(7)
 	if err != nil {

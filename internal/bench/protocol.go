@@ -23,10 +23,11 @@ import (
 // and with reuse on. Every §7 harness and ablation is built from the
 // pieces below, and every job goes through core.Service.Run, serially.
 
-// history is the protocol's recorded half: a generated workload whose
+// history is the protocol's recorded half: a generated workload wl whose
 // instance 0 ran with reuse off into repo, and whose instance 1 is
 // delivered and waiting in jobs.
 type history struct {
+	wl   *workgen.Workload
 	cat  *catalog.Catalog
 	repo *workload.Repository
 	jobs []core.JobSpec
@@ -39,7 +40,7 @@ func recordHistory(p workgen.Profile) (*history, error) {
 		return nil, err
 	}
 	w.DeliverInstance(1)
-	return &history{cat: w.Catalog, repo: repo, jobs: specsOf(w.JobsForInstance(1))}, nil
+	return &history{wl: w, cat: w.Catalog, repo: repo, jobs: specsOf(w.JobsForInstance(1))}, nil
 }
 
 func specsOf(jobs []workgen.Job) []core.JobSpec {

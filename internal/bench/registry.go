@@ -44,6 +44,7 @@ var Figures = []Figure{
 	figure("13", "Figure 13", func() (*TPCDSResult, error) { return RunTPCDS(DefaultTPCDSConfig()) }),
 	figure("overheads", "§7.3 overheads", func() (*OverheadResult, error) { return RunOverheads(7) }),
 	figure("ablations", "Ablations", RunAblations),
+	figure("operator", "§6.2 operator tools", RunOperator),
 }
 
 // Lookup returns the figure with the given name.

@@ -215,7 +215,7 @@ func TestChaosSoak(t *testing.T) {
 		agg.Cancelled += rec.Cancelled
 		agg.BreakerOpens += rec.BreakerOpens
 		agg.BreakerShortCircuits += rec.BreakerShortCircuits
-		if fired := in.TotalFired(); fired == 0 {
+		if in.Counts() == (fault.Counts{}) {
 			t.Fatalf("round %d: injector fired nothing — the soak tested nothing", round)
 		}
 	}

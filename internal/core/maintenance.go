@@ -36,30 +36,15 @@ func (c *changeTracker) roll() {
 	c.mu.Unlock()
 }
 
-// AnalysisStale reports whether the loaded analysis looks outdated: the
-// metadata service advertises annotations, but the last completed
-// recurring instance materialized fewer than half the advertised views.
-// A true result is the signal to rerun the CloudViews analyzer (§6.2:
-// "this also indicates that it is time to rerun the workload analysis").
-func (s *Service) AnalysisStale() bool {
-	annotations, _, _, _, _ := s.Meta.Stats()
-	if annotations == 0 {
-		return false
-	}
-	s.changes.mu.Lock()
-	defer s.changes.mu.Unlock()
-	if !s.changes.haveBaseline {
-		return false
-	}
-	return s.changes.lastBuilds*2 < annotations
-}
-
-// ViewsBuiltLastInstance reports how many views the last completed
-// instance materialized (admin dashboards).
-func (s *Service) ViewsBuiltLastInstance() int {
-	s.changes.mu.Lock()
-	defer s.changes.mu.Unlock()
-	return s.changes.lastBuilds
+// staleness reports, for Snapshot, how many views the last completed
+// recurring instance materialized, and whether the loaded analysis looks
+// outdated: the metadata service advertises annotations but that instance
+// built fewer than half of them (§6.2: "this also indicates that it is
+// time to rerun the workload analysis").
+func (c *changeTracker) staleness(annotations int) (stale bool, lastBuilt int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return annotations > 0 && c.haveBaseline && c.lastBuilds*2 < annotations, c.lastBuilds
 }
 
 // ReclaimStorage frees at least wantBytes of view storage by evicting the

@@ -23,10 +23,10 @@ func TestAnalysisStaleDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.BeginInstance(2) // rolls the counter: 1 build last instance
-	if s.ViewsBuiltLastInstance() != 1 {
-		t.Errorf("builds last instance = %d", s.ViewsBuiltLastInstance())
+	if st := s.Snapshot(); st.ViewsBuiltLastInstance != 1 {
+		t.Errorf("builds last instance = %d", st.ViewsBuiltLastInstance)
 	}
-	if s.AnalysisStale() {
+	if s.Snapshot().AnalysisStale {
 		t.Error("analysis should be fresh after a building instance")
 	}
 
@@ -46,10 +46,10 @@ func TestAnalysisStaleDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.BeginInstance(3)
-	if s.ViewsBuiltLastInstance() != 0 {
-		t.Errorf("changed workload still built %d views", s.ViewsBuiltLastInstance())
+	if st := s.Snapshot(); st.ViewsBuiltLastInstance != 0 {
+		t.Errorf("changed workload still built %d views", st.ViewsBuiltLastInstance)
 	}
-	if !s.AnalysisStale() {
+	if !s.Snapshot().AnalysisStale {
 		t.Error("analysis should be flagged stale after builds stop")
 	}
 
@@ -64,12 +64,12 @@ func TestAnalysisStaleDetection(t *testing.T) {
 func TestAnalysisStaleNeedsBaselineAndAnnotations(t *testing.T) {
 	s := newService(t)
 	// No annotations: never stale.
-	if s.AnalysisStale() {
+	if s.Snapshot().AnalysisStale {
 		t.Error("no annotations should never be stale")
 	}
 	seedHistory(t, s)
 	// Annotations loaded but no instance completed yet: not stale.
-	if s.AnalysisStale() {
+	if s.Snapshot().AnalysisStale {
 		t.Error("no baseline instance yet, should not be stale")
 	}
 }
@@ -233,5 +233,40 @@ func TestViewProvenanceAndReplay(t *testing.T) {
 	}
 	if !data.RowsEqual(consumer.Result.Outputs["activeUsers"], replayed.Result.Outputs["activeUsers"]) {
 		t.Error("replay produced different results")
+	}
+}
+
+// TestAnnotationsUsedIsTheJobsOwn: a job result keeps the lookup's slice
+// as its AnnotationsUsed, so that slice must be the job's own. Scribbling
+// over it changes neither the stored annotation nor the next lookup.
+func TestAnnotationsUsedIsTheJobsOwn(t *testing.T) {
+	s := newService(t)
+	s.Config.ValidateResults = false
+	seedHistory(t, s)
+	deliver(t, s.Catalog, 1)
+	r, err := s.Run(context.Background(), specA("a1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.AnnotationsUsed) == 0 {
+		t.Fatal("no annotations preserved")
+	}
+	orig := r.AnnotationsUsed[0]
+	for i := range r.AnnotationsUsed {
+		r.AnnotationsUsed[i].NormSig = "scribbled"
+		r.AnnotationsUsed[i].Utility = -1
+		r.AnnotationsUsed[i].Frequency = -1
+	}
+	stored, ok := s.Meta.Annotation(orig.NormSig)
+	if !ok || stored.Utility != orig.Utility || stored.Frequency != orig.Frequency {
+		t.Errorf("stored annotation = %+v (found %v), want utility %v frequency %d",
+			stored, ok, orig.Utility, orig.Frequency)
+	}
+	next, err := s.Meta.TryRelevantViews(specA("a2", 1).Meta.VC, defaultTags(specA("a2", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) == 0 || next[0].NormSig != orig.NormSig || next[0].Utility != orig.Utility {
+		t.Errorf("next lookup = %+v, want the original %q", next, orig.NormSig)
 	}
 }

@@ -246,7 +246,7 @@ func (s *Service) Trace(jobID string) (*obs.Trace, bool) {
 
 // StatsSchemaVersion identifies the ServiceStats layout; consumers that
 // persist snapshots can detect layout changes across releases.
-const StatsSchemaVersion = 2
+const StatsSchemaVersion = 3
 
 // SchedulerStats is the admission-side slice of a snapshot.
 type SchedulerStats struct {
@@ -276,6 +276,14 @@ type ServiceStats struct {
 	Storage       StorageStats
 	Scheduler     SchedulerStats
 	Breakers      []BreakerStats
+	// AnalysisStale reports whether the loaded analysis looks outdated:
+	// the metadata service advertises annotations, but the last completed
+	// recurring instance materialized fewer than half of them. True is the
+	// signal to rerun the analyzer (§6.2).
+	AnalysisStale bool
+	// ViewsBuiltLastInstance is how many views the last completed
+	// recurring instance materialized.
+	ViewsBuiltLastInstance int
 	// Metrics names every counter and histogram (see Snapshot); empty
 	// when no observer is installed.
 	Metrics obs.MetricsSnapshot
@@ -329,13 +337,14 @@ func (s *Service) Snapshot() ServiceStats {
 		})
 	}
 	st.Recovery = rs
+	annotations, _, _, lookups, _ := s.Meta.Stats()
+	st.AnalysisStale, st.ViewsBuiltLastInstance = s.changes.staleness(annotations)
 	if o := s.obsv; o != nil {
 		var trips, closes int64
 		for _, b := range st.Breakers {
 			trips += b.Opens
 			closes += b.ProbeSuccesses
 		}
-		_, _, _, lookups, _ := s.Meta.Stats()
 		cache := st.Storage.Cache
 		st.Metrics = obs.MetricsSnapshot{
 			Counters: map[string]int64{

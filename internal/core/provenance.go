@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"cloudviews/internal/metadata"
 )
 
 // provenance.go implements the debuggability requirement of §4 (goal 6):
@@ -73,7 +71,7 @@ func (s *Service) Replay(jr *JobResult) (*JobResult, error) {
 	now := s.Clock.Now()
 	out := &JobResult{Spec: replaySpec, Plan: replaySpec.Root, Decision: jr.Decision}
 
-	if s.vcEnabled(replaySpec.Meta.VC) {
+	if s.Config.Enabled {
 		// Use the preserved annotations, not a fresh metadata lookup:
 		// reproducibility must not depend on the analysis having changed.
 		out.Plan, out.Decision = s.Opt.Optimize(replaySpec.Root, replaySpec.Meta.JobID, jr.AnnotationsUsed, now)
@@ -84,14 +82,4 @@ func (s *Service) Replay(jr *JobResult) (*JobResult, error) {
 	}
 	out.Result = res
 	return out, nil
-}
-
-// annotationsSnapshot copies the annotations handed to the optimizer so
-// the job result preserves them (§6.2: "the compiler also preserves the
-// annotations as a job resource for future reproducibility").
-func annotationsSnapshot(anns []metadata.Annotation) []metadata.Annotation {
-	if len(anns) == 0 {
-		return nil
-	}
-	return append([]metadata.Annotation(nil), anns...)
 }

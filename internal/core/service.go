@@ -34,18 +34,15 @@ import (
 )
 
 // Config carries the service-wide CloudViews switches. Each is set by a
-// caller outside the tests, or is the paper's per-VC deployment setting;
-// the breaker, retry and trace-ring settings are fixed (breakerThreshold,
-// breakerCooldown, the executor's retry constants, NewObserver).
+// caller outside the tests; the breaker, retry and trace-ring settings
+// are fixed (breakerThreshold, breakerCooldown, the executor's retry
+// constants, NewObserver).
 type Config struct {
 	// Enabled turns computation reuse on. Off, every job runs untouched.
 	Enabled bool
 	// MaxViewsPerJob bounds per-job materializations (§6.2); the paper's
 	// production evaluation used 1.
 	MaxViewsPerJob int
-	// VCEnabled, when non-nil, restricts CloudViews to the listed VCs —
-	// the per-VC opt-in of §8. Nil means every VC participates.
-	VCEnabled map[string]bool
 	// ValidateResults additionally executes the unoptimized plan and
 	// verifies the outputs match (the output-validation step of §7.1).
 	// Expensive; intended for tests and preview deployments.
@@ -262,17 +259,6 @@ func NewService(cat *catalog.Catalog, cfg Config) *Service {
 	return s
 }
 
-// vcEnabled reports whether CloudViews applies to the job's VC.
-func (s *Service) vcEnabled(vc string) bool {
-	if !s.Config.Enabled {
-		return false
-	}
-	if s.Config.VCEnabled == nil {
-		return true
-	}
-	return s.Config.VCEnabled[vc]
-}
-
 // defaultTags derives the metadata lookup tags from the job: its inputs
 // (normalized names) and its recurring template ID (§6.1).
 func defaultTags(spec JobSpec) []string {
@@ -405,7 +391,7 @@ func (s *Service) submitJob(ctx context.Context, spec JobSpec, now int64, tb *tr
 
 	jr := &JobResult{Spec: spec, Plan: spec.Root, Decision: &optimizer.Decision{}}
 
-	if s.vcEnabled(spec.Meta.VC) {
+	if s.Config.Enabled {
 		s.planWithReuse(jr, spec, now, tb, 0)
 	}
 
@@ -481,7 +467,10 @@ func (s *Service) planWithReuse(jr *JobResult, spec JobSpec, now int64, tb *trac
 		return
 	}
 	opt.Child(matchName, tick, tick, obs.A("annotations", itoa(len(anns))))
-	jr.AnnotationsUsed = annotationsSnapshot(anns)
+	// The lookup's slice is fresh per call, so the job result keeps it as
+	// is (§6.2: "the compiler also preserves the annotations as a job
+	// resource for future reproducibility").
+	jr.AnnotationsUsed = anns
 	jr.Plan, jr.Decision = s.Opt.Optimize(spec.Root, spec.Meta.JobID, anns, now)
 	if opt != nil {
 		dec := jr.Decision
@@ -526,7 +515,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 		// degrades the job to its baseline plan.
 		var oe *breaker.OpenError
 		if errors.As(err, &oe) {
-			if replan >= maxReplans || !s.vcEnabled(spec.Meta.VC) {
+			if replan >= maxReplans || !s.Config.Enabled {
 				return nil, err
 			}
 			s.recovery.bump(func() { s.recovery.replans.Add(1) })
@@ -534,7 +523,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 			continue
 		}
 		sig, path, ok := viewFailure(err, jr.Decision)
-		if !ok || replan >= maxReplans || !s.vcEnabled(spec.Meta.VC) {
+		if !ok || replan >= maxReplans || !s.Config.Enabled {
 			return nil, err
 		}
 		s.retire(sig, path) // quarantine
@@ -778,32 +767,6 @@ func (s *Service) RunAnalyzer(cfg analyzer.Config) *analyzer.Analysis {
 		s.Meta.LoadAnalysis(an.Annotations)
 	}
 	return an
-}
-
-// RunOfflinePhase pre-materializes the offline-annotated subgraphs of a
-// job ahead of the workload (§6.2's offline mode for tenants with slack).
-// It returns the number of views built. A failed metadata lookup is
-// returned, not degraded around: an admin call has no baseline plan to
-// fall back to.
-func (s *Service) RunOfflinePhase(spec JobSpec) (int, error) {
-	if !s.vcEnabled(spec.Meta.VC) {
-		return 0, nil
-	}
-	now := s.Clock.Now()
-	anns, err := s.Meta.TryRelevantViews(spec.Meta.VC, defaultTags(spec))
-	if err != nil {
-		return 0, fmt.Errorf("core: offline phase for job %s: %w", spec.Meta.JobID, err)
-	}
-	plans, intents := s.Opt.OfflineViewPlans(spec.Root, spec.Meta.JobID, anns, now)
-	built := 0
-	for i, p := range plans {
-		dec := &optimizer.Decision{ViewsBuilt: []optimizer.BuildIntent{intents[i]}}
-		if _, err := s.execute(context.Background(), p, spec, dec, now, 0, nil, 0); err != nil {
-			return built, err
-		}
-		built++
-	}
-	return built, nil
 }
 
 // BeginInstance advances the service to recurring instance i: expired view

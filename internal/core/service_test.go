@@ -171,24 +171,6 @@ func TestDisabledServiceNeverTouchesPlans(t *testing.T) {
 	}
 }
 
-func TestPerVCOptIn(t *testing.T) {
-	cat := catalog.New()
-	deliver(t, cat, 0)
-	s := NewService(cat, Config{Enabled: true, VCEnabled: map[string]bool{"vc9": true}})
-	seedSpec := specA("a0", 0) // vc1: not enabled
-	if _, err := s.Run(context.Background(), seedSpec); err != nil {
-		t.Fatal(err)
-	}
-	s.RunAnalyzer(analyzer.Config{MinFrequency: 1})
-	r, err := s.Run(context.Background(), specB("b0", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Decision.ViewsBuilt) != 0 {
-		t.Error("opt-out VC still got views")
-	}
-}
-
 func TestNewInstanceInvalidatesOldViews(t *testing.T) {
 	s := newService(t)
 	seedHistory(t, s)
@@ -345,36 +327,6 @@ func TestConcurrentSubmissionsSingleBuilder(t *testing.T) {
 	}
 }
 
-func TestOfflinePhase(t *testing.T) {
-	s := newService(t)
-	an := seedHistory(t, s)
-	// Re-load the annotations flagged offline.
-	for i := range an.Annotations {
-		an.Annotations[i].Offline = true
-	}
-	s.Meta.LoadAnalysis(an.Annotations)
-
-	deliver(t, s.Catalog, 1)
-	built, err := s.RunOfflinePhase(specA("offline-a1", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built == 0 {
-		t.Fatal("offline phase built nothing")
-	}
-	// The online jobs of the instance reuse the pre-built views.
-	r, err := s.Run(context.Background(), specA("a1", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Decision.ViewsUsed) == 0 {
-		t.Error("online job did not reuse offline-built view")
-	}
-	if len(r.Decision.ViewsBuilt) != 0 {
-		t.Error("online job rebuilt an offline view")
-	}
-}
-
 func TestViewScanStatsImproveEstimates(t *testing.T) {
 	s := newService(t)
 	seedHistory(t, s)
@@ -423,41 +375,5 @@ func TestSignatureStabilityAcrossServiceRestart(t *testing.T) {
 	sig := signature.Of(sharedSub(0))
 	if r.Decision.ViewsBuilt[0].PreciseSig != sig.Precise {
 		t.Error("rebuilt view has unexpected signature")
-	}
-}
-
-func TestVCLevelOfflineMode(t *testing.T) {
-	// §6.2: offline mode is configured at the VC level in the metadata
-	// service; annotations served to that VC come back marked offline, so
-	// the offline phase builds them and online jobs only consume.
-	s := newService(t)
-	seedHistory(t, s)
-	s.Meta.SetOfflineVC("vc1", true)
-
-	deliver(t, s.Catalog, 1)
-	// Online submission without the offline phase: nothing builds inline.
-	r, err := s.Run(context.Background(), specA("a1-online", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Decision.ViewsBuilt) != 0 {
-		t.Fatal("offline-mode VC built a view inline")
-	}
-	// The offline phase pre-materializes.
-	built, err := s.RunOfflinePhase(specA("a1-offline", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != 1 {
-		t.Fatalf("offline phase built %d", built)
-	}
-	// Subsequent online jobs reuse.
-	r2, err := s.Run(context.Background(), specB("b1", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Decision.ViewsUsed) != 1 || len(r2.Decision.ViewsBuilt) != 0 {
-		t.Errorf("offline-mode consumer: used=%d built=%d",
-			len(r2.Decision.ViewsUsed), len(r2.Decision.ViewsBuilt))
 	}
 }

@@ -77,7 +77,7 @@ func TestMultiInstanceSoak(t *testing.T) {
 		t.Error("store never held a view")
 	}
 	// The analysis stayed fresh (templates did not change).
-	if svc.AnalysisStale() {
+	if svc.Snapshot().AnalysisStale {
 		t.Error("analysis flagged stale on an unchanged workload")
 	}
 	t.Logf("soak: built=%d reused=%d store sizes per instance=%v", builtTotal, reusedTotal, storeSizes)

@@ -11,13 +11,6 @@ import (
 // Row is a tuple of values laid out in schema order.
 type Row []Value
 
-// Clone returns a deep-enough copy of the row (values are immutable).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Hash64 hashes the subset of columns named by idx; with no indexes it
 // hashes the whole row. Used for shuffles, hash joins, and grouping.
 //

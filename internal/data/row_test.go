@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,15 +12,6 @@ func sampleSchema() Schema {
 		{Name: "id", Kind: KindInt},
 		{Name: "name", Kind: KindString},
 		{Name: "amount", Kind: KindFloat},
-	}
-}
-
-func TestRowCloneIsIndependent(t *testing.T) {
-	r := Row{Int(1), String_("a")}
-	c := r.Clone()
-	c[0] = Int(99)
-	if r[0].AsInt() != 1 {
-		t.Error("clone aliases original")
 	}
 }
 
@@ -135,8 +127,8 @@ func TestTableAppendAndValidate(t *testing.T) {
 	if tab.NumRows() != 100 {
 		t.Fatalf("NumRows = %d", tab.NumRows())
 	}
-	if err := tab.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := validate(tab); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	// Hash partitioning must be deterministic: same key, same partition.
 	probe := Row{Int(7), String_("x"), Float(0)}
@@ -150,11 +142,30 @@ func TestTableAppendAndValidate(t *testing.T) {
 	if !found {
 		t.Error("row with key 7 not in its hash partition")
 	}
-	// Validate catches kind violations.
+	// validate catches kind violations.
 	tab.Partitions[0] = append(tab.Partitions[0], Row{String_("bad"), String_("n"), Float(1)})
-	if tab.Validate() == nil {
-		t.Error("Validate should reject wrong-kind row")
+	if validate(tab) == nil {
+		t.Error("validate should reject wrong-kind row")
 	}
+}
+
+// validate checks that every row matches the schema arity and kinds (NULL
+// is allowed in any column) and returns the first violation.
+func validate(t *Table) error {
+	for pi, p := range t.Partitions {
+		for ri, r := range p {
+			if len(r) != len(t.Schema) {
+				return fmt.Errorf("partition %d row %d: arity %d, schema wants %d", pi, ri, len(r), len(t.Schema))
+			}
+			for ci, v := range r {
+				if v.K != KindNull && v.K != t.Schema[ci].Kind {
+					return fmt.Errorf("partition %d row %d col %s: kind %s, schema wants %s",
+						pi, ri, t.Schema[ci].Name, v.K, t.Schema[ci].Kind)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func TestTableRoundRobin(t *testing.T) {
@@ -177,11 +188,14 @@ func TestGeneratorDeterminism(t *testing.T) {
 		t.Errorf("same seed produced %v vs %v", a, b)
 	}
 	tab := NewTable("t", "g", sampleSchema(), 2)
-	NewGenerator(3).Fill(tab, 50, 10)
-	if tab.NumRows() != 50 {
-		t.Errorf("Fill produced %d rows", tab.NumRows())
+	g, rr := NewGenerator(3), 0
+	for i := 0; i < 50; i++ {
+		tab.AppendHash(g.Row(tab.Schema, 10), []int{0}, &rr)
 	}
-	if err := tab.Validate(); err != nil {
+	if tab.NumRows() != 50 {
+		t.Errorf("generated %d rows", tab.NumRows())
+	}
+	if err := validate(tab); err != nil {
 		t.Errorf("generated table invalid: %v", err)
 	}
 }

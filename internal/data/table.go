@@ -83,26 +83,6 @@ func (t *Table) AppendHash(row Row, keys []int, rr *int) {
 	t.cachedBytes.Store(0)
 }
 
-// Validate checks that every row matches the schema arity and kinds
-// (NULL is allowed in any column). It returns the first violation found.
-func (t *Table) Validate() error {
-	for pi, p := range t.Partitions {
-		for ri, r := range p {
-			if len(r) != len(t.Schema) {
-				return fmt.Errorf("table %s partition %d row %d: arity %d, schema wants %d",
-					t.Name, pi, ri, len(r), len(t.Schema))
-			}
-			for ci, v := range r {
-				if v.K != KindNull && v.K != t.Schema[ci].Kind {
-					return fmt.Errorf("table %s partition %d row %d col %s: kind %s, schema wants %s",
-						t.Name, pi, ri, t.Schema[ci].Name, v.K, t.Schema[ci].Kind)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Generator produces deterministic synthetic rows for a schema; it backs
 // the workload and TPC-DS data generators.
 type Generator struct {
@@ -143,17 +123,4 @@ func (g *Generator) Row(schema Schema, card int64) Row {
 		}
 	}
 	return row
-}
-
-// Fill populates the table with n deterministic rows, hash-partitioned on
-// the first column when the table has more than one partition.
-func (g *Generator) Fill(t *Table, n int, card int64) {
-	keys := []int{}
-	if len(t.Partitions) > 1 && len(t.Schema) > 0 {
-		keys = []int{0}
-	}
-	rr := 0
-	for i := 0; i < n; i++ {
-		t.AppendHash(g.Row(t.Schema, card), keys, &rr)
-	}
 }

@@ -452,25 +452,3 @@ func applyHashAgg(ctx context.Context, n *plan.Node, in partitions, inStats *Sta
 	})
 	return out, -1, OperatorCost(n.Kind, inStats.Rows, 0, 0), nil
 }
-
-func applyStreamAgg(ctx context.Context, n *plan.Node, in partitions, inStats *Stats) (partitions, int64, float64, error) {
-	rows := sortedFlatten(ctx, in, inStats.Rows, n.GroupBy, nil)
-	inSchema := n.Children[0].Schema()
-	t := newAggTable(n, inSchema, 16)
-	cur := int32(-1)
-	for _, r := range rows {
-		if cur < 0 || !keyEqual(t.keys[cur], r, n.GroupBy) {
-			// Input is sorted, so groups are contiguous runs: append-only,
-			// no hash chains needed (hash 0 is never consulted).
-			cur = t.addGroupFromRow(0, r)
-		}
-		t.update(cur, r)
-	}
-	arena := data.NewRowArenaSized(len(t.keys) * (len(n.GroupBy) + t.nAggs))
-	out := make([]data.Row, len(t.keys))
-	for id := range t.keys {
-		out[id] = t.emit(int32(id), arena)
-	}
-	t.release()
-	return partitions{out}, -1, OperatorCost(n.Kind, inStats.Rows, 0, 0), nil
-}

@@ -45,10 +45,10 @@ func OperatorCost(kind plan.OpKind, rowsIn, rowsOut, bytesIn int64) float64 {
 		c += rows * costPerRowFilter
 	case plan.OpProject:
 		c += rows * costPerRowProject
-	case plan.OpHashJoin, plan.OpMergeJoin:
+	case plan.OpHashJoin:
 		// rowsIn carries probe side; build side is added by the caller.
 		c += rows * costPerRowJoinProbe
-	case plan.OpHashGbAgg, plan.OpStreamGbAgg:
+	case plan.OpHashGbAgg:
 		c += rows * costPerRowAgg
 	case plan.OpSort:
 		if rows > 1 {
@@ -66,7 +66,7 @@ func OperatorCost(kind plan.OpKind, rowsIn, rowsOut, bytesIn int64) float64 {
 		c += float64(rowsOut) * costPerRowViewRead
 	case plan.OpMaterialize:
 		c += float64(rowsOut) * costPerRowViewWrite
-	case plan.OpSpool, plan.OpOutput:
+	case plan.OpOutput:
 		// free pass-throughs beyond startup
 	}
 	return c

@@ -105,27 +105,6 @@ func allCols(r data.Row) []int {
 	return out
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	e := env(t)
-	h := plan.Scan("sales", "sales-v1", salesSchema()).
-		HashJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
-		Output("o")
-	m := plan.Scan("sales", "sales-v1", salesSchema()).
-		MergeJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
-		Output("o")
-	rh, err := e.RunCtx(context.Background(), h, "h", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := e.RunCtx(context.Background(), m, "m", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !data.RowsEqual(rh.Outputs["o"], rm.Outputs["o"]) {
-		t.Error("merge join and hash join disagree")
-	}
-}
-
 func TestRangePartitionExchange(t *testing.T) {
 	e := env(t)
 	p := plan.Scan("sales", "sales-v1", salesSchema()).
@@ -321,14 +300,13 @@ func TestSkewedPartitionsStraggle(t *testing.T) {
 }
 
 // TestParallelSchedulerSharedSpool covers the DAG (not tree) case: a
-// spooled subtree with two parents must execute once per walk, and two
-// fresh builds of the plan must account identically.
+// pointer-shared subtree with two parents must execute once per walk, and
+// two fresh builds of the plan must account identically.
 func TestParallelSchedulerSharedSpool(t *testing.T) {
 	e := env(t)
 	build := func() *plan.Node {
 		shared := plan.Scan("sales", "sales-v1", salesSchema()).
-			Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1)))).
-			Spool()
+			Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1))))
 		return shared.HashAgg([]int{0}, []plan.AggSpec{{Fn: plan.AggCount, Col: 1}}).
 			HashJoin(shared, []int{0}, []int{0}).
 			Sort([]int{0}, nil).

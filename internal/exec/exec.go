@@ -246,7 +246,7 @@ func (st *execState) deadlineErr() error {
 // submission time that vertex start/end times and the deadline count from.
 //
 // The plan is walked depth-first on the calling goroutine: each vertex
-// runs after all of its children, a shared (spooled) subtree runs once,
+// runs after all of its children, a shared subtree runs once,
 // and only the kernels inside a vertex fan out to the worker pool. Every
 // operator attempt flows through the vertex-retry loop (runVertex):
 // transient failures — injected or infrastructural — re-run the vertex
@@ -519,12 +519,10 @@ func (e *Executor) apply(n *plan.Node, in []partitions, inStats []*Stats, st *ex
 		return applyProject(ctx, n, in[0], inStats[0])
 	case plan.OpExchange:
 		return applyExchange(ctx, n, in[0], inStats[0])
-	case plan.OpHashJoin, plan.OpMergeJoin:
+	case plan.OpHashJoin:
 		return applyJoin(ctx, n, in[0], in[1], inStats[0], inStats[1])
 	case plan.OpHashGbAgg:
 		return applyHashAgg(ctx, n, in[0], inStats[0])
-	case plan.OpStreamGbAgg:
-		return applyStreamAgg(ctx, n, in[0], inStats[0])
 	case plan.OpSort:
 		return applySort(ctx, n, in[0], inStats[0])
 	case plan.OpTop:
@@ -535,8 +533,6 @@ func (e *Executor) apply(n *plan.Node, in []partitions, inStats []*Stats, st *ex
 		return applyProcess(ctx, n, in[0], inStats[0])
 	case plan.OpReduce:
 		return applyReduce(ctx, n, in[0], inStats[0])
-	case plan.OpSpool:
-		return in[0], inStats[0].Bytes, OperatorCost(n.Kind, 0, 0, 0), nil
 	case plan.OpOutput:
 		st.res.Outputs[n.OutputName] = in[0].flatten()
 		return in[0], inStats[0].Bytes, OperatorCost(n.Kind, inStats[0].Rows, 0, 0), nil

@@ -177,33 +177,6 @@ func TestJoinHashCollisionSafety(t *testing.T) {
 	}
 }
 
-func TestHashAggMatchesStreamAgg(t *testing.T) {
-	e := env(t)
-	aggs := []plan.AggSpec{
-		{Fn: plan.AggSum, Col: 2},
-		{Fn: plan.AggCount, Col: 2},
-		{Fn: plan.AggMin, Col: 3},
-		{Fn: plan.AggMax, Col: 3},
-		{Fn: plan.AggAvg, Col: 3},
-	}
-	h := plan.Scan("sales", "sales-v1", salesSchema()).HashAgg([]int{0}, aggs).Output("o")
-	s := plan.Scan("sales", "sales-v1", salesSchema()).StreamAgg([]int{0}, aggs).Output("o")
-	rh, err := e.RunCtx(context.Background(), h, "j1", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := e.RunCtx(context.Background(), s, "j2", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !data.RowsEqual(rh.Outputs["o"], rs.Outputs["o"]) {
-		t.Error("hash agg and stream agg disagree")
-	}
-	if len(rh.Outputs["o"]) != 20 {
-		t.Errorf("agg groups = %d, want 20", len(rh.Outputs["o"]))
-	}
-}
-
 func TestAggNullHandling(t *testing.T) {
 	cat := catalog.New()
 	tab := data.NewTable("t", "g", data.Schema{
@@ -303,11 +276,12 @@ func TestProcessAndReduceDeterminism(t *testing.T) {
 	}
 }
 
+// TestSpoolSharedSubtreeRunsOnce: a subtree that two parents share by
+// pointer runs once per job.
 func TestSpoolSharedSubtreeRunsOnce(t *testing.T) {
 	e := env(t)
 	shared := plan.Scan("sales", "sales-v1", salesSchema()).
-		Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1)))).
-		Spool()
+		Filter(expr.B(expr.OpGt, expr.C(2, "qty"), expr.Lit(data.Int(1))))
 	top := shared.HashAgg([]int{0}, []plan.AggSpec{{Fn: plan.AggCount, Col: 1}}).
 		HashJoin(shared, []int{0}, []int{0}).
 		Output("o")
@@ -491,11 +465,11 @@ func TestReuseNeverChangesResults(t *testing.T) {
 			return false
 		}
 		// Rewrite the original plan to read the view.
-		rewritten := plan.Rewrite(root, func(n *plan.Node) *plan.Node {
-			if signature.Of(n).Precise == sig.Precise && n.Kind != plan.OpViewScan {
+		rewritten := readView(root, func(n *plan.Node) *plan.Node {
+			if signature.Of(n).Precise == sig.Precise {
 				return plan.ViewScan(view.Path, n.Schema(), sig.Precise, sig.Normalized)
 			}
-			return n
+			return nil
 		})
 		re, err := e.RunCtx(context.Background(), rewritten.Output("o"), "reuse", 0, 0)
 		if err != nil {
@@ -506,6 +480,20 @@ func TestReuseNeverChangesResults(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// readView copies the linear pipeline n down to the first node that view
+// replaces (returns non-nil for), sharing everything below the replacement.
+func readView(n *plan.Node, view func(*plan.Node) *plan.Node) *plan.Node {
+	if vs := view(n); vs != nil {
+		return vs
+	}
+	if len(n.Children) == 0 {
+		return n
+	}
+	cp := n.CopyWithChildren()
+	cp.Children[0] = readView(n.Children[0], view)
+	return cp
 }
 
 // randomPipeline builds a random linear pipeline over the sales table.

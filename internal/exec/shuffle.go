@@ -8,7 +8,7 @@ import (
 )
 
 // shuffle.go holds the partition-parallel data-movement kernels shared by
-// Exchange, Materialize (enforceDesign), Sort, StreamAgg, and Reduce:
+// Exchange, Materialize (enforceDesign), Sort, and Reduce:
 // deterministic parallel scatter and the parallel-sort + k-way-merge pair.
 // The determinism contract for every kernel here is documented in
 // DESIGN.md §9: outputs are a pure function of (input partitions, operator

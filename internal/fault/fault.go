@@ -154,15 +154,6 @@ func (in *Injector) Counts() Counts {
 	}
 }
 
-// TotalFired returns the total number of injected faults of every kind.
-func (in *Injector) TotalFired() int64 {
-	var n int64
-	for i := range in.fired {
-		n += in.fired[i].Load()
-	}
-	return n
-}
-
 // next claims the occurrence index for a keyed site.
 func (in *Injector) next(key string) uint64 {
 	in.mu.Lock()

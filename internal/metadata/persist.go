@@ -16,9 +16,9 @@ import (
 // §6.1 takes over.
 //
 // Format v2 is a line journal: a header line identifying the format,
-// followed by one JSON record per line (annotations, then views, then
-// offline-VC flags). The point of the line granularity is crash recovery —
-// a snapshot torn mid-write (truncated file, corrupted tail) restores to
+// followed by one JSON record per line (annotations, then views). The
+// point of the line granularity is crash recovery — a snapshot torn
+// mid-write (truncated file, corrupted tail) restores to
 // the valid prefix instead of erroring the whole service, so the metadata
 // service always comes back up; at worst it forgets the most recently
 // journaled views, which consumers then rebuild. Files that are not
@@ -28,6 +28,7 @@ import (
 
 // header is the journal's first line. It embeds the legacy v1 payload
 // fields so an old single-object snapshot decodes through the same struct.
+// A v1 snapshot's retired OfflineVCs list is ignored.
 type header struct {
 	Format  string
 	Version int
@@ -35,14 +36,14 @@ type header struct {
 	// v1 payload (whole-state single object); unused in v2 headers.
 	Annotations []Annotation `json:",omitempty"`
 	Views       []ViewInfo   `json:",omitempty"`
-	OfflineVCs  []string     `json:",omitempty"`
 }
 
-// record is one v2 journal line; exactly one field is set.
+// record is one v2 journal line; exactly one field is set. A line written
+// by an older build that carries a retired field (an offline-VC flag)
+// decodes to an empty record, which Restore skips.
 type record struct {
-	Ann       *Annotation `json:",omitempty"`
-	View      *ViewInfo   `json:",omitempty"`
-	OfflineVC string      `json:",omitempty"`
+	Ann  *Annotation `json:",omitempty"`
+	View *ViewInfo   `json:",omitempty"`
 }
 
 const (
@@ -63,13 +64,8 @@ func (s *Service) Save(w io.Writer) error {
 	for _, v := range st.views {
 		views = append(views, *v)
 	}
-	var vcs []string
-	for vc := range st.offlineVCs {
-		vcs = append(vcs, vc)
-	}
 	sort.Slice(anns, func(i, j int) bool { return anns[i].NormSig < anns[j].NormSig })
 	sort.Slice(views, func(i, j int) bool { return views[i].PreciseSig < views[j].PreciseSig })
-	sort.Strings(vcs)
 
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -83,11 +79,6 @@ func (s *Service) Save(w io.Writer) error {
 	}
 	for i := range views {
 		if err := enc.Encode(record{View: &views[i]}); err != nil {
-			return fmt.Errorf("metadata: save: %w", err)
-		}
-	}
-	for _, vc := range vcs {
-		if err := enc.Encode(record{OfflineVC: vc}); err != nil {
 			return fmt.Errorf("metadata: save: %w", err)
 		}
 	}
@@ -108,7 +99,7 @@ func Restore(r io.Reader) (*Service, error) {
 	if h.Format != snapshotFormat {
 		return nil, fmt.Errorf("metadata: not a metadata snapshot (format %q)", h.Format)
 	}
-	anns, views, vcs := h.Annotations, h.Views, h.OfflineVCs
+	anns, views := h.Annotations, h.Views
 	switch h.Version {
 	case 1:
 		// Legacy single-object snapshot: the payload rode in the header.
@@ -127,8 +118,6 @@ func Restore(r io.Reader) (*Service, error) {
 				anns = append(anns, *rec.Ann)
 			case rec.View != nil:
 				views = append(views, *rec.View)
-			case rec.OfflineVC != "":
-				vcs = append(vcs, rec.OfflineVC)
 			}
 		}
 	default:
@@ -137,8 +126,5 @@ func Restore(r io.Reader) (*Service, error) {
 	s := NewService()
 	s.LoadAnalysis(anns)
 	s.installViews(views)
-	for _, vc := range vcs {
-		s.SetOfflineVC(vc, true)
-	}
 	return s, nil
 }

@@ -51,9 +51,6 @@ type Annotation struct {
 	StorageBytes int64
 	// Frequency is the observed occurrence count in the analysis window.
 	Frequency int
-	// Offline marks annotations for VCs configured to pre-materialize
-	// views ahead of the workload instead of online (§6.2).
-	Offline bool
 }
 
 // ViewInfo describes a materialized, available view.
@@ -88,14 +85,12 @@ type state struct {
 	annotations map[string]*Annotation   // by normalized signature
 	tagAnns     map[string][]*Annotation // tag -> annotations, sorted by NormSig
 	views       map[string]*ViewInfo     // by precise signature
-	offlineVCs  map[string]bool          // VCs configured for offline materialization (§6.2)
 }
 
 var emptyState = &state{
 	annotations: map[string]*Annotation{},
 	tagAnns:     map[string][]*Annotation{},
 	views:       map[string]*ViewInfo{},
-	offlineVCs:  map[string]bool{},
 }
 
 // FaultHook is the metadata service's fault-injection seam (see
@@ -154,26 +149,6 @@ func copyViews(m map[string]*ViewInfo) map[string]*ViewInfo {
 		out[k] = v
 	}
 	return out
-}
-
-// SetOfflineVC configures a VC for offline view materialization (§6.2):
-// annotations served to that VC's jobs come back marked Offline, so the
-// runtime pre-materializes them ahead of the workload instead of inline.
-func (s *Service) SetOfflineVC(vc string, offline bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur.Load().clone()
-	vcs := make(map[string]bool, len(st.offlineVCs)+1)
-	for k, v := range st.offlineVCs {
-		vcs[k] = v
-	}
-	if offline {
-		vcs[vc] = true
-	} else {
-		delete(vcs, vc)
-	}
-	st.offlineVCs = vcs
-	s.cur.Store(st)
 }
 
 // buildTagIndex derives the inverted tag index from an annotation map,
@@ -242,9 +217,8 @@ func (s *Service) SaveAll(anns []Annotation) {
 // every annotation whose tags intersect the job's tags, in one round trip,
 // ordered by normalized signature. The result may contain annotations
 // whose signatures do not occur in the job (false positives); the
-// optimizer matches actual signatures. If the requesting job's VC is
-// configured for offline materialization, the returned annotations are
-// marked Offline (§6.2).
+// optimizer matches actual signatures. The returned slice is freshly
+// built per call: the caller owns it.
 //
 // The lookup sits behind the fault seam: it fails when the (simulated)
 // metadata service is unreachable instead of silently returning nothing.
@@ -309,11 +283,6 @@ func (s *Service) TryRelevantViews(vc string, jobTags []string) ([]Annotation, e
 					idx[i]++
 				}
 			}
-		}
-	}
-	if st.offlineVCs[vc] {
-		for i := range out {
-			out[i].Offline = true
 		}
 	}
 	if s.Obs != nil {

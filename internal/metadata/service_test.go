@@ -266,40 +266,10 @@ func TestClientSwallowsConnectionErrors(t *testing.T) {
 	c.AbortMaterialize("p", "j")
 }
 
-func TestOfflineVCConfiguration(t *testing.T) {
-	s := NewService()
-	s.LoadAnalysis([]Annotation{ann("n1", "t")})
-	// Default: online.
-	got := relevant(t, s, "vc-online", []string{"t"})
-	if len(got) != 1 || got[0].Offline {
-		t.Fatalf("online VC got %+v", got)
-	}
-	// Configure a VC for offline materialization (§6.2): its lookups come
-	// back marked Offline; other VCs are unaffected.
-	s.SetOfflineVC("vc-batch", true)
-	got = relevant(t, s, "vc-batch", []string{"t"})
-	if len(got) != 1 || !got[0].Offline {
-		t.Fatalf("offline VC got %+v", got)
-	}
-	if relevant(t, s, "vc-online", []string{"t"})[0].Offline {
-		t.Error("offline flag leaked to another VC")
-	}
-	// Stored annotation itself is untouched.
-	if a, _ := s.Annotation("n1"); a.Offline {
-		t.Error("offline marking mutated the stored annotation")
-	}
-	// Toggle back.
-	s.SetOfflineVC("vc-batch", false)
-	if relevant(t, s, "vc-batch", []string{"t"})[0].Offline {
-		t.Error("offline flag survived unconfiguration")
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewService()
 	s.LoadAnalysis([]Annotation{ann("n1", "clicks"), ann("n2", "orders")})
 	s.ReportMaterialized(ViewInfo{PreciseSig: "p1", NormSig: "n1", Path: "/v/1", Rows: 9, ExpiresAt: 50})
-	s.SetOfflineVC("batch", true)
 	// A held lock must NOT survive the snapshot (restart = lock expiry).
 	if !s.ProposeMaterialize("n2", "p2", "jobA", 0) {
 		t.Fatal("propose failed")
@@ -320,10 +290,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Views restored.
 	if v, ok := r.LookupView("p1"); !ok || v.Rows != 9 {
 		t.Errorf("views lost: %+v %v", v, ok)
-	}
-	// Offline VC config restored.
-	if got := relevant(t, r, "batch", []string{"clicks"}); !got[0].Offline {
-		t.Error("offline VC config lost")
 	}
 	// Locks dropped: a different job can immediately propose p2.
 	if !r.ProposeMaterialize("n2", "p2", "jobB", 0) {
@@ -351,7 +317,6 @@ func populated(t *testing.T) *Service {
 			Rows: int64(i + 1), ExpiresAt: 50,
 		})
 	}
-	s.SetOfflineVC("batch", true)
 	return s
 }
 
@@ -424,11 +389,50 @@ func TestRestoreLegacyV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := relevant(t, r, "batch", []string{"clicks"}); len(got) != 1 || !got[0].Offline {
+	if got := relevant(t, r, "batch", []string{"clicks"}); len(got) != 1 {
 		t.Errorf("v1 payload lost: %v", got)
 	}
 	if _, ok := r.LookupView("p1"); !ok {
 		t.Error("v1 view registration lost")
+	}
+}
+
+// TestRestoreSkipsRetiredOfflineRecords: journals written while the
+// service still had a per-VC offline mode carry an "Offline" key on each
+// annotation, "OfflineVC" record lines (v2) and an "OfflineVCs" header
+// list (v1). They still load in full: a retired line is skipped, not
+// taken for a torn tail, so the annotation after it survives. A fresh
+// Save writes none of those keys.
+func TestRestoreSkipsRetiredOfflineRecords(t *testing.T) {
+	v2 := `{"Format":"cloudviews-metadata","Version":2}
+{"Ann":{"NormSig":"n1","Tags":["clicks"],"Offline":true}}
+{"View":{"PreciseSig":"p1","NormSig":"n1","Path":"/v/p1","Rows":4}}
+{"OfflineVC":"batch_vc"}
+{"Ann":{"NormSig":"n2","Tags":["clicks"],"Offline":false}}
+`
+	v1 := `{"Format":"cloudviews-metadata","Version":1,` +
+		`"Annotations":[{"NormSig":"n1","Tags":["clicks"],"Offline":true},{"NormSig":"n2","Tags":["clicks"]}],` +
+		`"Views":[{"PreciseSig":"p1","NormSig":"n1","Path":"/v/p1","Rows":4}],` +
+		`"OfflineVCs":["batch_vc"]}`
+	for name, src := range map[string]string{"v2": v2, "v1": v1} {
+		r, err := Restore(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := relevant(t, r, "batch_vc", []string{"clicks"})
+		if len(got) != 2 || got[0].NormSig != "n1" || got[1].NormSig != "n2" {
+			t.Errorf("%s: annotations = %+v, want n1 and n2", name, got)
+		}
+		if v, ok := r.LookupView("p1"); !ok || v.Rows != 4 {
+			t.Errorf("%s: view = %+v %v, want p1 with 4 rows", name, v, ok)
+		}
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(buf.Bytes(), []byte(`"Offline`)) {
+			t.Errorf("%s: re-saved journal still carries an offline key:\n%s", name, buf.Bytes())
+		}
 	}
 }
 

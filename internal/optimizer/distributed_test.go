@@ -20,7 +20,7 @@ import (
 func TestDistributedOptimizersOverHTTP(t *testing.T) {
 	env := newEnv(t) // in-process service backs the HTTP handler
 	agg := pipeline("g1")
-	sig := annotate(t, env, agg, false)
+	sig := annotate(t, env, agg)
 
 	srv := httptest.NewServer(metadata.Handler(env.meta))
 	defer srv.Close()

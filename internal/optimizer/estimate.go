@@ -74,12 +74,12 @@ func (e *Estimator) Estimate(n *plan.Node) Estimate {
 		est = scaleEstimate(children[0], estFilterSelectivity)
 	case plan.OpProject:
 		est = Estimate{Rows: children[0].Rows, Bytes: children[0].Rows * estBytesPerRow, Actual: children[0].Actual}
-	case plan.OpHashJoin, plan.OpMergeJoin:
+	case plan.OpHashJoin:
 		rows := int64(float64(children[0].Rows) * estJoinMultiplier)
 		est = Estimate{Rows: rows, Bytes: rows * 2 * estBytesPerRow}
-	case plan.OpHashGbAgg, plan.OpStreamGbAgg:
+	case plan.OpHashGbAgg:
 		est = scaleEstimate(children[0], estAggReduction)
-	case plan.OpSort, plan.OpExchange, plan.OpSpool, plan.OpOutput, plan.OpMaterialize:
+	case plan.OpSort, plan.OpExchange, plan.OpOutput, plan.OpMaterialize:
 		est = children[0]
 	case plan.OpTop:
 		rows := children[0].Rows
@@ -111,7 +111,7 @@ func (e *Estimator) Estimate(n *plan.Node) Estimate {
 		inBytes = est.Bytes
 	}
 	est.Cost = childCost + exec.OperatorCost(n.Kind, inRows, est.Rows, inBytes)
-	if n.Kind == plan.OpHashJoin || n.Kind == plan.OpMergeJoin {
+	if n.Kind == plan.OpHashJoin {
 		est.Cost += float64(children[1].Rows) * 1.2 // build side
 	}
 	return est

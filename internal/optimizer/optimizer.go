@@ -208,10 +208,6 @@ func (o *Optimizer) injectMaterializations(root *plan.Node, jobID string, anns m
 			ann, ok := anns[sig.Normalized]
 			switch {
 			case !ok:
-			case ann.Offline:
-				// Offline-mode annotations (§6.2) are materialized by the
-				// ahead-of-workload phase, never inline — online jobs only
-				// consume them (handled by the matching task above).
 			case builds >= o.MaxMaterializePerJob:
 			case o.viewExists(sig.Precise):
 				// Already materialized (maybe used above, maybe rejected by
@@ -241,54 +237,4 @@ func (o *Optimizer) injectMaterializations(root *plan.Node, jobID string, anns m
 func (o *Optimizer) viewExists(preciseSig string) bool {
 	_, exists := o.Meta.LookupView(preciseSig)
 	return exists
-}
-
-// OfflineViewPlans extracts materialize-only plans for annotated subgraphs
-// of root, for VCs configured with offline (ahead-of-workload) view
-// creation (§6.2). Each returned plan computes exactly one view and
-// nothing else; locks are acquired exactly as in the online path.
-func (o *Optimizer) OfflineViewPlans(root *plan.Node, jobID string, anns []metadata.Annotation, now int64) ([]*plan.Node, []BuildIntent) {
-	annByNorm := make(map[string]metadata.Annotation, len(anns))
-	for _, a := range anns {
-		if a.Offline {
-			annByNorm[a.NormSig] = a
-		}
-	}
-	if len(annByNorm) == 0 {
-		return nil, nil
-	}
-	comp := signature.NewComputer()
-	var plans []*plan.Node
-	var intents []BuildIntent
-	seen := map[string]bool{}
-	plan.Walk(root, func(n *plan.Node) {
-		if n.Kind == plan.OpExtract || n.Kind == plan.OpViewScan ||
-			n.Kind == plan.OpOutput || n.Transparent() {
-			return
-		}
-		sig := comp.Of(n)
-		ann, ok := annByNorm[sig.Normalized]
-		if !ok || seen[sig.Precise] {
-			return
-		}
-		seen[sig.Precise] = true
-		if _, exists := o.Meta.LookupView(sig.Precise); exists {
-			return
-		}
-		if !o.Meta.ProposeMaterialize(sig.Normalized, sig.Precise, jobID, now) {
-			return
-		}
-		path := storage.PathFor(sig.Precise, jobID)
-		intents = append(intents, BuildIntent{
-			PreciseSig:  sig.Precise,
-			NormSig:     sig.Normalized,
-			Path:        path,
-			Props:       ann.Props,
-			ExpiryDelta: ann.ExpiryDelta,
-		})
-		plans = append(plans, plan.Clone(n).
-			Materialize(path, sig.Precise, sig.Normalized, ann.Props).
-			Output("__offline__"+sig.Precise))
-	})
-	return plans, intents
 }

@@ -39,7 +39,7 @@ func BenchmarkOptimizeFrontend(b *testing.B) {
 	b.Run("use", func(b *testing.B) {
 		env := newEnv(b)
 		agg := pipeline("g1")
-		sig := annotate(b, env, agg, false)
+		sig := annotate(b, env, agg)
 		env.meta.ReportMaterialized(metadata.ViewInfo{
 			PreciseSig: sig.Precise, NormSig: sig.Normalized, Path: "/v/bench",
 			Rows: 40, Bytes: 4000, ExpiresAt: 1 << 40,
@@ -59,7 +59,7 @@ func BenchmarkOptimizeFrontend(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		env := newEnv(b)
 		agg := pipeline("g1")
-		annotate(b, env, agg, false)
+		annotate(b, env, agg)
 		anns := env.relevant(b)
 		job := pipeline("g1").Output("o")
 		b.ReportAllocs()

@@ -34,7 +34,7 @@ func newEnv(t testing.TB) *testEnv {
 	t.Helper()
 	cat := catalog.New()
 	tab := data.NewTable("logs", "g1", logSchema(), 4)
-	data.NewGenerator(11).Fill(tab, 400, 30)
+	fill(tab, 11, 400, 30)
 	cat.Register(tab)
 	st := storage.NewStore()
 	meta := metadata.NewService()
@@ -71,7 +71,7 @@ func pipeline(guid string) *plan.Node {
 }
 
 // annotate installs an annotation for the pipeline's agg subgraph.
-func annotate(t testing.TB, env *testEnv, n *plan.Node, offline bool) signature.Signature {
+func annotate(t testing.TB, env *testEnv, n *plan.Node) signature.Signature {
 	t.Helper()
 	sig := signature.Of(n)
 	env.meta.LoadAnalysis([]metadata.Annotation{{
@@ -80,7 +80,6 @@ func annotate(t testing.TB, env *testEnv, n *plan.Node, offline bool) signature.
 		Props:       plan.PhysicalProps{Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0}, Count: 4}},
 		AvgRuntime:  50,
 		ExpiryDelta: 3,
-		Offline:     offline,
 	}})
 	return sig
 }
@@ -118,7 +117,7 @@ func TestEstimatorBasics(t *testing.T) {
 func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	sig := annotate(t, env, agg, false)
+	sig := annotate(t, env, agg)
 
 	// Job 1: no view exists yet -> follow-up phase injects Materialize.
 	job1 := agg.Output("o")
@@ -170,7 +169,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	annotate(t, env, agg, false)
+	annotate(t, env, agg)
 	anns := env.relevant(t)
 
 	// Build the view for GUID g1.
@@ -186,7 +185,7 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 
 	// Next recurring instance: new data delivered.
 	if err := env.cat.Deliver("logs", "g2", func(nt *data.Table) {
-		data.NewGenerator(12).Fill(nt, 400, 30)
+		fill(nt, 12, 400, 30)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 func TestCostBasedRejection(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	sig := annotate(t, env, agg, false)
+	sig := annotate(t, env, agg)
 	anns := env.relevant(t)
 	// Register a view whose read cost dwarfs recomputation.
 	env.meta.ReportMaterialized(metadata.ViewInfo{
@@ -280,7 +279,7 @@ func TestPerJobMaterializationLimit(t *testing.T) {
 func TestConcurrentBuildLockPreventsDoubleMaterialization(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	annotate(t, env, agg, false)
+	annotate(t, env, agg)
 	anns := env.relevant(t)
 
 	// Two concurrent jobs optimized before either executes: only the
@@ -310,7 +309,7 @@ func TestNoAnnotationsMeansUntouchedPlan(t *testing.T) {
 func TestMaterializeEnforcesAnnotatedPhysicalDesign(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	annotate(t, env, agg, false)
+	annotate(t, env, agg)
 	anns := env.relevant(t)
 	p, d := env.opt.Optimize(agg.Output("o"), "job", anns, 0)
 	if _, err := env.ex.RunCtx(context.Background(), p, "job", 0, 0); err != nil {
@@ -325,46 +324,10 @@ func TestMaterializeEnforcesAnnotatedPhysicalDesign(t *testing.T) {
 	}
 }
 
-func TestOfflineViewPlans(t *testing.T) {
-	env := newEnv(t)
-	agg := pipeline("g1")
-	sig := annotate(t, env, agg, true) // offline mode
-	anns := env.relevant(t)
-
-	plans, intents := env.opt.OfflineViewPlans(agg.Output("o"), "offline-job", anns, 0)
-	if len(plans) != 1 || len(intents) != 1 {
-		t.Fatalf("offline plans = %d, intents = %d", len(plans), len(intents))
-	}
-	// The offline plan materializes the view without running the full job.
-	res, err := env.ex.RunCtx(context.Background(), plans[0], "offline-job", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.MaterializedPaths) != 1 {
-		t.Fatal("offline plan did not materialize")
-	}
-	if v, err := env.st.Get(res.MaterializedPaths[0]); err != nil || v.PreciseSig != sig.Precise {
-		t.Error("view not in store after offline run")
-	}
-	// Second call: lock/exists checks prevent duplicates.
-	env.meta.ReportMaterialized(metadata.ViewInfo{PreciseSig: sig.Precise, Path: "/v", ExpiresAt: 10})
-	plans2, _ := env.opt.OfflineViewPlans(agg.Output("o"), "offline-2", anns, 1)
-	if len(plans2) != 0 {
-		t.Error("offline must not rebuild existing views")
-	}
-	// Online annotations are ignored by the offline extractor.
-	annotate(t, env, agg, false)
-	plans3, _ := env.opt.OfflineViewPlans(agg.Output("o"), "offline-3",
-		env.relevant(t), 2)
-	if len(plans3) != 0 {
-		t.Error("online annotations must not produce offline plans")
-	}
-}
-
 func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	env := newEnv(t)
 	agg := pipeline("g1")
-	annotate(t, env, agg, false)
+	annotate(t, env, agg)
 	anns := env.relevant(t)
 	job := agg.Output("o")
 	before := job.EncodeString(expr.Precise)
@@ -443,7 +406,7 @@ func TestOptimizeIdempotent(t *testing.T) {
 	// plan reuses the same views and builds nothing new.
 	env := newEnv(t)
 	agg := pipeline("g1")
-	annotate(t, env, agg, false)
+	annotate(t, env, agg)
 	anns := env.relevant(t)
 	p1, _ := env.opt.Optimize(pipeline("g1").Output("o"), "job1", anns, 0)
 	if _, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0); err != nil {
@@ -503,5 +466,14 @@ func TestInvertedIndexFalsePositivesAreHarmless(t *testing.T) {
 	// And no build lock was taken.
 	if _, _, locks, _, _ := env.meta.Stats(); locks != 0 {
 		t.Errorf("locks = %d", locks)
+	}
+}
+
+// fill appends n deterministic rows from seed to t, hash-partitioned on
+// the first column.
+func fill(t *data.Table, seed int64, n int, card int64) {
+	g, rr := data.NewGenerator(seed), 0
+	for i := 0; i < n; i++ {
+		t.AppendHash(g.Row(t.Schema, card), []int{0}, &rr)
 	}
 }

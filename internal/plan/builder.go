@@ -47,21 +47,9 @@ func (n *Node) HashJoin(right *Node, leftKeys, rightKeys []int) *Node {
 		LeftKeys: leftKeys, RightKeys: rightKeys})
 }
 
-// MergeJoin builds an inner merge join (inputs assumed sorted on the keys).
-func (n *Node) MergeJoin(right *Node, leftKeys, rightKeys []int) *Node {
-	return built(&Node{Kind: OpMergeJoin, Children: []*Node{n, right},
-		LeftKeys: leftKeys, RightKeys: rightKeys})
-}
-
 // HashAgg builds a hash group-by aggregation.
 func (n *Node) HashAgg(groupBy []int, aggs []AggSpec) *Node {
 	return built(&Node{Kind: OpHashGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs})
-}
-
-// StreamAgg builds a streaming group-by aggregation (input assumed sorted
-// on the group columns).
-func (n *Node) StreamAgg(groupBy []int, aggs []AggSpec) *Node {
-	return built(&Node{Kind: OpStreamGbAgg, Children: []*Node{n}, GroupBy: groupBy, Aggs: aggs})
 }
 
 // Sort builds a total sort on the key columns.
@@ -111,11 +99,6 @@ func (n *Node) Process(udoName, codeHash string) *Node {
 func (n *Node) Reduce(udoName, codeHash string, groupBy []int) *Node {
 	return built(&Node{Kind: OpReduce, Children: []*Node{n}, UDOName: udoName,
 		UDOCodeHash: codeHash, GroupBy: groupBy})
-}
-
-// Spool marks a shared subtree that feeds multiple consumers.
-func (n *Node) Spool() *Node {
-	return built(&Node{Kind: OpSpool, Children: []*Node{n}})
 }
 
 // Output terminates the plan with a named sink.

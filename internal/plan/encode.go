@@ -21,8 +21,7 @@ import (
 // views never changes the encoding of surrounding operators.
 func (n *Node) AppendEncode(dst []byte, mode expr.Mode) []byte {
 	if n.Transparent() {
-		// Transparent wrappers: a spooled or materialized computation is
-		// the same computation.
+		// A materialized computation is the same computation.
 		return n.Children[0].AppendEncode(dst, mode)
 	}
 	if n.Kind == OpExtract || n.Kind == OpViewScan {
@@ -39,7 +38,7 @@ func (n *Node) AppendEncode(dst []byte, mode expr.Mode) []byte {
 // Transparent reports whether n is invisible to encodings and signatures:
 // its computation is exactly its child's computation.
 func (n *Node) Transparent() bool {
-	return n.Kind == OpMaterialize || n.Kind == OpSpool
+	return n.Kind == OpMaterialize
 }
 
 // AppendLocal appends only the node-local portion of the canonical
@@ -76,12 +75,12 @@ func (n *Node) AppendLocal(dst []byte, mode expr.Mode) []byte {
 			dst = append(dst, ' ')
 			dst = e.AppendTo(dst, mode)
 		}
-	case OpHashJoin, OpMergeJoin:
+	case OpHashJoin:
 		dst = append(dst, ' ')
 		dst = appendInts(dst, n.LeftKeys)
 		dst = append(dst, ' ')
 		dst = appendInts(dst, n.RightKeys)
-	case OpHashGbAgg, OpStreamGbAgg:
+	case OpHashGbAgg:
 		dst = append(dst, ' ')
 		dst = appendInts(dst, n.GroupBy)
 		for _, a := range n.Aggs {
@@ -163,12 +162,8 @@ func opToken(k OpKind) string {
 		return "project"
 	case OpHashJoin:
 		return "hashjoin"
-	case OpMergeJoin:
-		return "mergejoin"
 	case OpHashGbAgg:
 		return "hashagg"
-	case OpStreamGbAgg:
-		return "streamagg"
 	case OpSort:
 		return "sort"
 	case OpExchange:

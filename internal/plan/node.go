@@ -15,7 +15,9 @@ import (
 )
 
 // OpKind identifies the operator type of a node. The names mirror the
-// operator breakdown of paper Figure 4(a).
+// operator breakdown of paper Figure 4(a). The numbers are stable:
+// workload.Save persists an observation's root kind as an integer and
+// Figure 4 breaks ties on it, so a retired kind leaves a `_` in its slot.
 type OpKind int
 
 // Operator kinds.
@@ -24,16 +26,16 @@ const (
 	OpFilter
 	OpProject // SCOPE "ComputeScalar"/"RestrRemap"
 	OpHashJoin
-	OpMergeJoin
+	_ // retired: MergeJoin
 	OpHashGbAgg
-	OpStreamGbAgg
+	_ // retired: StreamGbAgg
 	OpSort
 	OpExchange // shuffle
 	OpUnionAll
 	OpTop
 	OpProcess // row-wise user-defined operator
 	OpReduce  // group-wise user-defined operator
-	OpSpool   // shared subtree marker (DAG fan-out point)
+	_         // retired: Spool
 	OpOutput  // job output sink
 	// OpViewScan reads a materialized view in a rewritten plan. It encodes
 	// as the signature of the computation it replaces, so signatures of
@@ -46,14 +48,16 @@ const (
 )
 
 var opKindNames = [...]string{
-	"Extract", "Filter", "Project", "HashJoin", "MergeJoin", "HashGbAgg",
-	"StreamGbAgg", "Sort", "Exchange", "UnionAll", "Top", "Process",
-	"Reduce", "Spool", "Output", "ViewScan", "Materialize",
+	OpExtract: "Extract", OpFilter: "Filter", OpProject: "Project",
+	OpHashJoin: "HashJoin", OpHashGbAgg: "HashGbAgg", OpSort: "Sort",
+	OpExchange: "Exchange", OpUnionAll: "UnionAll", OpTop: "Top",
+	OpProcess: "Process", OpReduce: "Reduce", OpOutput: "Output",
+	OpViewScan: "ViewScan", OpMaterialize: "Materialize",
 }
 
 // String returns the operator name.
 func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
+	if k >= 0 && int(k) < len(opKindNames) && opKindNames[k] != "" {
 		return opKindNames[k]
 	}
 	return fmt.Sprintf("Op(%d)", int(k))
@@ -154,10 +158,10 @@ type Node struct {
 	Exprs []expr.Expr
 	Names []string
 
-	// OpHashJoin / OpMergeJoin
+	// OpHashJoin
 	LeftKeys, RightKeys []int
 
-	// OpHashGbAgg / OpStreamGbAgg / OpReduce (GroupBy only)
+	// OpHashGbAgg / OpReduce (GroupBy only)
 	GroupBy []int
 	Aggs    []AggSpec
 
@@ -219,7 +223,7 @@ func (n *Node) deriveSchema() data.Schema {
 		return n.TableSchema
 	case OpViewScan:
 		return n.ViewSchema
-	case OpFilter, OpSort, OpExchange, OpTop, OpSpool, OpOutput, OpMaterialize:
+	case OpFilter, OpSort, OpExchange, OpTop, OpOutput, OpMaterialize:
 		return n.Children[0].Schema()
 	case OpUnionAll:
 		return n.Children[0].Schema()
@@ -237,9 +241,9 @@ func (n *Node) deriveSchema() data.Schema {
 			out[i] = data.Column{Name: name, Kind: e.ResultKind(in)}
 		}
 		return out
-	case OpHashJoin, OpMergeJoin:
+	case OpHashJoin:
 		return n.Children[0].Schema().Concat(n.Children[1].Schema())
-	case OpHashGbAgg, OpStreamGbAgg:
+	case OpHashGbAgg:
 		in := n.Children[0].Schema()
 		out := make(data.Schema, 0, len(n.GroupBy)+len(n.Aggs))
 		for _, g := range n.GroupBy {
@@ -281,9 +285,9 @@ func (n *Node) String() string {
 		return fmt.Sprintf("Filter(%s)", n.Pred)
 	case OpProject:
 		return fmt.Sprintf("Project(%d exprs)", len(n.Exprs))
-	case OpHashJoin, OpMergeJoin:
+	case OpHashJoin:
 		return fmt.Sprintf("%s(%v=%v)", n.Kind, n.LeftKeys, n.RightKeys)
-	case OpHashGbAgg, OpStreamGbAgg:
+	case OpHashGbAgg:
 		return fmt.Sprintf("%s(by %v, %d aggs)", n.Kind, n.GroupBy, len(n.Aggs))
 	case OpSort:
 		return fmt.Sprintf("Sort(%v)", n.SortKeys)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"cloudviews/internal/data"
@@ -84,11 +85,11 @@ func TestEncodingPreciseVsNormalized(t *testing.T) {
 	}
 	// Structural change shows in both modes.
 	other := samplePlan("guid-jan1", 17001)
-	mutated := Rewrite(other, func(n *Node) *Node {
+	mutated := Clone(other)
+	Walk(mutated, func(n *Node) {
 		if n.Kind == OpHashGbAgg {
 			n.GroupBy = []int{1}
 		}
-		return n
 	})
 	if mutated.EncodeString(expr.Normalized) == day1.EncodeString(expr.Normalized) {
 		t.Error("structural change must alter normalized encoding")
@@ -129,29 +130,25 @@ func TestViewScanAndMaterializeTransparency(t *testing.T) {
 	if origTop.EncodeString(expr.Precise) != rewrTop {
 		t.Error("rewrite changed ancestor encoding")
 	}
-	// Spool is also transparent.
-	if base.Spool().EncodeString(expr.Precise) != pre {
-		t.Error("Spool must be signature-transparent")
-	}
 }
 
 func TestWalkCloneRewriteSharing(t *testing.T) {
 	shared := Scan("t", "g", usersSchema()).Filter(
-		expr.B(expr.OpGt, expr.C(0, "id"), expr.Lit(data.Int(0)))).Spool()
+		expr.B(expr.OpGt, expr.C(0, "id"), expr.Lit(data.Int(0))))
 	left := shared.HashAgg([]int{0}, []AggSpec{{Fn: AggCount, Col: 1}})
 	top := left.HashJoin(shared, []int{0}, []int{0}).Output("o")
 
-	// Walk visits shared nodes once: scan, filter, spool, agg, join, output = 6.
-	if got := Count(top); got != 6 {
-		t.Errorf("Count = %d, want 6", got)
+	// Walk visits shared nodes once: scan, filter, agg, join, output = 5.
+	if got := Count(top); got != 5 {
+		t.Errorf("Count = %d, want 5", got)
 	}
 
 	cl := Clone(top)
 	if cl.EncodeString(expr.Precise) != top.EncodeString(expr.Precise) {
 		t.Error("clone changed encoding")
 	}
-	// Sharing preserved in clone: the spool node reached via both paths is
-	// the same pointer.
+	// Sharing preserved in clone: the filter node reached via both paths
+	// is the same pointer.
 	join := cl.Children[0]
 	if join.Children[0].Children[0] != join.Children[1] {
 		t.Error("clone broke DAG sharing")
@@ -160,19 +157,6 @@ func TestWalkCloneRewriteSharing(t *testing.T) {
 	cl.Children[0].LeftKeys = []int{9}
 	if top.Children[0].LeftKeys[0] != 0 {
 		t.Error("clone aliases original")
-	}
-
-	// Rewrite replaces each distinct node once.
-	calls := 0
-	re := Rewrite(top, func(n *Node) *Node {
-		calls++
-		return n
-	})
-	if calls != 6 {
-		t.Errorf("Rewrite visited %d nodes, want 6", calls)
-	}
-	if re.EncodeString(expr.Precise) != top.EncodeString(expr.Precise) {
-		t.Error("identity rewrite changed plan")
 	}
 }
 
@@ -261,18 +245,6 @@ func TestDerivePropsAggAndJoin(t *testing.T) {
 	}
 }
 
-func TestStreamAggPreservesSort(t *testing.T) {
-	s := Scan("t", "g", clicksSchema()).Gather().Sort([]int{0}, nil)
-	agg := s.StreamAgg([]int{0}, []AggSpec{{Fn: AggCount, Col: 1}})
-	p := DeriveProps(agg)
-	if len(p.Sort.Cols) != 1 || p.Sort.Cols[0] != 0 {
-		t.Errorf("stream agg sort props = %+v", p)
-	}
-	if p.Part.Kind != PartSingleton {
-		t.Errorf("stream agg part props = %+v", p)
-	}
-}
-
 func TestNodeStrings(t *testing.T) {
 	p := samplePlan("g", 17001)
 	for _, n := range Nodes(p) {
@@ -288,5 +260,47 @@ func TestNodeStrings(t *testing.T) {
 	}
 	if PartHash.String() != "hash" {
 		t.Error("PartitionKind names wrong")
+	}
+}
+
+// TestOpKindNumbers pins each operator kind's integer. The numbers are a
+// persisted format, not an implementation detail: workload.Save writes an
+// observation's RootOp as a JSON integer, so a renumbered kind would load
+// a saved history under the wrong operator, and Figure 4 breaks ties
+// between equal shares on the kind's number, so a renumbering would
+// reorder the figure. A retired kind keeps its slot as a `_`.
+func TestOpKindNumbers(t *testing.T) {
+	want := []struct {
+		kind OpKind
+		n    int
+		name string
+	}{
+		{OpExtract, 0, "Extract"},
+		{OpFilter, 1, "Filter"},
+		{OpProject, 2, "Project"},
+		{OpHashJoin, 3, "HashJoin"},
+		{OpHashGbAgg, 5, "HashGbAgg"},
+		{OpSort, 7, "Sort"},
+		{OpExchange, 8, "Exchange"},
+		{OpUnionAll, 9, "UnionAll"},
+		{OpTop, 10, "Top"},
+		{OpProcess, 11, "Process"},
+		{OpReduce, 12, "Reduce"},
+		{OpOutput, 14, "Output"},
+		{OpViewScan, 15, "ViewScan"},
+		{OpMaterialize, 16, "Materialize"},
+	}
+	for _, w := range want {
+		if int(w.kind) != w.n {
+			t.Errorf("%s = %d, want %d", w.name, int(w.kind), w.n)
+		}
+		if w.kind.String() != w.name {
+			t.Errorf("OpKind(%d).String() = %q, want %q", w.n, w.kind.String(), w.name)
+		}
+	}
+	for _, retired := range []OpKind{4, 6, 13} {
+		if got, want := retired.String(), fmt.Sprintf("Op(%d)", int(retired)); got != want {
+			t.Errorf("retired slot %d named %q, want %q", int(retired), got, want)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Walk visits the subgraph rooted at n in post-order (children before
-// parents), visiting shared (spooled) nodes exactly once.
+// parents), visiting shared nodes exactly once.
 func Walk(n *Node, visit func(*Node)) {
 	seen := map[*Node]bool{}
 	var rec func(*Node)
@@ -71,33 +71,6 @@ func (n *Node) CopyWithChildren() *Node {
 	return &cp
 }
 
-// Rewrite applies fn bottom-up: children are rewritten first, then fn may
-// replace the node itself (returning a different node). Shared nodes are
-// rewritten once and the replacement is reused at every consumer. The
-// original plan is not modified; Rewrite operates on an internal clone.
-func Rewrite(n *Node, fn func(*Node) *Node) *Node {
-	memo := map[*Node]*Node{}
-	var rec func(*Node) *Node
-	rec = func(m *Node) *Node {
-		if m == nil {
-			return nil
-		}
-		if r, ok := memo[m]; ok {
-			return r
-		}
-		cp := *m
-		cp.schema = nil
-		cp.Children = make([]*Node, len(m.Children))
-		for i, ch := range m.Children {
-			cp.Children[i] = rec(ch)
-		}
-		r := fn(&cp)
-		memo[m] = r
-		return r
-	}
-	return rec(n)
-}
-
 // Inputs returns the distinct logical input names (Extract tables) read by
 // the subgraph, in first-encounter order.
 func Inputs(n *Node) []string {
@@ -143,13 +116,13 @@ func DeriveProps(n *Node) PhysicalProps {
 		p := DeriveProps(n.Children[0])
 		p.Sort = SortOrder{Cols: append([]int(nil), n.SortKeys...), Desc: append([]bool(nil), n.Desc...)}
 		return p
-	case OpFilter, OpTop, OpSpool, OpOutput, OpMaterialize, OpProcess, OpReduce:
+	case OpFilter, OpTop, OpOutput, OpMaterialize, OpProcess, OpReduce:
 		// Pass-through operators preserve both properties. Process/Reduce
 		// append a column, which does not disturb existing columns.
 		return DeriveProps(n.Children[0])
 	case OpProject:
 		return remapProjectProps(n)
-	case OpHashJoin, OpMergeJoin:
+	case OpHashJoin:
 		left := DeriveProps(n.Children[0])
 		p := PhysicalProps{}
 		if left.Part.Kind == PartHash && intsEqual(left.Part.Cols, n.LeftKeys) {
@@ -157,11 +130,8 @@ func DeriveProps(n *Node) PhysicalProps {
 			// columns keep their indexes in the concatenated output.
 			p.Part = left.Part
 		}
-		if n.Kind == OpMergeJoin {
-			p.Sort = left.Sort
-		}
 		return p
-	case OpHashGbAgg, OpStreamGbAgg:
+	case OpHashGbAgg:
 		return remapAggProps(n)
 	default:
 		return PhysicalProps{}
@@ -203,11 +173,6 @@ func remapAggProps(n *Node) PhysicalProps {
 		out.Part = Partitioning{Kind: PartHash, Cols: cols, Count: child.Part.Count}
 	} else if child.Part.Kind == PartSingleton {
 		out.Part = child.Part
-	}
-	if n.Kind == OpStreamGbAgg {
-		if cols, ok := remapCols(child.Sort.Cols, remap); ok && len(cols) > 0 {
-			out.Sort = SortOrder{Cols: cols, Desc: append([]bool(nil), child.Sort.Desc...)}
-		}
 	}
 	return out
 }

@@ -124,7 +124,7 @@ func (c *Computer) Alias(orig, clone *plan.Node) {
 }
 
 // AllSubgraphs returns the signature of every distinct subgraph (node) of
-// the plan, in post-order. Transparent wrappers (Spool, Materialize) are
+// the plan, in post-order. Transparent wrappers (Materialize) are
 // skipped: they denote the same computation as their child.
 func (c *Computer) AllSubgraphs(root *plan.Node) []SubgraphSig {
 	var out []SubgraphSig

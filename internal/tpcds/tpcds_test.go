@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"cloudviews/internal/data"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
@@ -24,8 +25,18 @@ func TestGenerateCatalog(t *testing.T) {
 		if tab.NumRows() == 0 {
 			t.Errorf("table %s empty", def.Name)
 		}
-		if err := tab.Validate(); err != nil {
-			t.Errorf("table %s invalid: %v", def.Name, err)
+		for _, p := range tab.Partitions {
+			for _, r := range p {
+				if len(r) != len(tab.Schema) {
+					t.Fatalf("table %s: row arity %d, schema wants %d", def.Name, len(r), len(tab.Schema))
+				}
+				for ci, v := range r {
+					if v.K != data.KindNull && v.K != tab.Schema[ci].Kind {
+						t.Fatalf("table %s col %s: kind %s, schema wants %s",
+							def.Name, tab.Schema[ci].Name, v.K, tab.Schema[ci].Kind)
+					}
+				}
+			}
 		}
 	}
 	// Determinism.

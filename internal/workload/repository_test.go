@@ -20,7 +20,7 @@ func setup(t *testing.T) (*exec.Executor, *plan.Node) {
 	cat := catalog.New()
 	sch := data.Schema{{Name: "k", Kind: data.KindInt}, {Name: "v", Kind: data.KindFloat}}
 	tab := data.NewTable("events", "g1", sch, 2)
-	data.NewGenerator(1).Fill(tab, 100, 10)
+	fill(tab, 1, 100, 10)
 	cat.Register(tab)
 	e := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
 	p := plan.Scan("events", "g1", sch).
@@ -115,7 +115,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 	cat := catalog.New()
 	sch := data.Schema{{Name: "k", Kind: data.KindInt}}
 	tab := data.NewTable("t", "g1", sch, 1)
-	data.NewGenerator(2).Fill(tab, 10, 5)
+	fill(tab, 2, 10, 5)
 	cat.Register(tab)
 	e := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
 	repo := NewRepository()
@@ -133,7 +133,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 	repo.Record(meta("j1", 0), p1, res1)
 
 	if err := cat.Deliver("t", "g2", func(nt *data.Table) {
-		data.NewGenerator(3).Fill(nt, 10, 5)
+		fill(nt, 3, 10, 5)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +204,14 @@ func TestRecordPinsNoPlan(t *testing.T) {
 	}
 	if got := len(repo.Snapshot()); got != 5 {
 		t.Errorf("observations = %d, want 5", got)
+	}
+}
+
+// fill appends n deterministic rows from seed to t, hash-partitioned on
+// the first column.
+func fill(t *data.Table, seed int64, n int, card int64) {
+	g, rr := data.NewGenerator(seed), 0
+	for i := 0; i < n; i++ {
+		t.AppendHash(g.Row(t.Schema, card), []int{0}, &rr)
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, gofmt, build, tests, the race
 # detector on every concurrent package (which includes the chaos soak at
-# its default length), fuzz smokes, the observability allocation guard,
-# and a 1-iteration smoke of every benchmark.
+# its default length), a run of every example, fuzz smokes, the
+# observability allocation guard, and a 1-iteration smoke of every
+# benchmark.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -12,6 +13,9 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
 make race
+# The examples are the façade's only end-to-end callers: run each one, so
+# a runtime failure (a log.Fatal) fails the gate, not just a compile error.
+for d in examples/*/; do [ -f "$d/main.go" ] && go run "./$d" >/dev/null; done
 # Fuzz smokes over the seeded corpora: the columnar codec round trip (all
 # kinds, NULLs, corrupt-payload rejection), the row arena (exact-width,
 # non-overlapping rows across hinted and grown blocks) and
